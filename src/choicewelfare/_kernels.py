@@ -42,25 +42,36 @@ def argmax_tally_numpy(utilities, errors):
     return np.bincount(choices, minlength=utilities.shape[0]).astype(np.int64)
 
 
+# Elements (q values x types x actions) per chunk of the numpy curve kernel:
+# bounds its temporaries to a few 512 KiB arrays whatever the grid length.
+CURVE_CHUNK_ELEMENTS = 65536
+
+
 def logit_welfare_curve_numpy(weights, utilities, q_values):
     """Population logit welfare at each q.
 
     ``weights``: (T,) summing to 1; ``utilities``: (T, k); ``q_values``: (Q,).
-    welfare(q) = sum_t w_t * sum_i u_ti * softmax_i(q * u_ti). Evaluated one
-    q at a time so memory stays O(T*k); the type reduction uses np.sum
-    (pairwise) to keep large-T accumulation accurate.
+    welfare(q) = sum_t w_t * sum_i u_ti * softmax_i(q * u_ti). Evaluated by
+    broadcasting over chunks of q values of at most CURVE_CHUNK_ELEMENTS
+    (q x T x k) elements, so memory stays bounded for any grid. Each (q, type)
+    row subtracts its own max before exponentiating, and the type reduction
+    uses np.sum (pairwise) to keep large-T accumulation accurate.
     """
     weights = np.asarray(weights, dtype=np.float64)
     utilities = np.asarray(utilities, dtype=np.float64)
     q_values = np.asarray(q_values, dtype=np.float64)
     out = np.empty(q_values.shape[0], dtype=np.float64)
-    for qi in range(q_values.shape[0]):
-        z = q_values[qi] * utilities
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
-        per_type = np.sum(utilities * probs, axis=1)
-        out[qi] = np.sum(weights * per_type)
+    chunk = max(1, CURVE_CHUNK_ELEMENTS // utilities.size)
+    for start in range(0, q_values.shape[0], chunk):
+        q = q_values[start:start + chunk, np.newaxis, np.newaxis]
+        z = q * utilities
+        z -= z.max(axis=2, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=2, keepdims=True)
+        z *= utilities
+        per_type = np.sum(z, axis=2)
+        per_type *= weights
+        out[start:start + chunk] = np.sum(per_type, axis=1)
     return out
 
 

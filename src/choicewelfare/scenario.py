@@ -117,6 +117,16 @@ class Population:
                 f"type weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
             )
         object.__setattr__(self, "types", types)
+        # Built once: every sweep, welfare and search path reads these, and
+        # both are immutable, so all accesses share the same arrays.
+        object.__setattr__(
+            self, "_weights", _frozen_array([typ.weight for typ in types])
+        )
+        object.__setattr__(
+            self,
+            "_utility_matrix",
+            _frozen_array(np.stack([typ.utilities for typ in types])),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Population):
@@ -133,12 +143,14 @@ class Population:
 
     @property
     def weights(self) -> NDArray[np.float64]:
-        return _frozen_array([typ.weight for typ in self.types])
+        """(n_types,) read-only type masses; the same array on every access."""
+        return self._weights
 
     @property
     def utility_matrix(self) -> NDArray[np.float64]:
-        """(n_types, n_actions) matrix; row t is type t's utility vector."""
-        return _frozen_array(np.stack([typ.utilities for typ in self.types]))
+        """(n_types, n_actions) read-only matrix; row t is type t's utility
+        vector. The same array on every access."""
+        return self._utility_matrix
 
 
 @dataclass(frozen=True, eq=False)

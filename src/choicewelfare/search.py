@@ -4,13 +4,15 @@ Welfare of every non-empty subset of actions is evaluated on a grid of the
 logit rationality parameter q; the outer envelope names the best subset at
 each q. Because welfare orderings of subsets can reverse as q rises (and
 reverse back), crossings of welfare curves are located for every subset pair
-by sign-change detection on the grid plus bisection refinement. Crossing
+by sign-change detection on the grid, each refined by a bracketed secant
+(Illinois) iteration that starts from the two grid values. Crossing
 detection is quadratic in the number of subsets, i.e. O(4^|actions|) pairs;
 the |actions| <= 20 enumeration guard keeps sweeps themselves feasible but
 large action sets make the pair scan the dominant cost.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -28,6 +30,13 @@ MAX_ACTIONS = 20
 TOUCH_TOL = 1e-12
 BISECT_INTERVAL_TOL = 1e-6
 BISECT_VALUE_TOL = 1e-8
+# Iterations one crossing's refinement may take before it is reported as not
+# converged; a smooth gap converges in about four.
+REFINE_MAX_ITERATIONS = 100
+
+
+class RefinementError(ArithmeticError):
+    """A crossing's refinement met neither tolerance within its iteration cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +121,21 @@ def enumerate_choice_sets(actions: ActionSet) -> list[tuple[int, ...]]:
     return out
 
 
-def _subset_welfare_curve(
-    pop: Population, subset: tuple[int, ...], q_values: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    matrix = np.ascontiguousarray(pop.utility_matrix[:, list(subset)])
-    return logit_welfare_curve(pop.weights, matrix, q_values)
+def _subset_matrix(matrix: NDArray[np.float64], subset) -> NDArray[np.float64]:
+    return np.ascontiguousarray(matrix[:, list(subset)])
+
+
+def _gap_at(weights, matrix_a, matrix_b):
+    """The welfare gap W_a(q) - W_b(q) at one q, as a function of q."""
+
+    def gap(q: float) -> float:
+        qarr = np.array([q])
+        return float(
+            logit_welfare_curve(weights, matrix_a, qarr)[0]
+            - logit_welfare_curve(weights, matrix_b, qarr)[0]
+        )
+
+    return gap
 
 
 def sweep_logit(pop: Population, grid: Optional[SweepGrid] = None) -> SweepResult:
@@ -129,16 +148,18 @@ def sweep_logit(pop: Population, grid: Optional[SweepGrid] = None) -> SweepResul
         grid = SweepGrid.from_range()
     subsets = tuple(enumerate_choice_sets(pop.actions))
     qs = grid.q_values
+    weights, matrix = pop.weights, pop.utility_matrix
+    matrices = [_subset_matrix(matrix, subset) for subset in subsets]
     welfare = np.empty((len(subsets), qs.shape[0]))
-    for si, subset in enumerate(subsets):
-        welfare[si] = _subset_welfare_curve(pop, subset, qs)
+    for si, sub_matrix in enumerate(matrices):
+        welfare[si] = logit_welfare_curve(weights, sub_matrix, qs)
     envelope = np.argmax(welfare, axis=0).astype(np.int64)
     crossings = []
     for ia, ib in itertools.combinations(range(len(subsets)), 2):
         roots = _refine_sign_changes(
             qs,
             welfare[ia] - welfare[ib],
-            lambda q, a=subsets[ia], b=subsets[ib]: _difference_at(pop, a, b, q),
+            _gap_at(weights, matrices[ia], matrices[ib]),
         )
         crossings.extend(
             Crossing(subset_a=subsets[ia], subset_b=subsets[ib], q_star=r)
@@ -164,9 +185,11 @@ def find_crossings(
     """q values where the two subsets' welfare curves cross, in increasing
     order.
 
-    Sign changes of the difference between adjacent grid points are refined
-    by bisection until the bracket is narrower than 1e-6 and the welfare gap
-    at the reported point is at most 1e-8. Grid points where the difference
+    Each sign change of the difference between grid points is refined by a
+    bracketed secant (Illinois) iteration from the two grid values, until the
+    welfare gap at the reported point is at most 1e-8 and a sign change of
+    the gap lies within 1e-6 of it. Refinement that meets neither within its
+    iteration cap raises RefinementError. Grid points where the difference
     is within 1e-12 of zero count as touching, not crossing, unless the sign
     differs on the two flanking sides. Crossings that lie entirely between
     two grid points with equal signs are invisible at the grid resolution.
@@ -176,23 +199,15 @@ def find_crossings(
     sub_a = _validate_available(subset_a, pop.n_actions)
     sub_b = _validate_available(subset_b, pop.n_actions)
     qs = grid.q_values
-    diff = _subset_welfare_curve(pop, sub_a, qs) - _subset_welfare_curve(
-        pop, sub_b, qs
+    weights, matrix = pop.weights, pop.utility_matrix
+    matrix_a, matrix_b = _subset_matrix(matrix, sub_a), _subset_matrix(matrix, sub_b)
+    diff = logit_welfare_curve(weights, matrix_a, qs) - logit_welfare_curve(
+        weights, matrix_b, qs
     )
-    return _refine_sign_changes(
-        qs, diff, lambda q: _difference_at(pop, sub_a, sub_b, q)
-    )
+    return _refine_sign_changes(qs, diff, _gap_at(weights, matrix_a, matrix_b))
 
 
-def _difference_at(pop, sub_a, sub_b, q: float) -> float:
-    qarr = np.array([q])
-    return float(
-        _subset_welfare_curve(pop, sub_a, qarr)[0]
-        - _subset_welfare_curve(pop, sub_b, qarr)[0]
-    )
-
-
-def _refine_sign_changes(qs, diff, diff_fn) -> list[float]:
+def _refine_sign_changes(qs, diff, gap) -> list[float]:
     signs = np.where(np.abs(diff) <= TOUCH_TOL, 0.0, np.sign(diff))
     nonzero = np.nonzero(signs)[0]
     roots: list[float] = []
@@ -200,24 +215,60 @@ def _refine_sign_changes(qs, diff, diff_fn) -> list[float]:
         if signs[left] == signs[right]:
             continue
         roots.append(
-            _bisect(diff_fn, float(qs[left]), float(qs[right]), float(diff[left]))
+            _illinois(
+                gap,
+                float(qs[left]),
+                float(qs[right]),
+                float(diff[left]),
+                float(diff[right]),
+            )
         )
     return roots
 
 
-def _bisect(diff_fn, lo: float, hi: float, f_lo: float) -> float:
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = diff_fn(mid)
-        if f_mid == 0.0 or ((hi - lo) <= BISECT_INTERVAL_TOL and abs(f_mid) <= BISECT_VALUE_TOL):
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo = mid
-            f_lo = f_mid
+def _illinois(gap, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """A root of gap in the bracket [lo, hi], whose end values differ in sign.
+
+    Regula falsi steps, with the Illinois halving of the end value kept twice
+    in a row, and bisection when a step does not land strictly inside the
+    bracket. Returns q with |gap(q)| <= BISECT_VALUE_TOL and a sign change of
+    gap within BISECT_INTERVAL_TOL of q. When the value tolerance is met but
+    the opposite-signed end is further away, one probe half an interval
+    tolerance toward it proves the sign change or narrows the bracket.
+    """
+    grid_lo, grid_hi = lo, hi
+    kept = 0  # -1: the last step replaced lo, so hi was kept; +1: the reverse
+    for _ in range(REFINE_MAX_ITERATIONS):
+        q = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < q < hi:
+            q = 0.5 * (lo + hi)
+        f = gap(q)
+        if f == 0.0:
+            return q
+        if abs(f) <= BISECT_VALUE_TOL:
+            far = hi if (f > 0.0) == (f_lo > 0.0) else lo
+            if abs(far - q) <= BISECT_INTERVAL_TOL:
+                return q
+            probe = q + math.copysign(0.5 * BISECT_INTERVAL_TOL, far - q)
+            f_probe = gap(probe)
+            if f_probe == 0.0 or (f_probe > 0.0) != (f > 0.0):
+                return q
+            q, f = probe, f_probe
+        if (f > 0.0) == (f_lo > 0.0):
+            lo, f_lo = q, f
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
         else:
-            hi = mid
-    return mid
+            hi, f_hi = q, f
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
+    raise RefinementError(
+        f"crossing refinement in the grid bracket [{grid_lo!r}, {grid_hi!r}] "
+        f"did not converge in {REFINE_MAX_ITERATIONS} iterations; it was "
+        f"last narrowed to [{lo!r}, {hi!r}]"
+    )
 
 
 @dataclass(frozen=True)

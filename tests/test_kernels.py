@@ -101,6 +101,37 @@ def test_logit_welfare_curve_matches_direct_softmax():
         assert abs(curve[qi] - direct) < 1e-12
 
 
+def _curve_one_q_at_a_time(weights, utilities, q_values):
+    out = np.empty(q_values.shape[0])
+    for qi, q in enumerate(q_values):
+        z = q * utilities
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=1, keepdims=True)
+        out[qi] = np.sum(weights * np.sum(utilities * p, axis=1))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_types, k, n_q",
+    [(300, 7, 500), (40, 3, 2000), (10_000, 7, 4), (3, 1, 50_000)],
+)
+def test_logit_welfare_curve_numpy_chunks_match_loop(n_types, k, n_q):
+    # The shapes span several chunks, and a single q that exceeds a chunk.
+    assert n_types * k * n_q > 2 * kernels.CURVE_CHUNK_ELEMENTS
+    rng = np.random.default_rng(n_types * k)
+    weights = rng.dirichlet(np.ones(n_types))
+    utilities = rng.normal(scale=2.0, size=(n_types, k))
+    q_values = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1e3, n_q - 2)), [1e3]])
+    # exp of a very negative shifted score underflows to its exact double
+    # value, 0; overflow, division by zero and invalid values must not occur.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        expected = _curve_one_q_at_a_time(weights, utilities, q_values)
+        curve = kernels.logit_welfare_curve_numpy(weights, utilities, q_values)
+    assert curve.shape == q_values.shape
+    assert np.all(np.abs(curve - expected) <= 1e-14 * np.abs(expected))
+
+
 def test_logit_welfare_curve_q_zero_is_uniform_mean():
     rng = np.random.default_rng(5)
     weights = rng.dirichlet(np.ones(3))

@@ -1,5 +1,7 @@
 """Population and line-location scenario construction and validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,39 @@ def test_population_matrix_and_weights():
     assert np.array_equal(pop.utility_matrix, [[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(ValueError):
         pop.utility_matrix[0, 0] = 5.0  # read-only view
+
+
+def test_population_matrix_and_weights_are_built_once():
+    actions = ActionSet(labels=("a", "b", "c"))
+    types = (
+        UtilityType(utilities=np.array([1.0, 0.0, -1.0]), weight=0.5),
+        UtilityType(utilities=np.array([0.0, 2.0, 0.5]), weight=0.5),
+    )
+    pop = Population(actions=actions, types=types)
+    assert pop.utility_matrix is pop.utility_matrix
+    assert pop.weights is pop.weights
+    for arr in (pop.utility_matrix, pop.weights):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        pop.weights[0] = 1.0
+
+    flipped = UtilityType(utilities=np.array([-1.0, 0.0, 1.0]), weight=0.5)
+    replaced = dataclasses.replace(pop, types=(types[0], flipped))
+    assert np.array_equal(
+        replaced.utility_matrix, [[1.0, 0.0, -1.0], [-1.0, 0.0, 1.0]]
+    )
+    assert np.array_equal(pop.utility_matrix, [[1.0, 0.0, -1.0], [0.0, 2.0, 0.5]])
+
+    built = build_population(
+        actions,
+        [
+            UtilityType(utilities=np.array([1.0, 0.0, -1.0]), weight=1.0),
+            UtilityType(utilities=np.array([0.0, 2.0, 0.5]), weight=3.0),
+        ],
+    )
+    assert np.array_equal(built.utility_matrix, pop.utility_matrix)
+    assert np.array_equal(built.weights, [0.25, 0.75])
+    assert not built.utility_matrix.flags.writeable
 
 
 def test_build_population_renormalizes():

@@ -1,9 +1,12 @@
 """Choice-set sweep, upper envelope, crossings, and discrete optimization."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicewelfare import (
     ActionSet,
@@ -14,8 +17,10 @@ from choicewelfare import (
     Logit,
     Population,
     RationalMax,
+    RefinementError,
     SweepGrid,
     UtilityType,
+    build_population,
     choice_probabilities,
     enumerate_choice_sets,
     expected_utilities,
@@ -25,6 +30,7 @@ from choicewelfare import (
     policy_welfare,
     sweep_logit,
 )
+from choicewelfare.search import BISECT_VALUE_TOL, _refine_sign_changes
 
 # Roots frozen from an independent bracketing root finder (xtol 1e-13) on the
 # welfare difference of each subset pair for the line scenario. Eleven of the
@@ -213,6 +219,78 @@ def test_coarse_grid_misses_double_crossing(line_population):
 
 def test_singleton_pair_never_crosses(line_population):
     assert find_crossings(line_population, (0,), (1,)) == []
+
+
+# --- refinement contract ---
+
+
+def _softmax_welfare(weights, utilities, q):
+    z = q * utilities
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return float(weights @ (p * utilities).sum(axis=1))
+
+
+def _grid_sign_changes(diff):
+    signs = [s for s in np.sign(np.where(np.abs(diff) <= 1e-12, 0.0, diff)) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@st.composite
+def small_populations(draw):
+    n_types = draw(st.integers(1, 8))
+    k = draw(st.integers(2, 4))
+    utility = st.floats(-3.0, 3.0, allow_nan=False)
+    types = [
+        UtilityType(
+            utilities=np.array(draw(st.lists(utility, min_size=k, max_size=k))),
+            weight=draw(st.floats(0.1, 1.0)),
+        )
+        for _ in range(n_types)
+    ]
+    return build_population(ActionSet(labels=tuple(f"a{i}" for i in range(k))), types)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_populations())
+def test_refined_crossings_meet_the_contract(pop):
+    result = sweep_logit(pop)
+    weights, matrix = pop.weights, pop.utility_matrix
+
+    def gap(pair, q):
+        a, b = (matrix[:, list(s)] for s in pair)
+        return _softmax_welfare(weights, a, q) - _softmax_welfare(weights, b, q)
+
+    found: dict[tuple, list[float]] = {}
+    for crossing in result.crossings:
+        pair = (crossing.subset_a, crossing.subset_b)
+        q_star = crossing.q_star
+        found.setdefault(pair, []).append(q_star)
+        assert abs(gap(pair, q_star)) <= 1e-8
+        around = [gap(pair, q) for q in np.linspace(q_star - 1e-6, q_star + 1e-6, 9)]
+        assert min(around) <= 0.0 <= max(around)
+    qs = result.grid.q_values
+    curves = {
+        s: np.array([_softmax_welfare(weights, matrix[:, list(s)], q) for q in qs])
+        for s in result.subsets
+    }
+    for a, b in itertools.combinations(result.subsets, 2):
+        assert len(found.get((a, b), [])) == _grid_sign_changes(curves[a] - curves[b])
+
+
+def test_refinement_that_cannot_converge_names_its_bracket():
+    # A gap with noise up to 1e-6 whose magnitude never drops below ten times
+    # the value tolerance, however narrow the bracket gets.
+    rng = np.random.default_rng(7)
+
+    def noisy_gap(q):
+        value = (q - 0.3) + rng.uniform(-1e-6, 1e-6)
+        return math.copysign(max(abs(value), 10 * BISECT_VALUE_TOL), value)
+
+    qs = np.array([0.25, 0.35])
+    diff = np.array([noisy_gap(q) for q in qs])
+    with pytest.raises(RefinementError, match=r"\[0\.25, 0\.35\]"):
+        _refine_sign_changes(qs, diff, noisy_gap)
 
 
 # --- discrete optimization ---
