@@ -10,27 +10,30 @@ action before delegating to its base model.
 Ties in maximization (exact score equality) always resolve to the lowest
 action index, both analytically and inside Monte Carlo draws, so results are
 reproducible.
+
+Monte Carlo draws are common random numbers. For each (seed, stream) the
+random-utility model draws one (samples x n_actions) error matrix over the
+full action set, and column i is action i's error in every draw. A subset's
+choice in draw r is the first argmax of u + E[r] over the subset's columns,
+so an action keeps its error whichever other actions are available, and
+removing an action can only move its wins to the others. `mc_scores` returns
+the per-type score matrix u + E, from which a caller can tally every subset.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ._kernels import argmax_tally, count_below_threshold
+from .scenario import _frozen_array
 
 PROB_SUM_TOL = 1e-12
 
 
-def _frozen(arr) -> NDArray[np.float64]:
-    arr = np.array(arr, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
-
-
 def _validate_prob_vector(probs, name: str) -> NDArray[np.float64]:
-    probs = _frozen(probs)
+    probs = _frozen_array(probs)
     if probs.ndim != 1 or probs.shape[0] == 0:
         raise ValueError(f"{name} must be a non-empty 1-d vector")
     if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
@@ -161,7 +164,14 @@ class Logit:
 @dataclass(frozen=True)
 class RandomUtilityMC:
     """Choice maximizes utility plus IID additive error, estimated from
-    `samples` seeded draws."""
+    `samples` seeded draws.
+
+    The draws are common random numbers: for stream t (the type index in
+    population evaluation) the model draws one (samples x n_actions) error
+    matrix over the full action set, and every available subset is tallied
+    on the columns of its own actions. Full-set probabilities use that matrix
+    whole.
+    """
 
     error: ErrorSpec
     samples: int = 100_000
@@ -216,7 +226,7 @@ class ChoiceProbabilities:
     probs: NDArray[np.float64]
 
     def __post_init__(self):
-        probs = _frozen(self.probs)
+        probs = _frozen_array(self.probs)
         available = tuple(int(i) for i in self.available)
         if probs.ndim != 1 or probs.shape[0] != len(available):
             raise ValueError("probs length must match available")
@@ -314,7 +324,11 @@ def choice_probabilities(
     `utilities` covers the full action set; `available` selects a non-empty
     subset (returned in ascending index order). `stream` is a reproducibility
     sub-key for Monte Carlo models: population evaluation passes the type
-    index so per-type draws do not depend on scheduling.
+    index so per-type draws do not depend on scheduling. A Monte Carlo model
+    draws the stream's (samples x n_actions) errors over the full action set
+    and tallies the argmax of utility plus error over the available columns
+    only, so each error belongs to an action, not to a position in the
+    subset.
     """
     utilities = np.asarray(utilities, dtype=np.float64)
     if utilities.ndim != 1:
@@ -349,18 +363,50 @@ def choice_probabilities(
         return ChoiceProbabilities(available=avail, probs=e / e.sum())
 
     if isinstance(model, DefaultNudge):
-        shifted = utilities.copy()
-        mask = np.arange(utilities.shape[0]) != model.default_action
-        shifted[mask] -= model.gamma
-        return choice_probabilities(shifted, avail, model.base, stream=stream)
+        return choice_probabilities(
+            _nudged(utilities, model), avail, model.base, stream=stream
+        )
 
     if isinstance(model, RandomUtilityMC):
-        rng = _mc_stream_rng(model.seed, stream)
-        errors = _draw_errors(model.error, model.samples, k, rng)
-        counts = argmax_tally(u_sub, errors)
+        errors = _mc_errors(model, utilities.shape[0], stream)
+        counts = argmax_tally(u_sub, errors[:, list(avail)])
         return ChoiceProbabilities(available=avail, probs=counts / model.samples)
 
     raise ValueError(f"unknown choice model {model!r}")
+
+
+def mc_scores(
+    utilities: NDArray[np.float64], model: ChoiceModel, *, stream: int = 0
+) -> Optional[NDArray[np.float64]]:
+    """The (samples x n_actions) scores u + E a Monte Carlo model maximizes
+    for one type, or None when `model` does not choose by Monte Carlo.
+
+    `utilities` is the type's finite full-set vector. A DefaultNudge over a
+    random-utility model scores the nudge-shifted utilities. For every
+    available subset S, the first argmax of each row over S's columns is the
+    choice `choice_probabilities(utilities, S, model, stream=stream)`
+    tallies, so one score matrix serves every subset.
+    """
+    if isinstance(model, DefaultNudge):
+        return mc_scores(_nudged(utilities, model), model.base, stream=stream)
+    if isinstance(model, RandomUtilityMC):
+        return utilities + _mc_errors(model, utilities.shape[0], stream)
+    return None
+
+
+def _nudged(utilities, model: DefaultNudge) -> NDArray[np.float64]:
+    # The utilities the base model chooses by: gamma off every non-default.
+    shifted = np.array(utilities, dtype=np.float64)
+    shifted[np.arange(shifted.shape[0]) != model.default_action] -= model.gamma
+    return shifted
+
+
+def _mc_errors(
+    model: RandomUtilityMC, n_actions: int, stream: int
+) -> NDArray[np.float64]:
+    # The stream's common random numbers; column i is action i's error.
+    rng = _mc_stream_rng(model.seed, stream)
+    return _draw_errors(model.error, model.samples, n_actions, rng)
 
 
 def _renormalized_table(background, avail, utilities) -> NDArray[np.float64]:

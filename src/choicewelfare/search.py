@@ -20,9 +20,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._kernels import logit_welfare_curve
-from .models import ChoiceModel, _validate_available
+from .models import ChoiceModel, _validate_available, choice_probabilities, mc_scores
 from .scenario import ActionSet, Population
-from .welfare import policy_welfare
+# Not called here: optimize_choice_set reproduces its welfare bit for bit, and
+# perfbench/spans.py wraps the name as search.policy_welfare.
+from .welfare import policy_welfare  # noqa: F401
 
 MAX_ACTIONS = 20
 
@@ -284,13 +286,60 @@ def optimize_choice_set(pop: Population, model: ChoiceModel) -> OptimizeResult:
 
     Ties resolve to the first subset in (size, lexicographic) order. The
     reported welfare is exactly policy_welfare's value for the winner.
+
+    Types are the outer loop. A Monte Carlo model (or a default nudge over
+    one) draws each type's common random numbers once (`mc_scores`) and
+    tallies every subset from them in one depth-first walk of the subset
+    lattice, holding one score maximum and one choice vector per level.
+    Other models evaluate choice_probabilities per subset.
     """
-    best_subset: Optional[tuple[int, ...]] = None
-    best_welfare = -np.inf
-    for subset in enumerate_choice_sets(pop.actions):
-        welfare = policy_welfare(pop, subset, model).welfare
-        if welfare > best_welfare:
-            best_welfare = welfare
-            best_subset = subset
-    assert best_subset is not None
-    return OptimizeResult(subset=best_subset, welfare=best_welfare)
+    subsets = enumerate_choice_sets(pop.actions)
+    row = {subset: s for s, subset in enumerate(subsets)}
+    values = np.empty((len(subsets), pop.n_types))
+    for t, typ in enumerate(pop.types):
+        u = typ.utilities
+        scores = mc_scores(u, model, stream=t)
+        if scores is None:
+            for s, subset in enumerate(subsets):
+                probs = choice_probabilities(u, subset, model, stream=t).probs
+                values[s, t] = float(np.dot(probs, u[list(subset)]))
+        else:
+            for subset, counts in _lattice_tallies(scores):
+                avail = list(subset)
+                values[row[subset], t] = float(
+                    np.dot(counts[avail] / scores.shape[0], u[avail])
+                )
+    # Summed as policy_welfare sums, so the winner's welfare is its value.
+    welfare = [float(np.sum(pop.weights * type_values)) for type_values in values]
+    best = int(np.argmax(welfare))
+    return OptimizeResult(subset=subsets[best], welfare=welfare[best])
+
+
+def _lattice_tallies(scores: NDArray[np.float64]):
+    """(subset, counts) for every non-empty ascending subset of the columns
+    of `scores`, depth first; counts[i] is how many rows choose column i.
+
+    A row chooses the first argmax over the subset's columns. The child
+    S + (a,), with a above every column of S, keeps S's choice unless column
+    a is strictly greater than S's maximum, which keeps the lowest-index
+    tie-break of np.argmax.
+    """
+    n_rows, n = scores.shape
+    for a in range(n):
+        yield from _lattice_subtree(scores, (a,), scores[:, a], np.full(n_rows, a))
+
+
+def _lattice_subtree(scores, subset, best, chosen):
+    # A module-level generator, not a closure: a closure that calls itself is
+    # a reference cycle, and would keep each type's scores alive until the
+    # cyclic garbage collector next runs.
+    n = scores.shape[1]
+    yield subset, np.bincount(chosen, minlength=n)
+    for a in range(subset[-1] + 1, n):
+        column = scores[:, a]
+        yield from _lattice_subtree(
+            scores,
+            subset + (a,),
+            np.maximum(best, column),
+            np.where(column > best, a, chosen),
+        )

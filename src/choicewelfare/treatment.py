@@ -26,10 +26,10 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import betainc
 
+from .models import PROB_SUM_TOL
+
 TREATMENT_A = "A"
 TREATMENT_B = "B"
-
-PROB_SUM_TOL = 1e-12
 
 # Risk threshold at which a published preventive-treatment guideline flips
 # its recommendation; outcome utilities with loss ratio 0.017 / 0.983

@@ -1,9 +1,12 @@
 """Choice models: probabilities, validation, and Monte Carlo reproducibility."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from choicewelfare import (
+    ActionSet,
     AlphaRational,
     ChoiceProbabilities,
     DefaultNudge,
@@ -14,8 +17,12 @@ from choicewelfare import (
     RandomUtilityMC,
     RationalMax,
     UniformBoundedIID,
+    UtilityType,
     binary_scaled_choice_prob,
+    build_population,
     choice_probabilities,
+    optimize_choice_set,
+    policy_welfare,
     sample_errors,
 )
 
@@ -225,6 +232,104 @@ def test_mc_validation():
         RandomUtilityMC(error=NormalIID(sigma=1.0), samples=0)
     with pytest.raises(ValueError):
         RandomUtilityMC(error="gumbel")  # type: ignore[arg-type]
+
+
+# --- common random numbers across subsets ---
+
+CRN_SPECS = (GumbelIID(scale=0.7), UniformBoundedIID(delta=1.5), NormalIID(sigma=1.0))
+
+
+def _stream_errors(spec, samples, n_actions, seed, stream):
+    # The stream's full-set draw, derived independently of the library: one
+    # generator per (seed, stream), filled as a (samples x n_actions) matrix.
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    )
+    shape = (samples, n_actions)
+    if isinstance(spec, GumbelIID):
+        uniforms = np.clip(rng.random(shape), np.finfo(np.float64).tiny, None)
+        return spec.scale * -np.log(-np.log(uniforms))
+    if isinstance(spec, UniformBoundedIID):
+        return rng.uniform(-spec.delta, spec.delta, shape)
+    return spec.sigma * rng.standard_normal(shape)
+
+
+def _subsets(n):
+    for size in range(1, n + 1):
+        yield from itertools.combinations(range(n), size)
+
+
+@pytest.mark.parametrize("spec", CRN_SPECS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("samples", [1, 500])
+def test_mc_subsets_tally_the_columns_of_one_full_draw(spec, samples):
+    u = np.array([0.3, -0.2, 0.9, 0.1])
+    model = RandomUtilityMC(error=spec, samples=samples, seed=41)
+    errors = _stream_errors(spec, samples, 4, seed=41, stream=3)
+    for subset in _subsets(4):
+        cols = list(subset)
+        choices = np.argmax(u[cols] + errors[:, cols], axis=1)
+        expected = np.bincount(choices, minlength=len(cols)) / samples
+        cp = choice_probabilities(u, subset, model, stream=3)
+        assert np.array_equal(cp.probs, expected), subset
+
+
+@pytest.mark.parametrize("spec", CRN_SPECS, ids=lambda s: type(s).__name__)
+def test_mc_removing_actions_never_lowers_a_kept_action_count(spec):
+    u = np.array([0.0, 0.4, -0.3, 0.2, 0.1])
+    mc = RandomUtilityMC(error=spec, samples=400, seed=8)
+    for model in (mc, DefaultNudge(default_action=2, gamma=0.3, base=mc)):
+        full = {
+            s: choice_probabilities(u, s, model, stream=1).to_full(5)
+            for s in _subsets(5)
+        }
+        for small, large in itertools.permutations(full, 2):
+            if set(small) < set(large):
+                kept = list(small)
+                assert np.all(full[small][kept] >= full[large][kept]), (small, large)
+
+
+def test_mc_action_no_draw_picks_changes_nothing_and_loses_ties():
+    dud = 1  # an action whose utility is far below every error's reach
+    rng = np.random.default_rng(12)
+    utilities = rng.normal(size=(5, 4))
+    utilities[:, dud] = -1e6
+    model = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=300, seed=2)
+    for u in utilities:
+        for subset in _subsets(4):
+            if dud in subset:
+                continue
+            with_dud = tuple(sorted(subset + (dud,)))
+            assert np.array_equal(
+                choice_probabilities(u, with_dud, model, stream=4).to_full(4),
+                choice_probabilities(u, subset, model, stream=4).to_full(4),
+            )
+    pop = build_population(
+        ActionSet(labels=("a", "dud", "b", "c")),
+        [UtilityType(utilities=u, weight=1.0) for u in utilities],
+    )
+    result = optimize_choice_set(pop, model)
+    assert dud not in result.subset
+    tied = tuple(sorted(result.subset + (dud,)))
+    assert policy_welfare(pop, tied, model).welfare == result.welfare
+
+
+def test_mc_single_action_and_single_sample():
+    one = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=1, seed=9)
+    assert choice_probabilities(np.array([0.3]), (0,), one).probs.tolist() == [1.0]
+    pop = build_population(
+        ActionSet(labels=("only",)),
+        [UtilityType(utilities=np.array([0.3]), weight=2.0)],
+    )
+    result = optimize_choice_set(pop, one)
+    assert result.subset == (0,)
+    assert result.welfare == 0.3
+    u = np.array([0.0, 0.1, 0.2])
+    errors = _stream_errors(one.error, 1, 3, seed=9, stream=0)[0]
+    for subset in _subsets(3):
+        cols = list(subset)
+        expected = np.zeros(len(cols))
+        expected[int(np.argmax(u[cols] + errors[cols]))] = 1.0
+        assert np.array_equal(choice_probabilities(u, subset, one).probs, expected)
 
 
 # --- default-option nudge ---

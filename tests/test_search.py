@@ -1,7 +1,9 @@
 """Choice-set sweep, upper envelope, crossings, and discrete optimization."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +15,16 @@ from choicewelfare import (
     AlphaRational,
     Crossing,
     DefaultNudge,
+    GumbelIID,
     IndependentTable,
     Logit,
+    NormalIID,
     Population,
+    RandomUtilityMC,
     RationalMax,
     RefinementError,
     SweepGrid,
+    UniformBoundedIID,
     UtilityType,
     build_population,
     choice_probabilities,
@@ -30,7 +36,11 @@ from choicewelfare import (
     policy_welfare,
     sweep_logit,
 )
-from choicewelfare.search import BISECT_VALUE_TOL, _refine_sign_changes
+from choicewelfare.search import (
+    BISECT_VALUE_TOL,
+    _lattice_tallies,
+    _refine_sign_changes,
+)
 
 # Roots frozen from an independent bracketing root finder (xtol 1e-13) on the
 # welfare difference of each subset pair for the line scenario. Eleven of the
@@ -379,3 +389,100 @@ def test_optimize_table_matches_brute_force(line_population):
     result = optimize_choice_set(line_population, model)
     assert result.subset == expected_subset
     assert abs(result.welfare - expected_welfare) < 1e-12
+
+
+@st.composite
+def mc_problems(draw):
+    n_types = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    # Coarse utilities and narrow errors make exact welfare ties common.
+    utility = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3.0, 3.0)
+    types = [
+        UtilityType(
+            utilities=np.array(draw(st.lists(utility, min_size=k, max_size=k))),
+            weight=draw(st.floats(0.1, 1.0)),
+        )
+        for _ in range(n_types)
+    ]
+    pop = build_population(ActionSet(labels=tuple(f"a{i}" for i in range(k))), types)
+    scale = draw(st.floats(0.01, 2.0))
+    error = draw(
+        st.sampled_from(
+            [
+                GumbelIID(scale=scale),
+                UniformBoundedIID(delta=scale),
+                NormalIID(sigma=scale),
+            ]
+        )
+    )
+    model = RandomUtilityMC(
+        error=error,
+        samples=draw(st.integers(1, 200)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    if draw(st.booleans()):
+        model = DefaultNudge(
+            default_action=draw(st.integers(0, k - 1)),
+            gamma=draw(st.floats(0.0, 1.0)),
+            base=model,
+        )
+    return pop, model
+
+
+@settings(max_examples=100, deadline=None)
+@given(mc_problems())
+def test_optimize_mc_matches_exhaustive_policy_welfare(problem):
+    pop, model = problem
+    best_subset, best_welfare = None, -np.inf
+    # Strict improvement in (size, lexicographic) order: the first subset
+    # wins an exact tie.
+    for subset in enumerate_choice_sets(pop.actions):
+        welfare = policy_welfare(pop, subset, model).welfare
+        if welfare > best_welfare:
+            best_subset, best_welfare = subset, welfare
+    result = optimize_choice_set(pop, model)
+    assert result.subset == best_subset
+    assert result.welfare == best_welfare
+
+
+def test_lattice_tallies_match_argmax_on_tied_scores():
+    # Integer scores tie often; each subset must count the first argmax over
+    # its columns, as np.argmax (and the models' tally) does.
+    scores = np.random.default_rng(5).integers(0, 3, size=(200, 5)).astype(float)
+    seen = []
+    for subset, counts in _lattice_tallies(scores):
+        cols = list(subset)
+        expected = np.zeros(5, dtype=np.int64)
+        choices = np.argmax(scores[:, cols], axis=1)
+        expected[cols] = np.bincount(choices, minlength=len(cols))
+        assert np.array_equal(counts, expected), subset
+        seen.append(subset)
+    actions = ActionSet(labels=tuple("abcde"))
+    assert sorted(seen) == sorted(enumerate_choice_sets(actions))
+
+
+def _optimize_mc_peak_bytes(n_types):
+    rng = np.random.default_rng(3)
+    pop = build_population(
+        ActionSet(labels=tuple("abcd")),
+        [UtilityType(utilities=u, weight=1.0) for u in rng.normal(size=(n_types, 4))],
+    )
+    model = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=4000, seed=1)
+    tracemalloc.start()
+    try:
+        optimize_choice_set(pop, model)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_optimize_mc_memory_does_not_grow_with_the_types():
+    # One type's draws (4000 x 4 doubles, 125 KiB) are released before the
+    # next type's are made; with the cyclic collector off, anything kept
+    # alive by a reference cycle would pile up with the number of types.
+    gc.disable()
+    try:
+        few, many = _optimize_mc_peak_bytes(4), _optimize_mc_peak_bytes(40)
+    finally:
+        gc.enable()
+    assert many < 1.5 * few
