@@ -26,8 +26,8 @@ from typing import Iterable, Optional, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from ._kernels import argmax_tally, count_below_threshold
-from .scenario import _frozen_array
+from ._kernels import argmax_tally
+from .scenario import _fields_equal, _frozen_array
 
 PROB_SUM_TOL = 1e-12
 
@@ -95,7 +95,7 @@ class RationalMax:
     """Deterministic maximization of true utility."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndependentTable:
     """Choice statistically independent of utility: fixed background probs
     over the full action set, renormalized over whatever is available."""
@@ -107,15 +107,10 @@ class IndependentTable:
             self, "probs", _validate_prob_vector(self.probs, "background probs")
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, IndependentTable):
-            return NotImplemented
-        return np.array_equal(self.probs, other.probs)
-
-    __hash__ = None
+    __eq__ = _fields_equal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlphaRational:
     """Maximizes utility with probability alpha, otherwise chooses from a
     utility-independent background table."""
@@ -134,14 +129,7 @@ class AlphaRational:
             _validate_prob_vector(self.background, "background probs"),
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, AlphaRational):
-            return NotImplemented
-        return self.alpha == other.alpha and np.array_equal(
-            self.background, other.background
-        )
-
-    __hash__ = None
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -218,7 +206,7 @@ ChoiceModel = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiceProbabilities:
     """Probability vector aligned with an ordered available-action subset."""
 
@@ -237,14 +225,7 @@ class ChoiceProbabilities:
         object.__setattr__(self, "available", available)
         object.__setattr__(self, "probs", probs)
 
-    def __eq__(self, other):
-        if not isinstance(other, ChoiceProbabilities):
-            return NotImplemented
-        return self.available == other.available and np.array_equal(
-            self.probs, other.probs
-        )
-
-    __hash__ = None
+    __eq__ = _fields_equal
 
     def to_full(self, n_actions: int) -> NDArray[np.float64]:
         """Length-n_actions vector with zeros on unavailable actions."""
@@ -447,9 +428,8 @@ def binary_scaled_choice_prob(utilities, base_errors, q: float) -> float:
 
     better = 0 if utilities[0] >= utilities[1] else 1
     other = 1 - better
-    diffs = np.ascontiguousarray(base_errors[:, other] - base_errors[:, better])
+    diffs = base_errors[:, other] - base_errors[:, better]
     threshold = q * (utilities[better] - utilities[other])
     # Better action wins a mismeasured tie only when it has the lower index.
-    strict = better == 1
-    count = count_below_threshold(diffs, threshold, strict)
-    return float(count) / base_errors.shape[0]
+    wins = diffs < threshold if better == 1 else diffs <= threshold
+    return np.count_nonzero(wins) / base_errors.shape[0]

@@ -11,7 +11,7 @@ action falls with the squared distance between the person's location and the
 action's location (single-peaked preferences).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +22,26 @@ def _frozen_array(values, dtype=np.float64) -> NDArray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _fields_equal(self, other):
+    """``__eq__`` for frozen dataclasses that hold numpy arrays.
+
+    Compares field by field: when either side is an array, with
+    np.array_equal (shape and values; an array never equals None), and
+    otherwise with ``==``. Another class gives NotImplemented. A class that
+    sets ``__eq__`` to this and no ``__hash__`` is unhashable.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            if not np.array_equal(a, b):
+                return False
+        elif a != b:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -77,12 +97,7 @@ class UtilityType:
         object.__setattr__(self, "utilities", utilities)
         object.__setattr__(self, "weight", weight)
 
-    def __eq__(self, other):
-        if not isinstance(other, UtilityType):
-            return NotImplemented
-        return self.weight == other.weight and np.array_equal(
-            self.utilities, other.utilities
-        )
+    __eq__ = _fields_equal
 
 
 WEIGHT_SUM_TOL = 1e-12
@@ -128,10 +143,7 @@ class Population:
             _frozen_array(np.stack([typ.utilities for typ in types])),
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Population):
-            return NotImplemented
-        return self.actions == other.actions and self.types == other.types
+    __eq__ = _fields_equal
 
     @property
     def n_actions(self) -> int:
@@ -190,18 +202,7 @@ class HotellingScenario:
                 raise ValueError("person_weights must sum to 1")
             object.__setattr__(self, "person_weights", w)
 
-    def __eq__(self, other):
-        if not isinstance(other, HotellingScenario):
-            return NotImplemented
-        if not np.array_equal(self.store_locations, other.store_locations):
-            return False
-        if not np.array_equal(self.person_locations, other.person_locations):
-            return False
-        if (self.person_weights is None) != (other.person_weights is None):
-            return False
-        if self.person_weights is None:
-            return True
-        return np.array_equal(self.person_weights, other.person_weights)
+    __eq__ = _fields_equal
 
 
 def build_population(

@@ -21,7 +21,7 @@ from numpy.typing import NDArray
 
 from ._kernels import logit_welfare_curve
 from .models import ChoiceModel, _validate_available, choice_probabilities, mc_scores
-from .scenario import ActionSet, Population
+from .scenario import ActionSet, Population, _fields_equal, _frozen_array
 # Not called here: optimize_choice_set reproduces its welfare bit for bit, and
 # perfbench/spans.py wraps the name as search.policy_welfare.
 from .welfare import policy_welfare  # noqa: F401
@@ -48,8 +48,7 @@ class SweepGrid:
     q_values: NDArray[np.float64]
 
     def __post_init__(self):
-        q = np.array(self.q_values, dtype=np.float64)
-        q.setflags(write=False)
+        q = _frozen_array(self.q_values)
         if q.ndim != 1 or q.shape[0] == 0:
             raise ValueError("grid must be a non-empty 1-d vector")
         if not np.all(np.isfinite(q)):
@@ -60,10 +59,7 @@ class SweepGrid:
             raise ValueError("grid values must be strictly increasing")
         object.__setattr__(self, "q_values", q)
 
-    def __eq__(self, other):
-        if not isinstance(other, SweepGrid):
-            return NotImplemented
-        return np.array_equal(self.q_values, other.q_values)
+    __eq__ = _fields_equal
 
     @classmethod
     def from_range(

@@ -27,6 +27,7 @@ from numpy.typing import NDArray
 from scipy.special import betainc
 
 from .models import PROB_SUM_TOL
+from .scenario import _fields_equal, _frozen_array
 
 TREATMENT_A = "A"
 TREATMENT_B = "B"
@@ -57,18 +58,14 @@ class OutcomeUtilities:
     values: NDArray[np.float64]
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
+        values = _frozen_array(self.values)
         if values.shape != (2, 2):
             raise ValueError("outcome utilities must form a 2x2 matrix")
         if not np.all(np.isfinite(values)):
             raise ValueError("outcome utilities must be finite")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def __eq__(self, other):
-        if not isinstance(other, OutcomeUtilities):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
+    __eq__ = _fields_equal
 
     @classmethod
     def from_components(
@@ -188,10 +185,7 @@ class MixtureBelief:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "weights", weights)
 
-    def __eq__(self, other):
-        if not isinstance(other, MixtureBelief):
-            return NotImplemented
-        return self.components == other.components and self.weights == other.weights
+    __eq__ = _fields_equal
 
     def prob_le(self, x: float) -> float:
         return float(
@@ -221,18 +215,14 @@ class EmpiricalBelief:
     samples: NDArray[np.float64]
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.float64)
+        samples = _frozen_array(self.samples)
         if samples.ndim != 1 or samples.shape[0] == 0:
             raise ValueError("samples must be a non-empty vector")
         if np.any(samples < 0.0) or np.any(samples > 1.0):
             raise ValueError("samples must lie in [0, 1]")
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
-    def __eq__(self, other):
-        if not isinstance(other, EmpiricalBelief):
-            return NotImplemented
-        return np.array_equal(self.samples, other.samples)
+    __eq__ = _fields_equal
 
     def prob_le(self, x: float) -> float:
         return float(np.mean(self.samples <= x))
@@ -521,13 +511,20 @@ def belief_q_map(cell: XCell) -> dict[str, float]:
     }
 
 
+def _recommendation(mandate_welfare: float, bounded_welfare: float) -> str:
+    """'mandate' only when the mandate strictly beats bounded-rational
+    decentralization; a tie goes to 'decentralize', the less restrictive
+    policy."""
+    return "mandate" if mandate_welfare > bounded_welfare else "decentralize"
+
+
 def compare_policies_x(cell: XCell) -> str:
     """'mandate' when the optimal mandate strictly beats bounded-rational
     decentralization (with q from the cell's beliefs); 'decentralize'
     otherwise, including ties (the less restrictive policy)."""
     mandate_welfare = optimal_mandate_x(cell).welfare
     decentralized = bounded_rational_welfare_x(cell, belief_q_map(cell))
-    return "mandate" if mandate_welfare > decentralized else "decentralize"
+    return _recommendation(mandate_welfare, decentralized)
 
 
 @dataclass(frozen=True)
@@ -566,9 +563,7 @@ def build_report(scenario: TreatmentScenario) -> TreatmentReport:
         info = value_of_information(cell)
         q_map = belief_q_map(cell)
         bounded = bounded_rational_welfare_x(cell, q_map)
-        recommendation = (
-            "mandate" if mandate.welfare > bounded else "decentralize"
-        )
+        recommendation = _recommendation(mandate.welfare, bounded)
         reports.append(
             XReport(
                 x_label=cell.x_label,

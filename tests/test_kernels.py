@@ -1,43 +1,13 @@
-"""Backend kernels: dual-path equivalence, tie-breaking, and env selection."""
-
-import os
-import subprocess
-import sys
+"""Numeric kernels: tallies, tie-breaking, and the chunked logit curve."""
 
 import numpy as np
 import pytest
 
 from choicewelfare import _kernels as kernels
 
-numba_active = pytest.mark.skipif(
-    kernels.active_backend() != "numba", reason="numba backend not active"
-)
-
-
-def _run_with_backend(value: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, CHOICEWELFARE_BACKEND=value)
-    return subprocess.run(
-        [sys.executable, "-c", "import choicewelfare; print(choicewelfare.active_backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-
 
 def test_active_backend_is_known():
-    assert kernels.active_backend() in ("numba", "numpy")
-
-
-def test_env_var_forces_numpy():
-    result = _run_with_backend("numpy")
-    assert result.returncode == 0
-    assert result.stdout.strip() == "numpy"
-
-
-def test_env_var_rejects_unknown_value():
-    result = _run_with_backend("cuda")
-    assert result.returncode != 0
-    assert "CHOICEWELFARE_BACKEND" in result.stderr
+    assert kernels.active_backend() == "numpy"
 
 
 def test_warm_up_is_idempotent():
@@ -73,19 +43,6 @@ def test_argmax_tally_matches_plain_argmax():
         assert np.array_equal(kernels.argmax_tally(u, errors), expected)
 
 
-@numba_active
-def test_argmax_tally_backends_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        k = int(rng.integers(2, 7))
-        n = int(rng.integers(1, 2000))
-        u = rng.normal(size=k)
-        errors = rng.normal(size=(n, k))
-        a = kernels.argmax_tally_numba(u, errors)
-        b = kernels.argmax_tally_numpy(u, errors)
-        assert np.array_equal(a, b)
-
-
 def test_logit_welfare_curve_matches_direct_softmax():
     rng = np.random.default_rng(4)
     weights = rng.dirichlet(np.ones(5))
@@ -116,7 +73,7 @@ def _curve_one_q_at_a_time(weights, utilities, q_values):
     "n_types, k, n_q",
     [(300, 7, 500), (40, 3, 2000), (10_000, 7, 4), (3, 1, 50_000)],
 )
-def test_logit_welfare_curve_numpy_chunks_match_loop(n_types, k, n_q):
+def test_logit_welfare_curve_chunks_match_loop(n_types, k, n_q):
     # The shapes span several chunks, and a single q that exceeds a chunk.
     assert n_types * k * n_q > 2 * kernels.CURVE_CHUNK_ELEMENTS
     rng = np.random.default_rng(n_types * k)
@@ -127,7 +84,7 @@ def test_logit_welfare_curve_numpy_chunks_match_loop(n_types, k, n_q):
     # value, 0; overflow, division by zero and invalid values must not occur.
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         expected = _curve_one_q_at_a_time(weights, utilities, q_values)
-        curve = kernels.logit_welfare_curve_numpy(weights, utilities, q_values)
+        curve = kernels.logit_welfare_curve(weights, utilities, q_values)
     assert curve.shape == q_values.shape
     assert np.all(np.abs(curve - expected) <= 1e-14 * np.abs(expected))
 
@@ -146,34 +103,3 @@ def test_logit_welfare_curve_overflow_safe():
     curve = kernels.logit_welfare_curve(weights, utilities, np.array([1e6]))
     assert np.isfinite(curve[0])
     assert abs(curve[0] - 1000.0) < 1e-9
-
-
-@numba_active
-def test_logit_welfare_curve_backends_agree():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        n_types = int(rng.integers(1, 8))
-        k = int(rng.integers(1, 6))
-        weights = rng.dirichlet(np.ones(n_types))
-        utilities = rng.normal(size=(n_types, k))
-        q_values = np.sort(rng.uniform(0.0, 10.0, size=12))
-        a = kernels.logit_welfare_curve_numba(weights, utilities, q_values)
-        b = kernels.logit_welfare_curve_numpy(weights, utilities, q_values)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-13)
-
-
-def test_count_below_threshold_strictness():
-    diffs = np.array([-1.0, 0.0, 1.0])
-    assert kernels.count_below_threshold(diffs, 0.0, True) == 1
-    assert kernels.count_below_threshold(diffs, 0.0, False) == 2
-
-
-@numba_active
-def test_count_below_threshold_backends_agree():
-    rng = np.random.default_rng(7)
-    diffs = rng.normal(size=5000)
-    for threshold in (-0.5, 0.0, 1.3):
-        for strict in (True, False):
-            a = kernels.count_below_threshold_numba(diffs, threshold, strict)
-            b = kernels.count_below_threshold_numpy(diffs, threshold, strict)
-            assert int(a) == int(b)

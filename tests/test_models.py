@@ -418,6 +418,9 @@ def test_binary_scaled_prob_tie_prefers_lower_index():
     errors = np.zeros((4, 2))
     # Equal utilities and equal scores: index 0 wins every draw.
     assert binary_scaled_choice_prob(u, errors, 1.0) == 1.0
+    # Index 1 is better, and the mismeasured scores 0 + 1 and 1 + 0 tie
+    # exactly on every draw: index 0 still wins, so the better action never is.
+    assert binary_scaled_choice_prob([0.0, 1.0], [[1.0, 0.0]] * 4, 1.0) == 0.0
 
 
 def test_binary_scaled_prob_validation():

@@ -571,3 +571,72 @@ def test_build_report_requires_beliefs():
     cell = make_reference_cell(with_beliefs=False)
     with pytest.raises(ValueError, match="z1"):
         build_report(TreatmentScenario(x_cells=(cell,)))
+
+
+def _swapped_beliefs(cell: XCell, x_label: str) -> XCell:
+    # Each z cell takes the other's belief, so every signal is read backwards.
+    beliefs = [z.belief for z in cell.z_cells][::-1]
+    return XCell(
+        x_label=x_label,
+        weight=cell.weight,
+        utilities=cell.utilities,
+        z_cells=tuple(
+            CovariateCell(
+                z_label=z.z_label,
+                p_z_given_x=z.p_z_given_x,
+                p_xz=z.p_xz,
+                belief=belief,
+            )
+            for z, belief in zip(cell.z_cells, beliefs)
+        ),
+    )
+
+
+def _fixture_and_swapped_scenario() -> TreatmentScenario:
+    reference = make_reference_cell()
+    cells = (reference, _swapped_beliefs(reference, "x2"))
+    return TreatmentScenario(
+        x_cells=tuple(
+            XCell(x_label=c.x_label, weight=0.5, utilities=c.utilities, z_cells=c.z_cells)
+            for c in cells
+        )
+    )
+
+
+def _exact_tie_scenario() -> TreatmentScenario:
+    # One z cell and a point-mass belief at its own p_xz, off the 1/3
+    # threshold: the belief picks the optimal treatment with q = 1, so
+    # bounded-rational welfare equals the mandate's exactly.
+    u = OutcomeUtilities.from_components(u0_a=1.0, u1_a=0.0, u0_b=0.5, u1_b=1.0)
+    cell = XCell(
+        x_label="tie",
+        weight=1.0,
+        utilities=u,
+        z_cells=(
+            CovariateCell(
+                z_label="z1",
+                p_z_given_x=1.0,
+                p_xz=0.2,
+                belief=PointMassBelief(pi=0.2),
+            ),
+        ),
+    )
+    return TreatmentScenario(x_cells=(cell,))
+
+
+@pytest.mark.parametrize(
+    "make_scenario, expected",
+    [
+        (_fixture_and_swapped_scenario, ("decentralize", "mandate")),
+        (_exact_tie_scenario, ("decentralize",)),
+    ],
+)
+def test_report_and_comparison_share_one_recommendation_rule(make_scenario, expected):
+    scenario = make_scenario()
+    report = build_report(scenario)
+    for cell, x_report in zip(scenario.x_cells, report.per_x):
+        assert x_report.recommendation == compare_policies_x(cell)
+    assert tuple(r.recommendation for r in report.per_x) == expected
+    if make_scenario is _exact_tie_scenario:
+        (x_report,) = report.per_x
+        assert x_report.mandate_welfare == x_report.bounded_rational_welfare
