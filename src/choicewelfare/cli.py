@@ -320,8 +320,12 @@ def _crossings_path(out: str, fmt: str) -> str:
     return f"{root}.crossings{ext}"
 
 
+def _subset_label(actions: ActionSet, subset) -> str:
+    return "+".join(actions.labels[i] for i in subset)
+
+
 def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
-    labels = ["+".join(actions.labels[i] for i in subset) for subset in result.subsets]
+    labels = [_subset_label(actions, subset) for subset in result.subsets]
     q_values = result.grid.q_values
     crossings_out = _crossings_path(args.out, args.format)
 
@@ -340,8 +344,8 @@ def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
         main_text = _csv_text(("subset_label", "q", "welfare", "is_envelope"), rows)
         crossing_rows = [
             (
-                "+".join(actions.labels[i] for i in c.subset_a),
-                "+".join(actions.labels[i] for i in c.subset_b),
+                _subset_label(actions, c.subset_a),
+                _subset_label(actions, c.subset_b),
                 _fmt(c.q_star),
             )
             for c in result.crossings
@@ -366,8 +370,8 @@ def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
             {
                 "crossings": [
                     {
-                        "subset_a": "+".join(actions.labels[i] for i in c.subset_a),
-                        "subset_b": "+".join(actions.labels[i] for i in c.subset_b),
+                        "subset_a": _subset_label(actions, c.subset_a),
+                        "subset_b": _subset_label(actions, c.subset_b),
                         "q": c.q_star,
                     }
                     for c in result.crossings

@@ -13,6 +13,19 @@ holds exactly one scenario kind:
 plus optional ``sweep`` (q grid) and ``mc`` (Monte Carlo sample count and
 seed defaults) sections.
 
+The tables below are the schema, and both the parser and the serializer read
+them. ``_TAGGED`` maps each family of tagged objects (error distributions,
+choice models, beliefs) and each ``kind`` value to its class and fields;
+``_SWEEP``, ``_MC``, ``_HOTELLING`` and ``_TYPE`` (a population type) are the
+untagged records. A field's key is its constructor argument's name, and a
+key is required unless the class gives it a default. The optional keys are:
+every key of ``sweep`` (q_min 0, q_max 10, q_step 0.05) and ``mc`` (samples
+100000, seed 0); ``gumbel.scale`` (1); ``random_utility_mc.samples`` and
+``.seed`` (the document's ``mc`` section); ``hotelling.person_weights``
+(uniform); a population's ``models`` (none); and a z cell's ``belief``
+(none). Action labels and treatment x and z cells are read by hand, because
+their keys differ from the attribute names.
+
 Parsing is strict: unknown fields, wrong types, unresolved labels, and
 violated invariants all raise ScenarioError naming the path of the offending
 field (e.g. ``population.types[2].weight``); syntax errors carry the line and
@@ -20,10 +33,11 @@ column reported by the JSON parser. parse -> serialize -> parse is an
 identity on documents.
 """
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,7 +45,6 @@ from .models import (
     AlphaRational,
     ChoiceModel,
     DefaultNudge,
-    ErrorSpec,
     GumbelIID,
     IndependentTable,
     Logit,
@@ -42,7 +55,6 @@ from .models import (
 )
 from .scenario import ActionSet, HotellingScenario, Population, UtilityType
 from .treatment import (
-    BeliefModel,
     BetaBelief,
     CovariateCell,
     EmpiricalBelief,
@@ -204,104 +216,176 @@ def _build(path: str, ctor, *args, **kwargs):
         raise ScenarioError(f"{path}: {exc}") from None
 
 
-# --- section parsers ---
+# --- the format: one table read by both the parser and the serializer ---
 
 
-def _parse_sweep(value: Any, path: str) -> SweepConfig:
-    obj = _require_object(value, path)
-    _check_keys(obj, {"q_min", "q_max", "q_step"}, path)
-    defaults = SweepConfig()
+class _Context(NamedTuple):
+    """What a record's fields may refer to outside the record itself."""
+
+    actions: Optional[ActionSet] = None
+    mc: MCConfig = MCConfig()
+
+
+class _Codec(NamedTuple):
+    """How one field is read from JSON (value, path, context) and written back
+    (value, context). `absent` gives the value of an omitted key from the
+    context; without it an omitted key takes the class default, if any."""
+
+    read: Callable[[Any, str, _Context], Any]
+    write: Callable[[Any, _Context], Any]
+    absent: Optional[Callable[[_Context, str], Any]] = None
+
+
+def _has_default(cls, key: str) -> bool:
+    field = next(f for f in dataclasses.fields(cls) if f.name == key)
+    return field.default is not dataclasses.MISSING
+
+
+def _read_fields(obj: dict, path: str, record, ctx: _Context):
+    # The caller has checked that obj is an object with no unknown keys.
+    cls, fields = record
     kwargs = {}
-    for key, fallback in (
-        ("q_min", defaults.q_min),
-        ("q_max", defaults.q_max),
-        ("q_step", defaults.q_step),
-    ):
-        kwargs[key] = (
-            _as_number(obj[key], f"{path}.{key}") if key in obj else fallback
-        )
-    return _build(path, SweepConfig, **kwargs)
+    for key, codec in fields.items():
+        if key in obj:
+            kwargs[key] = codec.read(obj[key], f"{path}.{key}", ctx)
+        elif codec.absent is not None:
+            kwargs[key] = codec.absent(ctx, key)
+        elif not _has_default(cls, key):
+            raise ScenarioError(f"{path}: missing required field {key!r}")
+    return _build(path, cls, **kwargs)
 
 
-def _parse_mc(value: Any, path: str) -> MCConfig:
+def _parse_record(value: Any, path: str, record, ctx: _Context = _Context()):
     obj = _require_object(value, path)
-    _check_keys(obj, {"samples", "seed"}, path)
-    defaults = MCConfig()
-    samples = (
-        _as_int(obj["samples"], f"{path}.samples")
-        if "samples" in obj
-        else defaults.samples
+    _check_keys(obj, record[1].keys(), path)
+    return _read_fields(obj, path, record, ctx)
+
+
+def _parse_tagged(family: str, value: Any, path: str, ctx: _Context = _Context()):
+    obj = _require_object(value, path)
+    kind = _as_str(_get(obj, "kind", path), f"{path}.kind")
+    record = _TAGGED[family].get(kind)
+    if record is None:
+        raise ScenarioError(f"{path}.kind: unknown {family} {kind!r}")
+    _check_keys(obj, record[1].keys() | {"kind"}, path)
+    return _read_fields(obj, path, record, ctx)
+
+
+def _record_to_json(obj, record, ctx: _Context = _Context()) -> dict:
+    out = {}
+    for key, codec in record[1].items():
+        value = getattr(obj, key)
+        if value is not None:
+            out[key] = codec.write(value, ctx)
+    return out
+
+
+def _tagged_to_json(obj, ctx: _Context = _Context()) -> dict:
+    tag = _KIND_OF.get(type(obj))
+    if tag is None:
+        raise ValueError(f"cannot serialize {obj!r}")
+    kind, record = tag
+    return {"kind": kind, **_record_to_json(obj, record, ctx)}
+
+
+_NUMBER = _Codec(lambda v, path, ctx: _as_number(v, path), lambda v, ctx: v)
+_INT = _Codec(lambda v, path, ctx: _as_int(v, path), lambda v, ctx: v)
+_NUMBER_ARRAY = _Codec(
+    lambda v, path, ctx: np.array(_as_number_list(v, path)),
+    lambda v, ctx: [float(x) for x in v],
+)
+_NUMBER_TUPLE = _Codec(
+    lambda v, path, ctx: tuple(_as_number_list(v, path)), lambda v, ctx: list(v)
+)
+_ACTION_LABEL = _Codec(
+    lambda v, path, ctx: _build(path, ctx.actions.index_of, _as_str(v, path)),
+    lambda v, ctx: ctx.actions.labels[v],
+)
+# Sampler settings a model omits come from the document's mc section.
+_MC_INT = _INT._replace(absent=lambda ctx, key: getattr(ctx.mc, key))
+
+
+def _one_of(family: str) -> _Codec:
+    return _Codec(
+        lambda v, path, ctx: _parse_tagged(family, v, path, ctx), _tagged_to_json
     )
-    seed = _as_int(obj["seed"], f"{path}.seed") if "seed" in obj else defaults.seed
-    return _build(path, MCConfig, samples=samples, seed=seed)
 
 
-def _parse_error_spec(value: Any, path: str) -> ErrorSpec:
-    obj = _require_object(value, path)
-    kind = _as_str(_get(obj, "kind", path), f"{path}.kind")
-    if kind == "gumbel":
-        _check_keys(obj, {"kind", "scale"}, path)
-        scale = (
-            _as_number(obj["scale"], f"{path}.scale") if "scale" in obj else 1.0
-        )
-        return _build(path, GumbelIID, scale=scale)
-    if kind == "uniform_bounded":
-        _check_keys(obj, {"kind", "delta"}, path)
-        return _build(
-            path, UniformBoundedIID, delta=_as_number(_get(obj, "delta", path), f"{path}.delta")
-        )
-    if kind == "normal":
-        _check_keys(obj, {"kind", "sigma"}, path)
-        return _build(
-            path, NormalIID, sigma=_as_number(_get(obj, "sigma", path), f"{path}.sigma")
-        )
-    raise ScenarioError(f"{path}.kind: unknown error distribution {kind!r}")
+def _list_of(family: str) -> _Codec:
+    return _Codec(
+        lambda v, path, ctx: tuple(
+            _parse_tagged(family, item, f"{path}[{i}]", ctx)
+            for i, item in enumerate(_as_list(v, path))
+        ),
+        lambda v, ctx: [_tagged_to_json(item, ctx) for item in v],
+    )
 
 
-def _parse_model(
-    value: Any, path: str, actions: ActionSet, mc: MCConfig
-) -> ChoiceModel:
-    obj = _require_object(value, path)
-    kind = _as_str(_get(obj, "kind", path), f"{path}.kind")
-    if kind == "rational_max":
-        _check_keys(obj, {"kind"}, path)
-        return RationalMax()
-    if kind == "independent_table":
-        _check_keys(obj, {"kind", "probs"}, path)
-        probs = _as_number_list(_get(obj, "probs", path), f"{path}.probs")
-        return _build(f"{path}.probs", IndependentTable, np.array(probs))
-    if kind == "alpha_rational":
-        _check_keys(obj, {"kind", "alpha", "background"}, path)
-        alpha = _as_number(_get(obj, "alpha", path), f"{path}.alpha")
-        background = _as_number_list(
-            _get(obj, "background", path), f"{path}.background"
-        )
-        return _build(path, AlphaRational, alpha=alpha, background=np.array(background))
-    if kind == "logit":
-        _check_keys(obj, {"kind", "q"}, path)
-        return _build(path, Logit, q=_as_number(_get(obj, "q", path), f"{path}.q"))
-    if kind == "random_utility_mc":
-        _check_keys(obj, {"kind", "error", "samples", "seed"}, path)
-        error = _parse_error_spec(_get(obj, "error", path), f"{path}.error")
-        samples = (
-            _as_int(obj["samples"], f"{path}.samples")
-            if "samples" in obj
-            else mc.samples
-        )
-        seed = _as_int(obj["seed"], f"{path}.seed") if "seed" in obj else mc.seed
-        return _build(path, RandomUtilityMC, error=error, samples=samples, seed=seed)
-    if kind == "default_nudge":
-        _check_keys(obj, {"kind", "default_action", "gamma", "base"}, path)
-        label = _as_str(
-            _get(obj, "default_action", path), f"{path}.default_action"
-        )
-        default_action = _build(f"{path}.default_action", actions.index_of, label)
-        gamma = _as_number(_get(obj, "gamma", path), f"{path}.gamma")
-        base = _parse_model(_get(obj, "base", path), f"{path}.base", actions, mc)
-        return _build(
-            path, DefaultNudge, default_action=default_action, gamma=gamma, base=base
-        )
-    raise ScenarioError(f"{path}.kind: unknown model kind {kind!r}")
+# family noun -> "kind" value -> (class, {key: codec}); the keys are the
+# constructor's argument names.
+_TAGGED = {
+    "error distribution": {
+        "gumbel": (GumbelIID, {"scale": _NUMBER}),
+        "uniform_bounded": (UniformBoundedIID, {"delta": _NUMBER}),
+        "normal": (NormalIID, {"sigma": _NUMBER}),
+    },
+    "model kind": {
+        "rational_max": (RationalMax, {}),
+        "independent_table": (IndependentTable, {"probs": _NUMBER_ARRAY}),
+        "alpha_rational": (
+            AlphaRational,
+            {"alpha": _NUMBER, "background": _NUMBER_ARRAY},
+        ),
+        "logit": (Logit, {"q": _NUMBER}),
+        "random_utility_mc": (
+            RandomUtilityMC,
+            {
+                "error": _one_of("error distribution"),
+                "samples": _MC_INT,
+                "seed": _MC_INT,
+            },
+        ),
+        "default_nudge": (
+            DefaultNudge,
+            {
+                "default_action": _ACTION_LABEL,
+                "gamma": _NUMBER,
+                "base": _one_of("model kind"),
+            },
+        ),
+    },
+    "belief kind": {
+        "point_mass": (PointMassBelief, {"pi": _NUMBER}),
+        "uniform": (UniformBelief, {"lo": _NUMBER, "hi": _NUMBER}),
+        "beta": (BetaBelief, {"a": _NUMBER, "b": _NUMBER}),
+        "mixture": (
+            MixtureBelief,
+            {"components": _list_of("belief kind"), "weights": _NUMBER_TUPLE},
+        ),
+        "empirical": (EmpiricalBelief, {"samples": _NUMBER_ARRAY}),
+    },
+}
+_KIND_OF = {
+    record[0]: (kind, record)
+    for family in _TAGGED.values()
+    for kind, record in family.items()
+}
+
+# Untagged records: (class, {key: codec}).
+_SWEEP = (SweepConfig, {"q_min": _NUMBER, "q_max": _NUMBER, "q_step": _NUMBER})
+_MC = (MCConfig, {"samples": _INT, "seed": _INT})
+_HOTELLING = (
+    HotellingScenario,
+    {
+        "store_locations": _NUMBER_ARRAY,
+        "person_locations": _NUMBER_ARRAY,
+        "person_weights": _NUMBER_ARRAY,
+    },
+)
+_TYPE = (UtilityType, {"utilities": _NUMBER_ARRAY, "weight": _NUMBER})
+
+
+# --- section parsers ---
 
 
 def _parse_population(value: Any, path: str, mc: MCConfig) -> PopulationSection:
@@ -315,89 +399,21 @@ def _parse_population(value: Any, path: str, mc: MCConfig) -> PopulationSection:
     actions = _build(f"{path}.actions", ActionSet, labels)
 
     types_raw = _as_list(_get(obj, "types", path), f"{path}.types")
-    types = []
-    for i, item in enumerate(types_raw):
-        tpath = f"{path}.types[{i}]"
-        tobj = _require_object(item, tpath)
-        _check_keys(tobj, {"utilities", "weight"}, tpath)
-        utilities = _as_number_list(
-            _get(tobj, "utilities", tpath), f"{tpath}.utilities"
-        )
-        weight = _as_number(_get(tobj, "weight", tpath), f"{tpath}.weight")
-        types.append(
-            _build(tpath, UtilityType, utilities=np.array(utilities), weight=weight)
-        )
-    population = _build(f"{path}.types", Population, actions=actions, types=tuple(types))
+    types = tuple(
+        _parse_record(item, f"{path}.types[{i}]", _TYPE)
+        for i, item in enumerate(types_raw)
+    )
+    population = _build(f"{path}.types", Population, actions=actions, types=types)
 
+    ctx = _Context(actions=actions, mc=mc)
     models: dict[str, ChoiceModel] = {}
     if "models" in obj:
         models_obj = _require_object(obj["models"], f"{path}.models")
         for name, spec in models_obj.items():
-            models[name] = _parse_model(spec, f"{path}.models.{name}", actions, mc)
+            models[name] = _parse_tagged(
+                "model kind", spec, f"{path}.models.{name}", ctx
+            )
     return PopulationSection(population=population, models=models)
-
-
-def _parse_hotelling(value: Any, path: str) -> HotellingScenario:
-    obj = _require_object(value, path)
-    _check_keys(obj, {"store_locations", "person_locations", "person_weights"}, path)
-    stores = _as_number_list(
-        _get(obj, "store_locations", path), f"{path}.store_locations"
-    )
-    persons = _as_number_list(
-        _get(obj, "person_locations", path), f"{path}.person_locations"
-    )
-    weights = None
-    if "person_weights" in obj:
-        weights = np.array(
-            _as_number_list(obj["person_weights"], f"{path}.person_weights")
-        )
-    return _build(
-        path,
-        HotellingScenario,
-        store_locations=np.array(stores),
-        person_locations=np.array(persons),
-        person_weights=weights,
-    )
-
-
-def _parse_belief(value: Any, path: str) -> BeliefModel:
-    obj = _require_object(value, path)
-    kind = _as_str(_get(obj, "kind", path), f"{path}.kind")
-    if kind == "point_mass":
-        _check_keys(obj, {"kind", "pi"}, path)
-        return _build(path, PointMassBelief, pi=_as_number(_get(obj, "pi", path), f"{path}.pi"))
-    if kind == "uniform":
-        _check_keys(obj, {"kind", "lo", "hi"}, path)
-        return _build(
-            path,
-            UniformBelief,
-            lo=_as_number(_get(obj, "lo", path), f"{path}.lo"),
-            hi=_as_number(_get(obj, "hi", path), f"{path}.hi"),
-        )
-    if kind == "beta":
-        _check_keys(obj, {"kind", "a", "b"}, path)
-        return _build(
-            path,
-            BetaBelief,
-            a=_as_number(_get(obj, "a", path), f"{path}.a"),
-            b=_as_number(_get(obj, "b", path), f"{path}.b"),
-        )
-    if kind == "mixture":
-        _check_keys(obj, {"kind", "components", "weights"}, path)
-        comps_raw = _as_list(_get(obj, "components", path), f"{path}.components")
-        components = tuple(
-            _parse_belief(item, f"{path}.components[{i}]")
-            for i, item in enumerate(comps_raw)
-        )
-        weights = tuple(
-            _as_number_list(_get(obj, "weights", path), f"{path}.weights")
-        )
-        return _build(path, MixtureBelief, components=components, weights=weights)
-    if kind == "empirical":
-        _check_keys(obj, {"kind", "samples"}, path)
-        samples = _as_number_list(_get(obj, "samples", path), f"{path}.samples")
-        return _build(path, EmpiricalBelief, samples=np.array(samples))
-    raise ScenarioError(f"{path}.kind: unknown belief kind {kind!r}")
 
 
 def _parse_treatment(value: Any, path: str) -> TreatmentScenario:
@@ -432,7 +448,7 @@ def _parse_treatment(value: Any, path: str) -> TreatmentScenario:
             _check_keys(zobj, {"label", "p_z_given_x", "p_xz", "belief"}, zpath)
             belief = None
             if "belief" in zobj:
-                belief = _parse_belief(zobj["belief"], f"{zpath}.belief")
+                belief = _parse_tagged("belief kind", zobj["belief"], f"{zpath}.belief")
             z_cells.append(
                 _build(
                     zpath,
@@ -487,15 +503,15 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDocume
             f"must be present, got {present!r}"
         )
 
-    sweep = _parse_sweep(obj["sweep"], "sweep") if "sweep" in obj else None
-    mc = _parse_mc(obj["mc"], "mc") if "mc" in obj else None
+    sweep = _parse_record(obj["sweep"], "sweep", _SWEEP) if "sweep" in obj else None
+    mc = _parse_record(obj["mc"], "mc", _MC) if "mc" in obj else None
     mc_defaults = mc if mc is not None else MCConfig()
 
     population = hotelling = treatment = None
     if "population" in obj:
         population = _parse_population(obj["population"], "population", mc_defaults)
     elif "hotelling" in obj:
-        hotelling = _parse_hotelling(obj["hotelling"], "hotelling")
+        hotelling = _parse_record(obj["hotelling"], "hotelling", _HOTELLING)
     else:
         treatment = _parse_treatment(obj["treatment"], "treatment")
 
@@ -534,91 +550,16 @@ def load_bundled_scenario(name: str = "hotelling.scn") -> ScenarioDocument:
 # --- serialization ---
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in values]
-
-
-def _error_to_json(spec: ErrorSpec) -> dict:
-    if isinstance(spec, GumbelIID):
-        return {"kind": "gumbel", "scale": spec.scale}
-    if isinstance(spec, UniformBoundedIID):
-        return {"kind": "uniform_bounded", "delta": spec.delta}
-    if isinstance(spec, NormalIID):
-        return {"kind": "normal", "sigma": spec.sigma}
-    raise ValueError(f"unknown error spec {spec!r}")
-
-
-def _model_to_json(model: ChoiceModel, actions: ActionSet) -> dict:
-    if isinstance(model, RationalMax):
-        return {"kind": "rational_max"}
-    if isinstance(model, IndependentTable):
-        return {"kind": "independent_table", "probs": _floats(model.probs)}
-    if isinstance(model, AlphaRational):
-        return {
-            "kind": "alpha_rational",
-            "alpha": model.alpha,
-            "background": _floats(model.background),
-        }
-    if isinstance(model, Logit):
-        return {"kind": "logit", "q": model.q}
-    if isinstance(model, RandomUtilityMC):
-        return {
-            "kind": "random_utility_mc",
-            "error": _error_to_json(model.error),
-            "samples": model.samples,
-            "seed": model.seed,
-        }
-    if isinstance(model, DefaultNudge):
-        return {
-            "kind": "default_nudge",
-            "default_action": actions.labels[model.default_action],
-            "gamma": model.gamma,
-            "base": _model_to_json(model.base, actions),
-        }
-    raise ValueError(f"unknown choice model {model!r}")
-
-
-def _belief_to_json(belief: BeliefModel) -> dict:
-    if isinstance(belief, PointMassBelief):
-        return {"kind": "point_mass", "pi": belief.pi}
-    if isinstance(belief, UniformBelief):
-        return {"kind": "uniform", "lo": belief.lo, "hi": belief.hi}
-    if isinstance(belief, BetaBelief):
-        return {"kind": "beta", "a": belief.a, "b": belief.b}
-    if isinstance(belief, MixtureBelief):
-        return {
-            "kind": "mixture",
-            "components": [_belief_to_json(c) for c in belief.components],
-            "weights": list(belief.weights),
-        }
-    if isinstance(belief, EmpiricalBelief):
-        return {"kind": "empirical", "samples": _floats(belief.samples)}
-    raise ValueError(f"unknown belief model {belief!r}")
-
-
 def _population_to_json(section: PopulationSection) -> dict:
     pop = section.population
+    ctx = _Context(actions=pop.actions)
     return {
         "actions": list(pop.actions.labels),
-        "types": [
-            {"utilities": _floats(t.utilities), "weight": t.weight}
-            for t in pop.types
-        ],
+        "types": [_record_to_json(t, _TYPE) for t in pop.types],
         "models": {
-            name: _model_to_json(model, pop.actions)
-            for name, model in section.models.items()
+            name: _tagged_to_json(model, ctx) for name, model in section.models.items()
         },
     }
-
-
-def _hotelling_to_json(scenario: HotellingScenario) -> dict:
-    out = {
-        "store_locations": _floats(scenario.store_locations),
-        "person_locations": _floats(scenario.person_locations),
-    }
-    if scenario.person_weights is not None:
-        out["person_weights"] = _floats(scenario.person_weights)
-    return out
 
 
 def _treatment_to_json(scenario: TreatmentScenario) -> dict:
@@ -633,7 +574,7 @@ def _treatment_to_json(scenario: TreatmentScenario) -> dict:
                 "p_xz": z.p_xz,
             }
             if z.belief is not None:
-                zout["belief"] = _belief_to_json(z.belief)
+                zout["belief"] = _tagged_to_json(z.belief)
             z_cells.append(zout)
         x_cells.append(
             {
@@ -657,17 +598,13 @@ def document_to_json_dict(doc: ScenarioDocument) -> dict:
     if doc.population is not None:
         out["population"] = _population_to_json(doc.population)
     if doc.hotelling is not None:
-        out["hotelling"] = _hotelling_to_json(doc.hotelling)
+        out["hotelling"] = _record_to_json(doc.hotelling, _HOTELLING)
     if doc.treatment is not None:
         out["treatment"] = _treatment_to_json(doc.treatment)
     if doc.sweep is not None:
-        out["sweep"] = {
-            "q_min": doc.sweep.q_min,
-            "q_max": doc.sweep.q_max,
-            "q_step": doc.sweep.q_step,
-        }
+        out["sweep"] = _record_to_json(doc.sweep, _SWEEP)
     if doc.mc is not None:
-        out["mc"] = {"samples": doc.mc.samples, "seed": doc.mc.seed}
+        out["mc"] = _record_to_json(doc.mc, _MC)
     return out
 
 

@@ -6,9 +6,11 @@ each q. Because welfare orderings of subsets can reverse as q rises (and
 reverse back), crossings of welfare curves are located for every subset pair
 by sign-change detection on the grid, each refined by a bracketed secant
 (Illinois) iteration that starts from the two grid values. Crossing
-detection is quadratic in the number of subsets, i.e. O(4^|actions|) pairs;
-the |actions| <= 20 enumeration guard keeps sweeps themselves feasible but
-large action sets make the pair scan the dominant cost.
+detection is quadratic in the number of subsets, i.e. O(4^|actions|) pairs,
+and dominates the cost of a sweep: with 50 types on 201 grid points, a
+sweep of 9 actions (130,305 pairs) took about 41 s on a 2-vCPU host, and
+each further action roughly quadruples that. The |actions| <= 20 guard only
+bounds subset enumeration; it does not keep sweeps that large feasible.
 """
 
 import itertools

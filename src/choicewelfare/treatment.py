@@ -178,7 +178,8 @@ class MixtureBelief:
                 raise ValueError(
                     "mixture components must be point-mass, uniform, or beta"
                 )
-        if any(w <= 0.0 for w in weights):
+        # Written so that NaN, which fails every comparison, is rejected.
+        if not all(w > 0.0 for w in weights):
             raise ValueError("mixture weights must be positive")
         if abs(sum(weights) - 1.0) > PROB_SUM_TOL:
             raise ValueError("mixture weights must sum to 1")
@@ -218,7 +219,7 @@ class EmpiricalBelief:
         samples = _frozen_array(self.samples)
         if samples.ndim != 1 or samples.shape[0] == 0:
             raise ValueError("samples must be a non-empty vector")
-        if np.any(samples < 0.0) or np.any(samples > 1.0):
+        if not np.all((samples >= 0.0) & (samples <= 1.0)):  # NaN fails too
             raise ValueError("samples must lie in [0, 1]")
         object.__setattr__(self, "samples", samples)
 

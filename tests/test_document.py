@@ -1,16 +1,41 @@
 """Scenario file parsing, validation error paths, and serialization."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicewelfare import (
+    ActionSet,
+    AlphaRational,
+    BetaBelief,
+    CovariateCell,
     DefaultNudge,
+    EmpiricalBelief,
+    GumbelIID,
+    HotellingScenario,
+    IndependentTable,
     Logit,
+    MCConfig,
     MixtureBelief,
+    NormalIID,
+    OutcomeUtilities,
+    PointMassBelief,
+    Population,
+    PopulationSection,
     RandomUtilityMC,
+    RationalMax,
+    ScenarioDocument,
     ScenarioError,
+    SweepConfig,
+    TreatmentScenario,
+    UniformBelief,
+    UniformBoundedIID,
+    UtilityType,
+    XCell,
     bundled_scenario_text,
     document_to_json_dict,
     load_bundled_scenario,
@@ -111,6 +136,184 @@ def test_treatment_document_roundtrip():
 def test_hotelling_document_roundtrip():
     text1 = serialize_scenario(load_bundled_scenario())
     assert text1 == serialize_scenario(parse_scenario_text(text1))
+
+
+# --- round-trip property: parse(serialize(d)) == d for generated documents ---
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_positive = st.floats(1e-3, 1e3)
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _distribution(draw, n):
+    """n positive weights that sum to 1 within floating-point rounding."""
+    raw = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    return [r / sum(raw) for r in raw]
+
+
+@st.composite
+def _distributions(draw, min_size=1):
+    n = draw(st.integers(min_size, 4))
+    return draw(_distribution(n))
+
+
+_error_specs = st.one_of(
+    st.builds(GumbelIID, scale=_positive),
+    st.builds(UniformBoundedIID, delta=_positive),
+    st.builds(NormalIID, sigma=_positive),
+)
+
+
+def _base_models(k):
+    return st.one_of(
+        st.just(RationalMax()),
+        st.builds(IndependentTable, probs=_distribution(k)),
+        st.builds(AlphaRational, alpha=_unit, background=_distribution(k)),
+        st.builds(Logit, q=st.floats(0.0, 1e3)),
+        st.builds(
+            RandomUtilityMC,
+            error=_error_specs,
+            samples=st.integers(1, 10**6),
+            seed=st.integers(0, 2**63),
+        ),
+    )
+
+
+def _models(k):
+    return st.one_of(
+        _base_models(k),
+        st.builds(
+            DefaultNudge,
+            default_action=st.integers(0, k - 1),
+            gamma=st.floats(0.0, 1e3),
+            base=_base_models(k),
+        ),
+    )
+
+
+@st.composite
+def _population_sections(draw):
+    labels = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    k = len(labels)
+    utilities = st.lists(_finite, min_size=k, max_size=k).map(np.array)
+    types = tuple(
+        UtilityType(utilities=draw(utilities), weight=w)
+        for w in draw(_distributions())
+    )
+    models = draw(st.dictionaries(st.text(max_size=5), _models(k), max_size=4))
+    return PopulationSection(
+        population=Population(actions=ActionSet(labels=tuple(labels)), types=types),
+        models=models,
+    )
+
+
+@st.composite
+def _hotelling_scenarios(draw):
+    persons = draw(st.lists(_finite, min_size=1, max_size=4))
+    weights = draw(st.none() | _distribution(len(persons)).map(np.array))
+    return HotellingScenario(
+        store_locations=np.array(draw(st.lists(_finite, min_size=1, max_size=4))),
+        person_locations=np.array(persons),
+        person_weights=weights,
+    )
+
+
+@st.composite
+def _uniform_beliefs(draw):
+    lo, hi = sorted(draw(st.lists(_unit, min_size=2, max_size=2, unique=True)))
+    return UniformBelief(lo=lo, hi=hi)
+
+
+_simple_beliefs = st.one_of(
+    st.builds(PointMassBelief, pi=_unit),
+    _uniform_beliefs(),
+    st.builds(BetaBelief, a=_positive, b=_positive),
+)
+
+
+@st.composite
+def _mixture_beliefs(draw):
+    weights = draw(_distributions())
+    components = draw(
+        st.lists(_simple_beliefs, min_size=len(weights), max_size=len(weights))
+    )
+    return MixtureBelief(components=tuple(components), weights=tuple(weights))
+
+
+_beliefs = st.one_of(
+    _simple_beliefs,
+    _mixture_beliefs(),
+    st.builds(
+        EmpiricalBelief, samples=st.lists(_unit, min_size=1, max_size=5).map(np.array)
+    ),
+)
+
+
+@st.composite
+def _x_cells(draw, label, weight):
+    z_cells = tuple(
+        CovariateCell(
+            z_label=f"z{j}",
+            p_z_given_x=p,
+            p_xz=draw(_unit),
+            belief=draw(st.none() | _beliefs),
+        )
+        for j, p in enumerate(draw(_distributions()))
+    )
+    u = draw(st.lists(_finite, min_size=4, max_size=4))
+    return XCell(
+        x_label=label,
+        weight=weight,
+        utilities=OutcomeUtilities.from_components(
+            u0_a=u[0], u1_a=u[1], u0_b=u[2], u1_b=u[3]
+        ),
+        z_cells=z_cells,
+    )
+
+
+@st.composite
+def _treatment_scenarios(draw):
+    weights = draw(_distributions())
+    return TreatmentScenario(
+        x_cells=tuple(draw(_x_cells(f"x{i}", w)) for i, w in enumerate(weights))
+    )
+
+
+@st.composite
+def _sweep_configs(draw):
+    q_min, q_max = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2)))
+    return SweepConfig(q_min=q_min, q_max=q_max, q_step=draw(_positive))
+
+
+@st.composite
+def _documents(draw):
+    kind = draw(st.sampled_from(["population", "hotelling", "treatment"]))
+    scenario = {
+        "population": _population_sections,
+        "hotelling": _hotelling_scenarios,
+        "treatment": _treatment_scenarios,
+    }[kind]
+    return ScenarioDocument(
+        schema_version=1,
+        sweep=draw(st.none() | _sweep_configs()),
+        mc=draw(
+            st.none()
+            | st.builds(MCConfig, samples=st.integers(1, 10**6), seed=st.integers(0, 2**63))
+        ),
+        **{kind: draw(scenario())},
+    )
+
+
+# One z cell, or equal p_xz across z, is valid and merely warns.
+@pytest.mark.filterwarnings("ignore:.*private information is worthless:UserWarning")
+@settings(max_examples=150, deadline=None)
+@given(_documents())
+def test_parse_inverts_serialize(doc):
+    text = serialize_scenario(doc)
+    again = parse_scenario_text(text)
+    assert again == doc
+    assert serialize_scenario(again) == text
 
 
 def test_models_parse_all_kinds():
@@ -433,6 +636,252 @@ def test_mc_section_validation():
         _parse(_population_doc(mc={"samples": 1.5}))
     with pytest.raises(ScenarioError, match=r"mc"):
         _parse(_population_doc(mc={"samples": 0}))
+
+
+_DELETE = object()
+_MODEL = ("population", "models", "m")
+_BELIEF = ("treatment", "x_cells", 0, "z_cells", 0, "belief")
+_B = "treatment.x_cells[0].z_cells[0].belief"
+
+
+def _with_model(spec):
+    doc = _population_doc()
+    doc["population"]["models"] = {"m": spec}
+    return doc
+
+
+def _with_belief(spec):
+    doc = _treatment_doc()
+    doc["treatment"]["x_cells"][0]["z_cells"][0]["belief"] = spec
+    return doc
+
+
+def _hotelling_doc():
+    return {
+        "schema_version": 1,
+        "hotelling": {
+            "store_locations": [0.0, 1.0],
+            "person_locations": [0.0, 0.5],
+            "person_weights": [0.5, 0.5],
+        },
+    }
+
+
+_MC = {"kind": "random_utility_mc", "error": {"kind": "gumbel"}}
+_NUDGE = {"kind": "default_nudge", "default_action": "a", "gamma": 0.1}
+_MIXTURE = {
+    "kind": "mixture",
+    "components": [{"kind": "point_mass", "pi": 0.5}, {"kind": "beta", "a": 1.0, "b": 2.0}],
+    "weights": [0.5, 0.5],
+}
+
+
+def _mixture(**edits):
+    return {**_MIXTURE, **edits}
+
+
+# (document, path to edit, new value or _DELETE, full ScenarioError text)
+_PINNED_ERRORS = {
+    # model kinds
+    "model-unknown-kind": (
+        _with_model({"kind": "quantal"}), (), None,
+        "population.models.m.kind: unknown model kind 'quantal'",
+    ),
+    "model-kind-not-string": (
+        _with_model({"kind": 3}), (), None,
+        "population.models.m.kind: expected a string",
+    ),
+    "model-missing-kind": (
+        _with_model({"q": 1.0}), (), None,
+        "population.models.m: missing required field 'kind'",
+    ),
+    "model-not-object": (
+        _with_model("logit"), (), None, "population.models.m: expected an object"
+    ),
+    "model-unknown-key": (
+        _with_model({"kind": "rational_max", "q": 1.0}), (), None,
+        "population.models.m: unknown field 'q'",
+    ),
+    "model-missing-key": (
+        _with_model({"kind": "alpha_rational", "alpha": 0.5}), (), None,
+        "population.models.m: missing required field 'background'",
+    ),
+    "model-wrong-type": (
+        _with_model({"kind": "logit", "q": "1"}), (), None,
+        "population.models.m.q: expected a number",
+    ),
+    "model-nested-wrong-type": (
+        _with_model({**_NUDGE, "base": {**_MC, "error": {"kind": "gumbel", "scale": "x"}}}),
+        (), None, "population.models.m.base.error.scale: expected a number",
+    ),
+    "model-wrong-int": (
+        _with_model({**_MC, "samples": 1.5}), (), None,
+        "population.models.m.samples: expected an integer",
+    ),
+    "model-array-entry": (
+        _with_model({"kind": "independent_table", "probs": [0.5, None]}), (), None,
+        "population.models.m.probs[1]: expected a number",
+    ),
+    "model-constructor": (
+        _with_model({"kind": "logit", "q": -1.0}), (), None,
+        "population.models.m: q must be finite and >= 0",
+    ),
+    "model-constructor-nested": (
+        _with_model({**_NUDGE, "base": {**_NUDGE, "base": {"kind": "rational_max"}}}),
+        (), None, "population.models.m: nudge base must not itself be a DefaultNudge",
+    ),
+    "model-constructor-alpha": (
+        _with_model({"kind": "alpha_rational", "alpha": 0.5, "background": [0.5, 0.6]}),
+        (), None, "population.models.m: background probs must sum to 1 within 1e-12",
+    ),
+    # The only message the table-driven parser changed: the parent prefixed
+    # it with "population.models.m.probs", unlike every other kind.
+    "model-constructor-table": (
+        _with_model({"kind": "independent_table", "probs": [0.5, 0.6]}), (), None,
+        "population.models.m: background probs must sum to 1 within 1e-12",
+    ),
+    "model-unknown-label": (
+        _with_model({**_NUDGE, "default_action": "zzz", "base": {"kind": "rational_max"}}),
+        (), None, "population.models.m.default_action: unknown action label 'zzz'",
+    ),
+    "model-label-not-string": (
+        _with_model({**_NUDGE, "default_action": 0, "base": {"kind": "rational_max"}}),
+        (), None, "population.models.m.default_action: expected a string",
+    ),
+    # error distributions
+    "error-unknown-kind": (
+        _with_model({**_MC, "error": {"kind": "cauchy"}}), (), None,
+        "population.models.m.error.kind: unknown error distribution 'cauchy'",
+    ),
+    "error-unknown-key": (
+        _with_model({**_MC, "error": {"kind": "normal", "sigma": 1.0, "mu": 0.0}}), (), None,
+        "population.models.m.error: unknown field 'mu'",
+    ),
+    "error-missing-key": (
+        _with_model({**_MC, "error": {"kind": "uniform_bounded"}}), (), None,
+        "population.models.m.error: missing required field 'delta'",
+    ),
+    "error-missing": (
+        _with_model({"kind": "random_utility_mc"}), (), None,
+        "population.models.m: missing required field 'error'",
+    ),
+    "error-constructor": (
+        _with_model({**_MC, "error": {"kind": "normal", "sigma": -1.0}}), (), None,
+        "population.models.m.error: sigma must be strictly positive and finite",
+    ),
+    # belief kinds
+    "belief-unknown-kind": (
+        _with_belief({"kind": "dirichlet"}), (), None,
+        f"{_B}.kind: unknown belief kind 'dirichlet'",
+    ),
+    "belief-unknown-key": (
+        _with_belief({"kind": "point_mass", "pi": 0.1, "mu": 0.0}), (), None,
+        f"{_B}: unknown field 'mu'",
+    ),
+    "belief-missing-key": (
+        _with_belief({"kind": "beta", "a": 2.0}), (), None,
+        f"{_B}: missing required field 'b'",
+    ),
+    "belief-component-wrong-type": (
+        _with_belief(_mixture()), _BELIEF + ("components", 1, "a"), "x",
+        f"{_B}.components[1].a: expected a number",
+    ),
+    "belief-weight-wrong-type": (
+        _with_belief(_mixture()), _BELIEF + ("weights", 0), "x",
+        f"{_B}.weights[0]: expected a number",
+    ),
+    "belief-components-not-array": (
+        _with_belief(_mixture(components={})), (), None,
+        f"{_B}.components: expected an array",
+    ),
+    "belief-component-unknown-kind": (
+        _with_belief(_mixture()), _BELIEF + ("components", 0, "kind"), "delta",
+        f"{_B}.components[0].kind: unknown belief kind 'delta'",
+    ),
+    "belief-constructor": (
+        _with_belief({"kind": "uniform", "lo": 0.6, "hi": 0.5}), (), None,
+        f"{_B}: need 0 <= lo < hi <= 1",
+    ),
+    "belief-constructor-mixture": (
+        _with_belief(_mixture(weights=[0.5, 0.25])), (), None,
+        f"{_B}: mixture weights must sum to 1",
+    ),
+    "belief-constructor-empirical": (
+        _with_belief({"kind": "empirical", "samples": [0.5, 1.5]}), (), None,
+        f"{_B}: samples must lie in [0, 1]",
+    ),
+    # flat sections
+    "sweep-not-object": (
+        _population_doc(sweep=[0.0]), (), None, "sweep: expected an object"
+    ),
+    "sweep-unknown-key": (
+        _population_doc(sweep={"q_grid": [0.0]}), (), None, "sweep: unknown field 'q_grid'"
+    ),
+    "sweep-wrong-type": (
+        _population_doc(sweep={"q_max": "1"}), (), None, "sweep.q_max: expected a number"
+    ),
+    "sweep-constructor": (
+        _population_doc(sweep={"q_step": 0.0}), (), None, "sweep: q_step must be > 0"
+    ),
+    "mc-unknown-key": (
+        _population_doc(mc={"n": 1}), (), None, "mc: unknown field 'n'"
+    ),
+    "mc-wrong-type": (
+        _population_doc(mc={"seed": 1.5}), (), None, "mc.seed: expected an integer"
+    ),
+    "mc-constructor": (
+        _population_doc(mc={"samples": 0}), (), None, "mc: samples must be >= 1"
+    ),
+    "hotelling-unknown-key": (
+        _hotelling_doc(), ("hotelling", "labels"), ["a"], "hotelling: unknown field 'labels'"
+    ),
+    "hotelling-missing-key": (
+        _hotelling_doc(), ("hotelling", "person_locations"), _DELETE,
+        "hotelling: missing required field 'person_locations'",
+    ),
+    "hotelling-wrong-type": (
+        _hotelling_doc(), ("hotelling", "person_weights", 1), True,
+        "hotelling.person_weights[1]: expected a number",
+    ),
+    "hotelling-constructor": (
+        _hotelling_doc(), ("hotelling", "person_weights"), [1.0],
+        "hotelling: person_weights length must match person_locations",
+    ),
+    "type-unknown-key": (
+        _population_doc(), ("population", "types", 0, "label"), "t",
+        "population.types[0]: unknown field 'label'",
+    ),
+    "type-missing-key": (
+        _population_doc(), ("population", "types", 1, "weight"), _DELETE,
+        "population.types[1]: missing required field 'weight'",
+    ),
+    "type-wrong-type": (
+        _population_doc(), ("population", "types", 0, "utilities", 1), "0",
+        "population.types[0].utilities[1]: expected a number",
+    ),
+    "type-constructor": (
+        _population_doc(), ("population", "types", 0, "weight"), -0.5,
+        "population.types[0]: type weight must be positive and finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_ERRORS))
+def test_error_messages_are_pinned(case):
+    doc, path, value, message = _PINNED_ERRORS[case]
+    doc = copy.deepcopy(doc)
+    if path:
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    with pytest.raises(ScenarioError) as info:
+        _parse(doc)
+    assert str(info.value) == message
 
 
 def test_unreadable_file_raises_scenario_error(tmp_path):

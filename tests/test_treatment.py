@@ -151,6 +151,11 @@ def test_mixture_belief_validation():
     )
     with pytest.raises(ValueError):
         MixtureBelief(components=(inner, PointMassBelief(pi=0.1)), weights=(0.5, 0.5))
+    for weights in ((float("nan"),), (float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="mixture weights must be positive"):
+            MixtureBelief(
+                components=(PointMassBelief(pi=0.5),) * len(weights), weights=weights
+            )
 
 
 def test_empirical_belief_counts_exactly():
@@ -163,6 +168,9 @@ def test_empirical_belief_counts_exactly():
         EmpiricalBelief(samples=np.array([0.1, 1.4]))
     with pytest.raises(ValueError):
         EmpiricalBelief(samples=np.array([]))
+    for bad in ([0.2, np.nan], [np.nan]):
+        with pytest.raises(ValueError, match=r"samples must lie in \[0, 1\]"):
+            EmpiricalBelief(samples=bad)
 
 
 def test_belief_sampling_tracks_cdf():
