@@ -220,6 +220,11 @@ def _override_mc(
     return model
 
 
+def _check_samples(args):
+    if args.samples is not None and args.samples < 1:
+        raise _UsageError("samples must be >= 1")
+
+
 def _resolve_available(args, actions: ActionSet) -> Optional[list[int]]:
     if args.available is None:
         return None
@@ -255,6 +260,7 @@ def _require_json_format(args):
 
 def _cmd_evaluate(args) -> int:
     _require_json_format(args)
+    _check_samples(args)
     doc = _load(args)
     section = _require_kind(doc, "population", "evaluate")
     pop = section.population
@@ -287,6 +293,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     _require_json_format(args)
+    _check_samples(args)
     doc = _load(args)
     section = _require_kind(doc, "population", "optimize")
     pop = section.population

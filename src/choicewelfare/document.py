@@ -29,12 +29,15 @@ their keys differ from the attribute names.
 Parsing is strict: unknown fields, wrong types, unresolved labels, and
 violated invariants all raise ScenarioError naming the path of the offending
 field (e.g. ``population.types[2].weight``); syntax errors carry the line and
-column reported by the JSON parser. parse -> serialize -> parse is an
-identity on documents.
+column reported by the JSON parser. A number array (utilities, samples,
+probabilities, locations) is checked in one vectorised pass over the whole
+list; the per-element pass runs only when that check fails, to name the first
+bad element. parse -> serialize -> parse is an identity on documents.
 """
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Callable, NamedTuple, Optional
@@ -179,7 +182,7 @@ def _as_number(value: Any, path: str) -> float:
         value = float(value)
     except OverflowError:
         raise ScenarioError(f"{path}: number must be finite") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ScenarioError(f"{path}: number must be finite")
     return value
 
@@ -202,10 +205,21 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
-def _as_number_list(value: Any, path: str) -> list[float]:
-    return [
-        _as_number(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))
-    ]
+def _as_number_array(value: Any, path: str) -> np.ndarray:
+    items = _as_list(value, path)
+    # One pass over the whole array. The type set excludes bool, str, None and
+    # nested lists; np.array raises OverflowError on an int beyond float range,
+    # and isfinite catches NaN and the infinities (json reads 1e400 as inf).
+    if set(map(type, items)) <= {float, int}:
+        try:
+            arr = np.array(items, dtype=np.float64)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(arr).all():
+                return arr
+    # Some element is bad: check one at a time to name the first of them.
+    return np.array([_as_number(v, f"{path}[{i}]") for i, v in enumerate(items)])
 
 
 def _build(path: str, ctor, *args, **kwargs):
@@ -291,11 +305,12 @@ def _tagged_to_json(obj, ctx: _Context = _Context()) -> dict:
 _NUMBER = _Codec(lambda v, path, ctx: _as_number(v, path), lambda v, ctx: v)
 _INT = _Codec(lambda v, path, ctx: _as_int(v, path), lambda v, ctx: v)
 _NUMBER_ARRAY = _Codec(
-    lambda v, path, ctx: np.array(_as_number_list(v, path)),
+    lambda v, path, ctx: _as_number_array(v, path),
     lambda v, ctx: [float(x) for x in v],
 )
 _NUMBER_TUPLE = _Codec(
-    lambda v, path, ctx: tuple(_as_number_list(v, path)), lambda v, ctx: list(v)
+    lambda v, path, ctx: tuple(_as_number_array(v, path).tolist()),
+    lambda v, ctx: list(v),
 )
 _ACTION_LABEL = _Codec(
     lambda v, path, ctx: _build(path, ctx.actions.index_of, _as_str(v, path)),

@@ -452,6 +452,16 @@ def test_bad_eta_is_usage_error(population_file, capsys):
     assert "--eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "optimize"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_bad_samples_is_usage_error(population_file, capsys, command, samples):
+    argv = [command, "--scenario", population_file, "--model", "mc"]
+    assert main(argv + ["--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: samples must be >= 1\n"
+    assert captured.out == ""
+
+
 def test_bad_grid_step_is_usage_error(hotelling_file, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert (

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choicewelfare import (
@@ -43,6 +43,7 @@ from choicewelfare import (
     parse_scenario_text,
     serialize_scenario,
 )
+from choicewelfare import document
 
 
 def _population_doc(**overrides):
@@ -882,6 +883,182 @@ def test_error_messages_are_pinned(case):
     with pytest.raises(ScenarioError) as info:
         _parse(doc)
     assert str(info.value) == message
+
+
+# --- number arrays: the one-pass check and its per-element fallback ---
+
+_N = 500
+_SHARE = 1.0 / _N
+
+
+def _wide_population(models=None):
+    section = {
+        "actions": [f"a{i}" for i in range(_N)],
+        "types": [{"utilities": [0.0] * _N, "weight": 1.0}],
+    }
+    if models is not None:
+        section["models"] = models
+    return {"schema_version": 1, "population": section}
+
+
+def _wide_hotelling():
+    return {
+        "schema_version": 1,
+        "hotelling": {
+            "store_locations": [float(i) for i in range(_N)],
+            "person_locations": [0.5] * _N,
+            "person_weights": [_SHARE] * _N,
+        },
+    }
+
+
+# field -> (a valid document whose field holds _N numbers, path to the list,
+# the field's path in error messages)
+_LONG_ARRAYS = {
+    "types.utilities": (
+        _wide_population(), ("population", "types", 0, "utilities"),
+        "population.types[0].utilities",
+    ),
+    "empirical.samples": (
+        _with_belief({"kind": "empirical", "samples": [0.5] * _N}),
+        _BELIEF + ("samples",), f"{_B}.samples",
+    ),
+    "mixture.weights": (
+        _with_belief(
+            {
+                "kind": "mixture",
+                "components": [{"kind": "point_mass", "pi": 0.5}] * _N,
+                "weights": [_SHARE] * _N,
+            }
+        ),
+        _BELIEF + ("weights",), f"{_B}.weights",
+    ),
+    "independent_table.probs": (
+        _wide_population({"m": {"kind": "independent_table", "probs": [_SHARE] * _N}}),
+        _MODEL + ("probs",), "population.models.m.probs",
+    ),
+    "alpha_rational.background": (
+        _wide_population(
+            {"m": {"kind": "alpha_rational", "alpha": 0.5, "background": [_SHARE] * _N}}
+        ),
+        _MODEL + ("background",), "population.models.m.background",
+    ),
+    "hotelling.store_locations": (
+        _wide_hotelling(), ("hotelling", "store_locations"),
+        "hotelling.store_locations",
+    ),
+    "hotelling.person_weights": (
+        _wide_hotelling(), ("hotelling", "person_weights"), "hotelling.person_weights",
+    ),
+}
+
+# A stand-in for the JSON literal 1e400, which json.dumps cannot write
+# (json.loads reads it as inf).
+_RAW_1E400 = "<1e400>"
+
+# name -> (element, the message after its path)
+_BAD_NUMBERS = {
+    "true": (True, "expected a number"),
+    "string": ("0.5", "expected a number"),
+    "null": (None, "expected a number"),
+    "nested-list": ([0.5], "expected a number"),
+    "NaN": (float("nan"), "number must be finite"),
+    "Infinity": (float("inf"), "number must be finite"),
+    "-Infinity": (float("-inf"), "number must be finite"),
+    "1e400": (_RAW_1E400, "number must be finite"),
+    "10**400": (10**400, "number must be finite"),
+}
+
+
+def _parse_raw(doc):
+    text = json.dumps(doc).replace(json.dumps(_RAW_1E400), "1e400")
+    return parse_scenario_text(text)
+
+
+def _long_array_doc(field, edits):
+    doc, path, prefix = _LONG_ARRAYS[field]
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path:
+        target = target[key]
+    for index, value in edits.items():
+        target[index] = value
+    return doc, prefix
+
+
+@pytest.mark.parametrize("field", sorted(_LONG_ARRAYS))
+def test_long_array_documents_are_valid(field):
+    doc, _ = _long_array_doc(field, {})
+    assert _parse_raw(doc) == _parse(doc)
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_NUMBERS))
+@pytest.mark.parametrize("field", sorted(_LONG_ARRAYS))
+def test_bad_array_element_message_is_pinned(field, bad):
+    value, reason = _BAD_NUMBERS[bad]
+    doc, prefix = _long_array_doc(field, {250: value})
+    with pytest.raises(ScenarioError) as info:
+        _parse_raw(doc)
+    assert str(info.value) == f"{prefix}[250]: {reason}"
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [("NaN", "string"), ("string", "NaN"), ("10**400", "true"), ("1e400", "10**400")],
+)
+@pytest.mark.parametrize("field", sorted(_LONG_ARRAYS))
+def test_first_bad_array_element_is_named(field, first, later):
+    doc, prefix = _long_array_doc(
+        field, {250: _BAD_NUMBERS[first][0], 400: _BAD_NUMBERS[later][0]}
+    )
+    with pytest.raises(ScenarioError) as info:
+        _parse_raw(doc)
+    assert str(info.value) == f"{prefix}[250]: {_BAD_NUMBERS[first][1]}"
+
+
+_EDGE_INTS = [2**53 + 1, 2**63, 2**64 + 1, 10**300, -(2**63) - 1, 2**1024 - 2**970 - 1]
+_json_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(),
+    st.integers(-(2**1023), 2**1023),
+    st.sampled_from(_EDGE_INTS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_json_numbers, max_size=40))
+@example([])
+@example(_EDGE_INTS)
+def test_number_array_matches_per_element_floats(items):
+    # What json.loads hands the parser, number for number.
+    items = json.loads(json.dumps(items))
+    got = document._as_number_array(items, "x")
+    expected = np.array([float(v) for v in items], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (len(items),)
+    assert got.tobytes() == expected.tobytes()
+    if items:
+        doc = {"schema_version": 1, "hotelling": {
+            "store_locations": items, "person_locations": [0.0]}}
+        stores = _parse(doc).hotelling.store_locations
+        assert stores.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+def test_mixture_weights_are_a_tuple_of_python_floats(counts):
+    # One component gives the JSON int 1; more give floats.
+    weights = [1] if len(counts) == 1 else [c / sum(counts) for c in counts]
+    doc = _with_belief(
+        {
+            "kind": "mixture",
+            "components": [{"kind": "point_mass", "pi": 0.5}] * len(weights),
+            "weights": weights,
+        }
+    )
+    parsed = _parse(doc).treatment.x_cells[0].z_cells[0].belief.weights
+    assert type(parsed) is tuple
+    assert all(type(w) is float for w in parsed)
+    assert parsed == tuple(float(w) for w in weights)
 
 
 def test_unreadable_file_raises_scenario_error(tmp_path):

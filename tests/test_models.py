@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicewelfare import (
     ActionSet,
@@ -111,6 +113,23 @@ def test_logit_reference_probabilities():
 def test_logit_zero_q_is_uniform():
     cp = choice_probabilities(U3, (0, 1, 2), Logit(q=0.0))
     assert np.allclose(cp.probs, 1.0 / 3.0, atol=1e-15)
+
+
+@st.composite
+def _utilities_and_subset(draw):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    u = draw(st.lists(finite, min_size=1, max_size=8))
+    subset = draw(st.sets(st.integers(0, len(u) - 1), min_size=1))
+    return np.array(u), tuple(sorted(subset))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_utilities_and_subset())
+def test_logit_zero_q_is_uniform_property(case):
+    utilities, available = case
+    cp = choice_probabilities(utilities, available, Logit(q=0.0))
+    assert cp.available == available
+    assert np.all(cp.probs == 1.0 / len(available))
 
 
 def test_logit_large_q_approaches_argmax():

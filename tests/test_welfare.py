@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicewelfare import (
     ActionSet,
@@ -39,6 +41,44 @@ def _random_population(rng, n_actions=None, n_types=None) -> Population:
         UtilityType(utilities=rng.normal(size=k), weight=float(w)) for w in weights
     )
     return Population(actions=actions, types=types)
+
+
+_utility = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _distributions(draw, n):
+    counts = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    return np.array([c / sum(counts) for c in counts])
+
+
+@st.composite
+def _populations(draw):
+    k = draw(st.integers(1, 5))
+    actions = ActionSet(labels=tuple(f"a{i}" for i in range(k)))
+    types = tuple(
+        UtilityType(
+            utilities=np.array(draw(st.lists(_utility, min_size=k, max_size=k))),
+            weight=float(w),
+        )
+        for w in draw(_distributions(draw(st.integers(1, 4))))
+    )
+    return Population(actions=actions, types=types)
+
+
+def _subsets(k):
+    return st.sets(st.integers(0, k - 1), min_size=1).map(sorted).map(tuple)
+
+
+def _models(k):
+    return st.one_of(
+        st.just(RationalMax()),
+        st.builds(Logit, q=st.floats(0.0, 1e3)),
+        st.builds(
+            AlphaRational, alpha=st.floats(0.0, 1.0), background=_distributions(k)
+        ),
+        st.builds(IndependentTable, probs=_distributions(k)),
+    )
 
 
 # --- reference values on the line scenario ---
@@ -81,6 +121,15 @@ def test_rational_full_set_has_zero_regret(line_population):
     result = policy_welfare(line_population, None, RationalMax())
     assert result.welfare == idealized_optimum(line_population)
     assert result.regret == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_regret_is_nonnegative_for_any_population_and_subset(data):
+    pop = data.draw(_populations())
+    available = data.draw(_subsets(pop.n_actions))
+    model = data.draw(_models(pop.n_actions))
+    assert policy_welfare(pop, available, model).regret >= -1e-12
 
 
 def test_uniform_table_welfare_reference(line_population):
@@ -193,6 +242,17 @@ def test_alpha_closed_form_matches_evaluation():
         direct = policy_welfare(pop, None, model).welfare
         closed = alpha_welfare_closed_form(pop, alpha, background)
         assert abs(direct - closed) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_alpha_closed_form_matches_evaluation_property(data):
+    pop = data.draw(_populations())
+    alpha = data.draw(st.floats(0.0, 1.0))
+    background = data.draw(_distributions(pop.n_actions))
+    model = AlphaRational(alpha=alpha, background=background)
+    direct = policy_welfare(pop, None, model).welfare
+    assert abs(direct - alpha_welfare_closed_form(pop, alpha, background)) <= 1e-12
 
 
 def test_bounded_error_welfare_bound_value(line_population):
