@@ -230,9 +230,13 @@ def _resolve_available(args, actions: ActionSet) -> Optional[list[int]]:
         return None
     labels = [part.strip() for part in args.available.split(",")]
     try:
-        return [actions.index_of(label) for label in labels]
+        indices = [actions.index_of(label) for label in labels]
     except ValueError as exc:
         raise ScenarioError(f"--available: {exc}") from None
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ScenarioError(f"--available: repeated action label {label!r}")
+    return indices
 
 
 def _sweep_config(doc: ScenarioDocument, args) -> SweepConfig:

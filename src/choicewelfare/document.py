@@ -15,16 +15,18 @@ seed defaults) sections.
 
 The tables below are the schema, and both the parser and the serializer read
 them. ``_TAGGED`` maps each family of tagged objects (error distributions,
-choice models, beliefs) and each ``kind`` value to its class and fields;
-``_SWEEP``, ``_MC``, ``_HOTELLING`` and ``_TYPE`` (a population type) are the
-untagged records. A field's key is its constructor argument's name, and a
-key is required unless the class gives it a default. The optional keys are:
-every key of ``sweep`` (q_min 0, q_max 10, q_step 0.05) and ``mc`` (samples
-100000, seed 0); ``gumbel.scale`` (1); ``random_utility_mc.samples`` and
-``.seed`` (the document's ``mc`` section); ``hotelling.person_weights``
-(uniform); a population's ``models`` (none); and a z cell's ``belief``
-(none). Action labels and treatment x and z cells are read by hand, because
-their keys differ from the attribute names.
+choice models, beliefs) and each ``kind`` value to its class and fields.
+``_SWEEP``, ``_MC``, ``_HOTELLING``, ``_OUTCOME`` (an x cell's outcome
+utilities), ``_Z_CELL`` and ``_X_CELL`` are untagged records; ``_TYPES`` (a
+population's utility types) and ``_X_CELLS`` are lists of untagged records. A field's key is its
+constructor argument's name unless the field names another (an x or z cell's
+``label``), and a key is required unless the constructor gives it a default.
+The optional keys are: every key of ``sweep`` (q_min 0, q_max 10, q_step
+0.05) and ``mc`` (samples 100000, seed 0); ``gumbel.scale`` (1);
+``random_utility_mc.samples`` and ``.seed`` (the document's ``mc`` section);
+``hotelling.person_weights`` (uniform); a population's ``models`` (none); and
+a z cell's ``belief`` (none). A population's action labels and named models
+are read by hand, because the models refer to the labels.
 
 Parsing is strict: unknown fields, wrong types, unresolved labels, and
 violated invariants all raise ScenarioError naming the path of the offending
@@ -35,7 +37,7 @@ list; the per-element pass runs only when that check fails, to name the first
 bad element. parse -> serialize -> parse is an identity on documents.
 """
 
-import dataclasses
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -242,36 +244,44 @@ class _Context(NamedTuple):
 
 class _Codec(NamedTuple):
     """How one field is read from JSON (value, path, context) and written back
-    (value, context). `absent` gives the value of an omitted key from the
-    context; without it an omitted key takes the class default, if any."""
+    (value, context). `key` is the JSON key when it differs from the
+    constructor argument. `absent` gives the value of an omitted key from the
+    context; without it an omitted key takes the constructor's default, if
+    any."""
 
     read: Callable[[Any, str, _Context], Any]
     write: Callable[[Any, _Context], Any]
+    key: Optional[str] = None
     absent: Optional[Callable[[_Context, str], Any]] = None
 
 
-def _has_default(cls, key: str) -> bool:
-    field = next(f for f in dataclasses.fields(cls) if f.name == key)
-    return field.default is not dataclasses.MISSING
+def _has_default(ctor, name: str) -> bool:
+    param = inspect.signature(ctor).parameters[name]
+    return param.default is not inspect.Parameter.empty
+
+
+def _json_keys(record) -> set:
+    return {codec.key or name for name, codec in record[1].items()}
 
 
 def _read_fields(obj: dict, path: str, record, ctx: _Context):
     # The caller has checked that obj is an object with no unknown keys.
-    cls, fields = record
+    ctor, fields = record
     kwargs = {}
-    for key, codec in fields.items():
+    for name, codec in fields.items():
+        key = codec.key or name
         if key in obj:
-            kwargs[key] = codec.read(obj[key], f"{path}.{key}", ctx)
+            kwargs[name] = codec.read(obj[key], f"{path}.{key}", ctx)
         elif codec.absent is not None:
-            kwargs[key] = codec.absent(ctx, key)
-        elif not _has_default(cls, key):
+            kwargs[name] = codec.absent(ctx, name)
+        elif not _has_default(ctor, name):
             raise ScenarioError(f"{path}: missing required field {key!r}")
-    return _build(path, cls, **kwargs)
+    return _build(path, ctor, **kwargs)
 
 
 def _parse_record(value: Any, path: str, record, ctx: _Context = _Context()):
     obj = _require_object(value, path)
-    _check_keys(obj, record[1].keys(), path)
+    _check_keys(obj, _json_keys(record), path)
     return _read_fields(obj, path, record, ctx)
 
 
@@ -281,16 +291,16 @@ def _parse_tagged(family: str, value: Any, path: str, ctx: _Context = _Context()
     record = _TAGGED[family].get(kind)
     if record is None:
         raise ScenarioError(f"{path}.kind: unknown {family} {kind!r}")
-    _check_keys(obj, record[1].keys() | {"kind"}, path)
+    _check_keys(obj, _json_keys(record) | {"kind"}, path)
     return _read_fields(obj, path, record, ctx)
 
 
 def _record_to_json(obj, record, ctx: _Context = _Context()) -> dict:
     out = {}
-    for key, codec in record[1].items():
-        value = getattr(obj, key)
+    for name, codec in record[1].items():
+        value = getattr(obj, name)
         if value is not None:
-            out[key] = codec.write(value, ctx)
+            out[codec.key or name] = codec.write(value, ctx)
     return out
 
 
@@ -304,6 +314,7 @@ def _tagged_to_json(obj, ctx: _Context = _Context()) -> dict:
 
 _NUMBER = _Codec(lambda v, path, ctx: _as_number(v, path), lambda v, ctx: v)
 _INT = _Codec(lambda v, path, ctx: _as_int(v, path), lambda v, ctx: v)
+_LABEL = _Codec(lambda v, path, ctx: _as_str(v, path), lambda v, ctx: v, key="label")
 _NUMBER_ARRAY = _Codec(
     lambda v, path, ctx: _as_number_array(v, path),
     lambda v, ctx: [float(x) for x in v],
@@ -317,7 +328,7 @@ _ACTION_LABEL = _Codec(
     lambda v, ctx: ctx.actions.labels[v],
 )
 # Sampler settings a model omits come from the document's mc section.
-_MC_INT = _INT._replace(absent=lambda ctx, key: getattr(ctx.mc, key))
+_MC_INT = _INT._replace(absent=lambda ctx, name: getattr(ctx.mc, name))
 
 
 def _one_of(family: str) -> _Codec:
@@ -326,18 +337,23 @@ def _one_of(family: str) -> _Codec:
     )
 
 
-def _list_of(family: str) -> _Codec:
+def _record(record) -> _Codec:
     return _Codec(
-        lambda v, path, ctx: tuple(
-            _parse_tagged(family, item, f"{path}[{i}]", ctx)
-            for i, item in enumerate(_as_list(v, path))
-        ),
-        lambda v, ctx: [_tagged_to_json(item, ctx) for item in v],
+        lambda v, path, ctx: _parse_record(v, path, record, ctx),
+        lambda v, ctx: _record_to_json(v, record, ctx),
     )
 
 
-# family noun -> "kind" value -> (class, {key: codec}); the keys are the
-# constructor's argument names.
+def _list_of(item: _Codec) -> _Codec:
+    return _Codec(
+        lambda v, path, ctx: tuple(
+            item.read(x, f"{path}[{i}]", ctx) for i, x in enumerate(_as_list(v, path))
+        ),
+        lambda v, ctx: [item.write(x, ctx) for x in v],
+    )
+
+
+# family noun -> "kind" value -> (class, {argument name: codec}).
 _TAGGED = {
     "error distribution": {
         "gumbel": (GumbelIID, {"scale": _NUMBER}),
@@ -375,7 +391,10 @@ _TAGGED = {
         "beta": (BetaBelief, {"a": _NUMBER, "b": _NUMBER}),
         "mixture": (
             MixtureBelief,
-            {"components": _list_of("belief kind"), "weights": _NUMBER_TUPLE},
+            {
+                "components": _list_of(_one_of("belief kind")),
+                "weights": _NUMBER_TUPLE,
+            },
         ),
         "empirical": (EmpiricalBelief, {"samples": _NUMBER_ARRAY}),
     },
@@ -386,7 +405,7 @@ _KIND_OF = {
     for kind, record in family.items()
 }
 
-# Untagged records: (class, {key: codec}).
+# Untagged records: (constructor, {argument name: codec}).
 _SWEEP = (SweepConfig, {"q_min": _NUMBER, "q_max": _NUMBER, "q_step": _NUMBER})
 _MC = (MCConfig, {"samples": _INT, "seed": _INT})
 _HOTELLING = (
@@ -397,7 +416,44 @@ _HOTELLING = (
         "person_weights": _NUMBER_ARRAY,
     },
 )
-_TYPE = (UtilityType, {"utilities": _NUMBER_ARRAY, "weight": _NUMBER})
+_TYPES = _list_of(
+    _record((UtilityType, {"utilities": _NUMBER_ARRAY, "weight": _NUMBER}))
+)
+# Outcome utility u{y}_{a|b} is values[y, 0|1]: OutcomeUtilities.values is
+# laid out [y][treatment].
+_OUTCOME = (
+    OutcomeUtilities.from_components,
+    {"u0_a": _NUMBER, "u1_a": _NUMBER, "u0_b": _NUMBER, "u1_b": _NUMBER},
+)
+_OUTCOME_UTILITIES = _Codec(
+    lambda v, path, ctx: _parse_record(v, path, _OUTCOME),
+    lambda u, ctx: {
+        f"u{y}_{t}": float(u.values[y, col])
+        for y in (0, 1)
+        for col, t in enumerate("ab")
+    },
+)
+# A z cell reads its belief before its label, so of two bad fields the
+# belief's error is the one reported.
+_Z_CELL = (
+    CovariateCell,
+    {
+        "belief": _one_of("belief kind"),
+        "z_label": _LABEL,
+        "p_z_given_x": _NUMBER,
+        "p_xz": _NUMBER,
+    },
+)
+_X_CELL = (
+    XCell,
+    {
+        "x_label": _LABEL,
+        "weight": _NUMBER,
+        "utilities": _OUTCOME_UTILITIES,
+        "z_cells": _list_of(_record(_Z_CELL)),
+    },
+)
+_X_CELLS = _list_of(_record(_X_CELL))
 
 
 # --- section parsers ---
@@ -413,14 +469,11 @@ def _parse_population(value: Any, path: str, mc: MCConfig) -> PopulationSection:
     )
     actions = _build(f"{path}.actions", ActionSet, labels)
 
-    types_raw = _as_list(_get(obj, "types", path), f"{path}.types")
-    types = tuple(
-        _parse_record(item, f"{path}.types[{i}]", _TYPE)
-        for i, item in enumerate(types_raw)
-    )
-    population = _build(f"{path}.types", Population, actions=actions, types=types)
-
     ctx = _Context(actions=actions, mc=mc)
+    types_path = f"{path}.types"
+    types = _TYPES.read(_get(obj, "types", path), types_path, ctx)
+    population = _build(types_path, Population, actions=actions, types=types)
+
     models: dict[str, ChoiceModel] = {}
     if "models" in obj:
         models_obj = _require_object(obj["models"], f"{path}.models")
@@ -434,59 +487,9 @@ def _parse_population(value: Any, path: str, mc: MCConfig) -> PopulationSection:
 def _parse_treatment(value: Any, path: str) -> TreatmentScenario:
     obj = _require_object(value, path)
     _check_keys(obj, {"x_cells"}, path)
-    cells_raw = _as_list(_get(obj, "x_cells", path), f"{path}.x_cells")
-    x_cells = []
-    for i, item in enumerate(cells_raw):
-        xpath = f"{path}.x_cells[{i}]"
-        xobj = _require_object(item, xpath)
-        _check_keys(xobj, {"label", "weight", "utilities", "z_cells"}, xpath)
-        label = _as_str(_get(xobj, "label", xpath), f"{xpath}.label")
-        weight = _as_number(_get(xobj, "weight", xpath), f"{xpath}.weight")
-
-        upath = f"{xpath}.utilities"
-        uobj = _require_object(_get(xobj, "utilities", xpath), upath)
-        _check_keys(uobj, {"u0_a", "u1_a", "u0_b", "u1_b"}, upath)
-        utilities = _build(
-            upath,
-            OutcomeUtilities.from_components,
-            u0_a=_as_number(_get(uobj, "u0_a", upath), f"{upath}.u0_a"),
-            u1_a=_as_number(_get(uobj, "u1_a", upath), f"{upath}.u1_a"),
-            u0_b=_as_number(_get(uobj, "u0_b", upath), f"{upath}.u0_b"),
-            u1_b=_as_number(_get(uobj, "u1_b", upath), f"{upath}.u1_b"),
-        )
-
-        z_raw = _as_list(_get(xobj, "z_cells", xpath), f"{xpath}.z_cells")
-        z_cells = []
-        for j, zitem in enumerate(z_raw):
-            zpath = f"{xpath}.z_cells[{j}]"
-            zobj = _require_object(zitem, zpath)
-            _check_keys(zobj, {"label", "p_z_given_x", "p_xz", "belief"}, zpath)
-            belief = None
-            if "belief" in zobj:
-                belief = _parse_tagged("belief kind", zobj["belief"], f"{zpath}.belief")
-            z_cells.append(
-                _build(
-                    zpath,
-                    CovariateCell,
-                    z_label=_as_str(_get(zobj, "label", zpath), f"{zpath}.label"),
-                    p_z_given_x=_as_number(
-                        _get(zobj, "p_z_given_x", zpath), f"{zpath}.p_z_given_x"
-                    ),
-                    p_xz=_as_number(_get(zobj, "p_xz", zpath), f"{zpath}.p_xz"),
-                    belief=belief,
-                )
-            )
-        x_cells.append(
-            _build(
-                xpath,
-                XCell,
-                x_label=label,
-                weight=weight,
-                utilities=utilities,
-                z_cells=tuple(z_cells),
-            )
-        )
-    return _build(f"{path}.x_cells", TreatmentScenario, x_cells=tuple(x_cells))
+    cells_path = f"{path}.x_cells"
+    x_cells = _X_CELLS.read(_get(obj, "x_cells", path), cells_path, _Context())
+    return _build(cells_path, TreatmentScenario, x_cells=x_cells)
 
 
 # --- entry points ---
@@ -570,41 +573,11 @@ def _population_to_json(section: PopulationSection) -> dict:
     ctx = _Context(actions=pop.actions)
     return {
         "actions": list(pop.actions.labels),
-        "types": [_record_to_json(t, _TYPE) for t in pop.types],
+        "types": _TYPES.write(pop.types, ctx),
         "models": {
             name: _tagged_to_json(model, ctx) for name, model in section.models.items()
         },
     }
-
-
-def _treatment_to_json(scenario: TreatmentScenario) -> dict:
-    x_cells = []
-    for cell in scenario.x_cells:
-        u = cell.utilities.values
-        z_cells = []
-        for z in cell.z_cells:
-            zout = {
-                "label": z.z_label,
-                "p_z_given_x": z.p_z_given_x,
-                "p_xz": z.p_xz,
-            }
-            if z.belief is not None:
-                zout["belief"] = _tagged_to_json(z.belief)
-            z_cells.append(zout)
-        x_cells.append(
-            {
-                "label": cell.x_label,
-                "weight": cell.weight,
-                "utilities": {
-                    "u0_a": float(u[0, 0]),
-                    "u0_b": float(u[0, 1]),
-                    "u1_a": float(u[1, 0]),
-                    "u1_b": float(u[1, 1]),
-                },
-                "z_cells": z_cells,
-            }
-        )
-    return {"x_cells": x_cells}
 
 
 def document_to_json_dict(doc: ScenarioDocument) -> dict:
@@ -615,7 +588,8 @@ def document_to_json_dict(doc: ScenarioDocument) -> dict:
     if doc.hotelling is not None:
         out["hotelling"] = _record_to_json(doc.hotelling, _HOTELLING)
     if doc.treatment is not None:
-        out["treatment"] = _treatment_to_json(doc.treatment)
+        x_cells = _X_CELLS.write(doc.treatment.x_cells, _Context())
+        out["treatment"] = {"x_cells": x_cells}
     if doc.sweep is not None:
         out["sweep"] = _record_to_json(doc.sweep, _SWEEP)
     if doc.mc is not None:

@@ -70,6 +70,8 @@ class SweepGrid:
         """Inclusive arithmetic grid; the defaults bracket every crossing the
         bundled scenarios exhibit, with margin."""
         q_min, q_max, q_step = float(q_min), float(q_max), float(q_step)
+        if not (np.isfinite(q_min) and np.isfinite(q_max)):
+            raise ValueError(f"q_min and q_max must be finite, got {q_min}, {q_max}")
         if q_step <= 0.0 or not np.isfinite(q_step):
             raise ValueError("q_step must be positive and finite")
         if q_max < q_min:

@@ -414,6 +414,12 @@ def test_unknown_available_label_is_scenario_error(population_file, capsys):
     assert "unknown action label 'zzz'" in capsys.readouterr().err
 
 
+def test_repeated_available_label_is_scenario_error(population_file, capsys):
+    argv = ["evaluate", "--scenario", population_file, "--model", "rational"]
+    assert main(argv + ["--available", "a, b,a"]) == 2
+    assert capsys.readouterr().err == "error: --available: repeated action label 'a'\n"
+
+
 def test_csv_format_rejected_for_reports(population_file, treatment_file, capsys):
     assert (
         main(

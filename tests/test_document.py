@@ -641,8 +641,12 @@ def test_mc_section_validation():
 
 _DELETE = object()
 _MODEL = ("population", "models", "m")
-_BELIEF = ("treatment", "x_cells", 0, "z_cells", 0, "belief")
-_B = "treatment.x_cells[0].z_cells[0].belief"
+_X = ("treatment", "x_cells", 0)
+_XP = "treatment.x_cells[0]"
+_Z = _X + ("z_cells", 0)
+_ZP = f"{_XP}.z_cells[0]"
+_BELIEF = _Z + ("belief",)
+_B = f"{_ZP}.belief"
 
 
 def _with_model(spec):
@@ -863,6 +867,49 @@ _PINNED_ERRORS = {
     "type-constructor": (
         _population_doc(), ("population", "types", 0, "weight"), -0.5,
         "population.types[0]: type weight must be positive and finite",
+    ),
+    "type-not-object": (
+        _population_doc(), ("population", "types", 1), [0.0, 1.0],
+        "population.types[1]: expected an object",
+    ),
+    # treatment cells
+    "x-cells-not-array": (
+        _treatment_doc(), ("treatment", "x_cells"), {},
+        "treatment.x_cells: expected an array",
+    ),
+    "x-cell-missing-label": (
+        _treatment_doc(), _X + ("label",), _DELETE,
+        f"{_XP}: missing required field 'label'",
+    ),
+    "x-cell-label-not-string": (
+        _treatment_doc(), _X + ("label",), 1, f"{_XP}.label: expected a string"
+    ),
+    "utilities-unknown-key": (
+        _treatment_doc(), _X + ("utilities", "u2_a"), 0.0,
+        f"{_XP}.utilities: unknown field 'u2_a'",
+    ),
+    "utilities-missing-key": (
+        _treatment_doc(), _X + ("utilities", "u1_b"), _DELETE,
+        f"{_XP}.utilities: missing required field 'u1_b'",
+    ),
+    "z-cells-not-array": (
+        _treatment_doc(), _X + ("z_cells",), "z1", f"{_XP}.z_cells: expected an array"
+    ),
+    # Of a bad belief and a missing label, the belief is read first.
+    "z-cell-belief-before-label": (
+        _with_belief({"kind": "dirichlet"}), _Z + ("label",), _DELETE,
+        f"{_B}.kind: unknown belief kind 'dirichlet'",
+    ),
+    "z-cell-constructor": (
+        _treatment_doc(), _Z + ("p_xz",), 2, f"{_ZP}: p_xz must lie in [0, 1]"
+    ),
+    "x-cell-constructor": (
+        _treatment_doc(), _Z + ("p_z_given_x",), 0.5,
+        f"{_XP}: x cell 'x1': P(z|x) must sum to 1, got 0.9",
+    ),
+    "treatment-constructor": (
+        _treatment_doc(), _X + ("weight",), 0.5,
+        "treatment.x_cells: P(x) weights must sum to 1, got 0.5",
     ),
 }
 

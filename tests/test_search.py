@@ -90,6 +90,14 @@ def test_from_range_validation():
         SweepGrid.from_range(-0.5, 1.0, 0.1)
 
 
+@pytest.mark.parametrize(
+    "bounds", [(float("nan"), 10.0), (0.0, float("inf")), (float("-inf"), 1.0)]
+)
+def test_from_range_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="q_min and q_max must be finite"):
+        SweepGrid.from_range(*bounds, 0.1)
+
+
 def test_grid_requires_increasing_nonnegative_values():
     with pytest.raises(ValueError):
         SweepGrid(q_values=np.array([0.0, 0.5, 0.5]))
