@@ -33,7 +33,11 @@ def logit_welfare_curve(weights, utilities, q_values):
     broadcasting over chunks of q values of at most CURVE_CHUNK_ELEMENTS
     (q x T x k) elements, so memory stays bounded for any grid. Each (q, type)
     row subtracts its own max before exponentiating, and the type reduction
-    uses np.sum (pairwise) to keep large-T accumulation accurate.
+    is numpy's pairwise sum, to keep large-T accumulation accurate.
+
+    The row max is a running np.maximum over the k action columns, not a
+    reduce over the short last axis, which costs far more per element; a max
+    is exact in any order, so both give the same bits.
     """
     weights = np.asarray(weights, dtype=np.float64)
     utilities = np.asarray(utilities, dtype=np.float64)
@@ -43,13 +47,16 @@ def logit_welfare_curve(weights, utilities, q_values):
     for start in range(0, q_values.shape[0], chunk):
         q = q_values[start:start + chunk, np.newaxis, np.newaxis]
         z = q * utilities
-        z -= z.max(axis=2, keepdims=True)
+        row_max = z[:, :, 0].copy()
+        for i in range(1, utilities.shape[1]):
+            np.maximum(row_max, z[:, :, i], out=row_max)
+        z -= row_max[:, :, np.newaxis]
         np.exp(z, out=z)
         z /= z.sum(axis=2, keepdims=True)
         z *= utilities
-        per_type = np.sum(z, axis=2)
+        per_type = z.sum(axis=2)
         per_type *= weights
-        out[start:start + chunk] = np.sum(per_type, axis=1)
+        out[start:start + chunk] = per_type.sum(axis=1)
     return out
 
 

@@ -14,7 +14,8 @@ Subcommands:
 Reports (evaluate/optimize/treatment) are JSON; plot data (sweep/hotelling)
 defaults to CSV with 12-significant-digit floats. Outputs are written
 atomically (temp file + rename). Exit codes: 0 success, 1 usage error,
-2 scenario validation error, 3 runtime or write error.
+2 scenario validation error, 3 runtime error (out of memory included) or
+write error.
 """
 
 import argparse
@@ -337,21 +338,20 @@ def _subset_label(actions: ActionSet, subset) -> str:
 
 def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
     labels = [_subset_label(actions, subset) for subset in result.subsets]
-    q_values = result.grid.q_values
     crossings_out = _crossings_path(args.out, args.format)
 
+    # The row loops read Python lists: indexing a numpy array per element
+    # costs more than formatting the value.
+    q_list = result.grid.q_values.tolist()
+    welfare = result.welfare.tolist()
+    envelope = result.envelope.tolist()
     if args.format == "csv":
-        rows = []
-        for si, label in enumerate(labels):
-            for qi, q in enumerate(q_values):
-                rows.append(
-                    (
-                        label,
-                        _fmt(q),
-                        _fmt(result.welfare[si, qi]),
-                        "true" if int(result.envelope[qi]) == si else "false",
-                    )
-                )
+        q_text = [_fmt(q) for q in q_list]
+        rows = [
+            (label, q, _fmt(w), "true" if best == si else "false")
+            for si, label in enumerate(labels)
+            for q, w, best in zip(q_text, welfare[si], envelope)
+        ]
         main_text = _csv_text(("subset_label", "q", "welfare", "is_envelope"), rows)
         crossing_rows = [
             (
@@ -368,12 +368,12 @@ def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
                 "rows": [
                     {
                         "subset_label": label,
-                        "q": float(q),
-                        "welfare": float(result.welfare[si, qi]),
-                        "is_envelope": bool(int(result.envelope[qi]) == si),
+                        "q": q,
+                        "welfare": w,
+                        "is_envelope": best == si,
                     }
                     for si, label in enumerate(labels)
-                    for qi, q in enumerate(q_values)
+                    for q, w, best in zip(q_list, welfare[si], envelope)
                 ]
             }
         )
@@ -392,7 +392,7 @@ def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
 
     _write_text_atomic(args.out, main_text)
     _write_text_atomic(crossings_out, crossings_text)
-    n_rows = len(labels) * q_values.shape[0]
+    n_rows = len(labels) * len(q_list)
     print(f"wrote {n_rows} sweep rows to {args.out}")
     print(f"wrote {len(result.crossings)} crossings to {crossings_out}")
     return 0
@@ -480,6 +480,11 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy's MemoryError names the allocation; a bare one has no text.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

@@ -1,9 +1,11 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import hashlib
 import json
 
 import pytest
 
+from choicewelfare import cli
 from choicewelfare.cli import main
 
 
@@ -279,6 +281,60 @@ def test_hotelling_output_is_reproducible(tmp_path):
     ).read_bytes()
 
 
+# sha256 of (rows file, crossings file) for each sweep command and format.
+# Sweep files are plot data that other tools read: a change to any byte must
+# be deliberate. The CSV floats carry 12 significant digits, JSON floats all
+# 17, and numpy's float64 exp differs in the last bit between its AVX-512
+# and its AVX2/baseline code on x86-64, which shows in the hotelling JSON
+# files only; those list both digests.
+_SWEEP_SHA256 = {
+    ("sweep", "csv"): {
+        (
+            "3edb567475788abdd4cac1b890f530105765d7784a88af6a5603f48a342f60f5",
+            "2f3fb4f0045ab9b3f0e4c40f312e5aa4b4b2f331bb10dbc825a9a7f95c25f44c",
+        ),
+    },
+    ("sweep", "json"): {
+        (
+            "a8217d5d1a39f0001725ebeb31940e6c292451ef4defdbe35beb5db695b9690c",
+            "d8a74ecddd3cd7fe523765aa91f297f94e002e38f764c9ed02d2fc4cac90adde",
+        ),
+    },
+    ("hotelling", "csv"): {
+        (
+            "5cc6ddc223fbbc6b2ea9d0e963034755c74bbe4dd6828e298eb15852940bb2a9",
+            "55c667a39e89a20de2f6dd5018fcb0eda9aaf527c2978121b628666e73364cbd",
+        ),
+    },
+    ("hotelling", "json"): {
+        (  # AVX-512
+            "1ba7f13b0cf7c2b72b355392be206a4b2281a03ad570f80118d7b82aafd4a17d",
+            "f6f822c7bae678dad96890ece6d65b85a94ca39585ee9678a411f86baea2eb85",
+        ),
+        (  # AVX2 or baseline
+            "a58c16d4f38c20a4fff90b954cc9e98eb39783e83337ed07ac86c293db889780",
+            "426569d2b6dc2c9e90ec9a0b3483165b41ecc83ef9430c76e02aa071b169a3f5",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(_SWEEP_SHA256))
+def test_sweep_output_bytes_are_pinned(command, fmt, population_file, tmp_path, capsys):
+    if command == "sweep":
+        argv = ["sweep", "--scenario", population_file]  # default grid
+    else:
+        argv = ["hotelling", "--q-min", "0", "--q-max", "5", "--q-step", "0.25"]
+    out = tmp_path / f"rows.{fmt}"
+    assert main(argv + ["--out", str(out), "--format", fmt]) == 0
+    capsys.readouterr()
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (out, tmp_path / f"rows.crossings.{fmt}")
+    )
+    assert digests in _SWEEP_SHA256[command, fmt]
+
+
 def test_sweep_json_format(hotelling_file, tmp_path, capsys):
     out = tmp_path / "rows.json"
     assert (
@@ -504,3 +560,27 @@ def test_unwritable_out_is_runtime_error(population_file, tmp_path, capsys):
         == 3
     )
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (
+            MemoryError("Unable to allocate 72.8 TiB for an array"),
+            "error: out of memory: Unable to allocate 72.8 TiB for an array\n",
+        ),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_is_runtime_error(
+    hotelling_file, tmp_path, capsys, monkeypatch, error, message
+):
+    def exhausted(pop, grid):
+        raise error
+
+    monkeypatch.setattr(cli, "sweep_logit", exhausted)
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--scenario", hotelling_file, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == message
+    assert not out.exists()

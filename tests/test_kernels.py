@@ -70,23 +70,37 @@ def _curve_one_q_at_a_time(weights, utilities, q_values):
 
 
 @pytest.mark.parametrize(
-    "n_types, k, n_q",
-    [(300, 7, 500), (40, 3, 2000), (10_000, 7, 4), (3, 1, 50_000)],
+    "n_types, k, n_q, tied",
+    [
+        (300, 7, 500, False),
+        (40, 3, 2000, False),
+        (10_000, 7, 4, False),
+        (3, 1, 50_000, False),
+        (400, 1, 400, False),
+        (120, 5, 300, True),
+    ],
+    ids=["300-7-500", "40-3-2000", "10000-7-4", "3-1-50000", "400-1-400", "120-5-300-tied"],
 )
-def test_logit_welfare_curve_chunks_match_loop(n_types, k, n_q):
+def test_logit_welfare_curve_chunks_match_loop(n_types, k, n_q, tied):
     # The shapes span several chunks, and a single q that exceeds a chunk.
+    # Tied utilities are small integers, so many (q, type) rows have several
+    # maximal scores.
     assert n_types * k * n_q > 2 * kernels.CURVE_CHUNK_ELEMENTS
     rng = np.random.default_rng(n_types * k)
     weights = rng.dirichlet(np.ones(n_types))
-    utilities = rng.normal(scale=2.0, size=(n_types, k))
+    if tied:
+        utilities = rng.integers(-2, 3, size=(n_types, k)).astype(np.float64)
+    else:
+        utilities = rng.normal(scale=2.0, size=(n_types, k))
     q_values = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1e3, n_q - 2)), [1e3]])
     # exp of a very negative shifted score underflows to its exact double
     # value, 0; overflow, division by zero and invalid values must not occur.
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         expected = _curve_one_q_at_a_time(weights, utilities, q_values)
         curve = kernels.logit_welfare_curve(weights, utilities, q_values)
-    assert curve.shape == q_values.shape
-    assert np.all(np.abs(curve - expected) <= 1e-14 * np.abs(expected))
+    # Chunking over q changes no arithmetic, so the curve is bit for bit the
+    # loop's.
+    assert np.array_equal(curve, expected)
 
 
 def test_logit_welfare_curve_q_zero_is_uniform_mean():

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choicewelfare import (
@@ -38,8 +38,10 @@ from choicewelfare import (
 )
 from choicewelfare.search import (
     BISECT_VALUE_TOL,
+    TOUCH_TOL,
     _lattice_tallies,
     _refine_sign_changes,
+    _sign_change_brackets,
 )
 
 # Roots frozen from an independent bracketing root finder (xtol 1e-13) on the
@@ -294,6 +296,70 @@ def test_refined_crossings_meet_the_contract(pop):
     }
     for a, b in itertools.combinations(result.subsets, 2):
         assert len(found.get((a, b), [])) == _grid_sign_changes(curves[a] - curves[b])
+
+
+def _brackets_row_by_row(diff):
+    """Sign-change brackets of each row, one row at a time: entries within
+    TOUCH_TOL of 0 are touching and skipped, and consecutive remaining
+    entries of opposite sign make a bracket."""
+    out = []
+    for row, values in enumerate(diff.tolist()):
+        nonzero = [(i, v > 0.0) for i, v in enumerate(values) if abs(v) > TOUCH_TOL]
+        for (left, positive), (right, next_positive) in zip(nonzero, nonzero[1:]):
+            if positive != next_positive:
+                out.append((row, left, right))
+    return out
+
+
+@st.composite
+def diff_blocks(draw):
+    rows = draw(st.integers(1, 5))
+    n_q = draw(st.integers(1, 12))
+    value = st.sampled_from([1.0, -1.0, 1e-12, -1e-12, 2e-12, -2e-12, 0.0])
+    row = st.lists(value, min_size=n_q, max_size=n_q)
+    return np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@given(diff_blocks())
+@example(np.zeros((3, 7)))  # all touching
+@example(np.array([[1.0], [-1.0], [0.0]]))  # one grid point
+@example(  # touching runs between equal and between opposite signs
+    np.array(
+        [
+            [1.0, 0.0, 1e-12, -1e-12, 1.0, -2e-12, 0.0, 0.0, 2e-12],
+            [-1.0, 1e-12, 0.0, -1.0, 0.0, 0.0, 0.0, -2e-12, -1.0],
+        ]
+    )
+)
+def test_sign_change_brackets_match_a_row_by_row_scan(diff):
+    rows, lefts, rights = _sign_change_brackets(diff)
+    got = list(zip(rows.tolist(), lefts.tolist(), rights.tolist()))
+    assert got == _brackets_row_by_row(diff)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_populations())
+def test_sweep_crossings_are_the_per_pair_roots(pop):
+    grid = SweepGrid.from_range(0.0, 5.0, 0.1)
+    result = sweep_logit(pop, grid)
+    per_pair = [
+        (a, b, q_star)
+        for a, b in itertools.combinations(result.subsets, 2)
+        for q_star in find_crossings(pop, a, b, grid=grid)
+    ]
+    # Same roots bit for bit, in the same order.
+    assert [(c.subset_a, c.subset_b, c.q_star) for c in result.crossings] == per_pair
+
+
+def test_one_action_sweep_has_no_pairs():
+    pop = build_population(
+        ActionSet(labels=("only",)),
+        [UtilityType(utilities=np.array([1.5]), weight=1.0)],
+    )
+    result = sweep_logit(pop)
+    assert result.subsets == ((0,),)
+    assert result.crossings == ()
+    assert np.all(result.welfare == 1.5)
 
 
 def test_refinement_that_cannot_converge_names_its_bracket():
