@@ -378,6 +378,11 @@ def mc_scores(
 def _nudged(utilities, model: DefaultNudge) -> NDArray[np.float64]:
     # The utilities the base model chooses by: gamma off every non-default.
     shifted = np.array(utilities, dtype=np.float64)
+    if not 0 <= model.default_action < shifted.shape[0]:
+        raise ValueError(
+            f"default action index {model.default_action} out of range for "
+            f"{shifted.shape[0]} actions"
+        )
     shifted[np.arange(shifted.shape[0]) != model.default_action] -= model.gamma
     return shifted
 

@@ -26,9 +26,9 @@ from numpy.typing import NDArray
 from ._kernels import logit_welfare_curve
 from .models import ChoiceModel, _validate_available, choice_probabilities, mc_scores
 from .scenario import ActionSet, Population, _fields_equal, _frozen_array
-# Not called here: optimize_choice_set reproduces its welfare bit for bit, and
-# perfbench/spans.py wraps the name as search.policy_welfare.
-from .welfare import policy_welfare  # noqa: F401
+# policy_welfare is not called here: optimize_choice_set reproduces its welfare
+# bit for bit, and perfbench/spans.py wraps the name as search.policy_welfare.
+from .welfare import expected_value, policy_welfare  # noqa: F401
 
 MAX_ACTIONS = 20
 
@@ -42,6 +42,8 @@ REFINE_MAX_ITERATIONS = 100
 # Elements (pairs x q values) per block of the sweep's sign scan: bounds the
 # block's temporaries to a few 64 KiB arrays whatever the sweep size.
 PAIR_CHUNK_ELEMENTS = 8192
+# Counts (types x n x 2^n) held at once by the Monte Carlo optimizer: 512 KiB.
+TALLY_CHUNK_ELEMENTS = 65536
 
 
 class RefinementError(ArithmeticError):
@@ -309,62 +311,60 @@ class OptimizeResult:
 def optimize_choice_set(pop: Population, model: ChoiceModel) -> OptimizeResult:
     """Exhaustive argmax of policy welfare over all non-empty subsets.
 
-    Ties resolve to the first subset in (size, lexicographic) order. The
-    reported welfare is exactly policy_welfare's value for the winner.
-
-    Types are the outer loop. A Monte Carlo model (or a default nudge over
-    one) draws each type's common random numbers once (`mc_scores`) and
-    tallies every subset from them in one depth-first walk of the subset
-    lattice, holding one score maximum and one choice vector per level.
-    Other models evaluate choice_probabilities per subset.
-    """
+    Ties resolve to the first subset in (size, lexicographic) order; the
+    welfare is exactly policy_welfare's for the winner. A Monte Carlo model
+    (or a nudge over one) counts each type's draws (`mc_scores`) for every
+    subset from one sort and a subset-sum transform: n x 2^n float64 counts
+    per type (n actions), TALLY_CHUNK_ELEMENTS per block of types. Other
+    models call choice_probabilities per type and subset."""
     subsets = enumerate_choice_sets(pop.actions)
-    row = {subset: s for s, subset in enumerate(subsets)}
+    full = (1 << pop.n_actions) - 1
     values = np.empty((len(subsets), pop.n_types))
-    for t, typ in enumerate(pop.types):
-        u = typ.utilities
-        scores = mc_scores(u, model, stream=t)
-        if scores is None:
-            for s, subset in enumerate(subsets):
-                probs = choice_probabilities(u, subset, model, stream=t).probs
-                values[s, t] = float(np.dot(probs, u[list(subset)]))
-        else:
-            for subset, counts in _lattice_tallies(scores):
-                avail = list(subset)
-                values[row[subset], t] = float(
-                    np.dot(counts[avail] / scores.shape[0], u[avail])
-                )
-    # Summed as policy_welfare sums, so the winner's welfare is its value.
+    block = max(1, TALLY_CHUNK_ELEMENTS // (pop.n_actions << pop.n_actions))
+    for start in range(0, pop.n_types, block):
+        streams = range(start, min(start + block, pop.n_types))
+        utilities = np.array([pop.types[t].utilities for t in streams])
+        shares = _choice_shares(utilities, model, streams)
+        for s, subset in enumerate(subsets):
+            cols = list(subset)
+            if shares is None:
+                probs = np.array([choice_probabilities(u, subset, model, stream=t).probs
+                                  for t, u in zip(streams, utilities)])
+            else:
+                probs = shares[:, cols, full ^ sum(1 << i for i in cols)]
+            values[s, start:streams.stop] = expected_value(probs, utilities[:, cols])
+    # Valued and summed as policy_welfare does, so the winner's welfare is its value.
     welfare = [float(np.sum(pop.weights * type_values)) for type_values in values]
     best = int(np.argmax(welfare))
     return OptimizeResult(subset=subsets[best], welfare=welfare[best])
 
 
-def _lattice_tallies(scores: NDArray[np.float64]):
-    """(subset, counts) for every non-empty ascending subset of the columns
-    of `scores`, depth first; counts[i] is how many rows choose column i.
-
-    A row chooses the first argmax over the subset's columns. The child
-    S + (a,), with a above every column of S, keeps S's choice unless column
-    a is strictly greater than S's maximum, which keeps the lowest-index
-    tie-break of np.argmax.
-    """
-    n_rows, n = scores.shape
-    for a in range(n):
-        yield from _lattice_subtree(scores, (a,), scores[:, a], np.full(n_rows, a))
+def _choice_shares(utilities, model, streams):
+    """For a Monte Carlo model (else None), shares[b, i, m] = count / samples
+    of type b's draws that pick action i from the actions outside bitmask m."""
+    shares = np.empty(utilities.shape + (1 << utilities.shape[1],))
+    for b, t in enumerate(streams):
+        scores = mc_scores(utilities[b], model, stream=t)
+        if scores is None:
+            return None
+        shares[b] = _beaten_tally(scores)
+    return np.divide(_subset_sums(shares), scores.shape[0], out=shares)
 
 
-def _lattice_subtree(scores, subset, best, chosen):
-    # A module-level generator, not a closure: a closure that calls itself is
-    # a reference cycle, and would keep each type's scores alive until the
-    # cyclic garbage collector next runs.
+def _beaten_tally(scores):
+    """H[i, m]: rows of `scores` where exactly the columns in bitmask m beat
+    column i: score more, or tie from a lower index (np.argmax's first max)."""
     n = scores.shape[1]
-    yield subset, np.bincount(chosen, minlength=n)
-    for a in range(subset[-1] + 1, n):
-        column = scores[:, a]
-        yield from _lattice_subtree(
-            scores,
-            subset + (a,),
-            np.maximum(best, column),
-            np.where(column > best, a, chosen),
-        )
+    order = np.argsort(-scores, axis=1, kind="stable")  # beaten after beaters
+    bits = np.left_shift(1, order)
+    keys = (order << n) | (np.bitwise_or.accumulate(bits, axis=1) ^ bits)
+    return np.bincount(keys.ravel(), minlength=n << n).reshape(n, -1)
+
+
+def _subset_sums(tables):
+    """In place, tables[..., m] becomes the sum over all m' ⊆ m: from H, the
+    rows where no column outside m beats i, so S picks i in F[i, full ^ S]."""
+    for b in range(tables.shape[-1].bit_length() - 1):
+        pairs = tables.reshape(tables.shape[:-1] + (-1, 2, 1 << b))
+        pairs[..., 1, :] += pairs[..., 0, :]
+    return tables

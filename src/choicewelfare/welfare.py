@@ -113,6 +113,17 @@ def optimal_mandate(
     )
 
 
+def expected_value(probs, realized) -> NDArray[np.float64]:
+    """Choice-probability-weighted realized utility over the last axis.
+
+    One elementwise product and one sum per row, rather than a BLAS dot,
+    whose last bits can depend on the memory layout of its operands: a 2-D
+    call gives each row the same bits as a 1-D call on that row, so a
+    vectorised caller reproduces policy_welfare's per-type values exactly.
+    """
+    return (probs * realized).sum(axis=-1)
+
+
 def policy_welfare(
     pop: Population,
     available: Optional[Iterable[int]],
@@ -139,7 +150,7 @@ def policy_welfare(
         if eta > 0.0 and isinstance(model, DefaultNudge):
             penalty = np.asarray(avail_list) != model.default_action
             realized[penalty] -= eta * model.gamma
-        value = float(np.dot(probs.probs, realized))
+        value = float(expected_value(probs.probs, realized))
         values[t] = value
         per_type.append(
             PerTypeEvaluation(type_index=t, probs=probs, value=value)

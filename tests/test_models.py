@@ -27,6 +27,7 @@ from choicewelfare import (
     policy_welfare,
     sample_errors,
 )
+from choicewelfare.models import mc_scores
 
 U3 = np.array([0.0, 0.5, 1.0])
 
@@ -402,6 +403,29 @@ def test_nudge_validation():
             gamma=0.1,
             base=DefaultNudge(default_action=1, gamma=0.1, base=RationalMax()),
         )
+
+
+@pytest.mark.parametrize("default_action", [2, -1])
+@pytest.mark.parametrize(
+    "base",
+    [Logit(q=1.0), RandomUtilityMC(error=NormalIID(sigma=1.0), samples=10, seed=0)],
+    ids=["logit", "mc"],
+)
+def test_nudge_default_out_of_range_is_rejected(default_action, base):
+    # Out of range, the default used to be no action at all: gamma was
+    # charged to every action and the choice was the un-nudged one.
+    model = DefaultNudge(default_action=default_action, gamma=0.5, base=base)
+    u = np.array([1.0, 0.0])
+    message = f"default action index {default_action} out of range for 2 actions"
+    with pytest.raises(ValueError, match=message):
+        choice_probabilities(u, (0, 1), model)
+    with pytest.raises(ValueError, match=message):
+        mc_scores(u, model)
+    pop = build_population(
+        ActionSet(labels=("a", "b")), [UtilityType(utilities=u, weight=1.0)]
+    )
+    with pytest.raises(ValueError, match=message):
+        optimize_choice_set(pop, model)
 
 
 # --- common-random-number binary scaling ---

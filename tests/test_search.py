@@ -39,9 +39,10 @@ from choicewelfare import (
 from choicewelfare.search import (
     BISECT_VALUE_TOL,
     TOUCH_TOL,
-    _lattice_tallies,
+    _beaten_tally,
     _refine_sign_changes,
     _sign_change_brackets,
+    _subset_sums,
 )
 
 # Roots frozen from an independent bracketing root finder (xtol 1e-13) on the
@@ -466,7 +467,7 @@ def test_optimize_table_matches_brute_force(line_population):
 
 
 @st.composite
-def mc_problems(draw):
+def optimize_problems(draw):
     n_types = draw(st.integers(1, 6))
     k = draw(st.integers(1, 4))
     # Coarse utilities and narrow errors make exact welfare ties common.
@@ -489,12 +490,24 @@ def mc_problems(draw):
             ]
         )
     )
-    model = RandomUtilityMC(
-        error=error,
-        samples=draw(st.integers(1, 200)),
-        seed=draw(st.integers(0, 2**32 - 1)),
+    background = st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k).map(
+        lambda mass: np.array(mass) / sum(mass)
     )
-    if draw(st.booleans()):
+    model = draw(
+        st.one_of(
+            st.builds(
+                RandomUtilityMC,
+                error=st.just(error),
+                samples=st.integers(1, 200),
+                seed=st.integers(0, 2**32 - 1),
+            ),
+            st.just(RationalMax()),
+            st.builds(IndependentTable, probs=background),
+            st.builds(AlphaRational, alpha=st.floats(0.0, 1.0), background=background),
+            st.builds(Logit, q=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 50.0)),
+        )
+    )
+    if draw(st.booleans()) and isinstance(model, (RandomUtilityMC, Logit)):
         model = DefaultNudge(
             default_action=draw(st.integers(0, k - 1)),
             gamma=draw(st.floats(0.0, 1.0)),
@@ -503,9 +516,9 @@ def mc_problems(draw):
     return pop, model
 
 
-@settings(max_examples=100, deadline=None)
-@given(mc_problems())
-def test_optimize_mc_matches_exhaustive_policy_welfare(problem):
+@settings(max_examples=200, deadline=None)
+@given(optimize_problems())
+def test_optimize_matches_exhaustive_policy_welfare(problem):
     pop, model = problem
     best_subset, best_welfare = None, -np.inf
     # Strict improvement in (size, lexicographic) order: the first subset
@@ -519,20 +532,19 @@ def test_optimize_mc_matches_exhaustive_policy_welfare(problem):
     assert result.welfare == best_welfare
 
 
-def test_lattice_tallies_match_argmax_on_tied_scores():
-    # Integer scores tie often; each subset must count the first argmax over
-    # its columns, as np.argmax (and the models' tally) does.
-    scores = np.random.default_rng(5).integers(0, 3, size=(200, 5)).astype(float)
-    seen = []
-    for subset, counts in _lattice_tallies(scores):
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_count_table_matches_argmax_of_every_subset(k, rows, seed):
+    # Scores in {0, 1, 2} tie often; each subset must count the first argmax
+    # over its columns, as np.argmax (and the models' tally) does.
+    scores = np.random.default_rng(seed).integers(0, 3, size=(rows, k)).astype(float)
+    full = (1 << k) - 1
+    table = _subset_sums(_beaten_tally(scores))
+    assert table.shape == (k, 1 << k)
+    for subset in enumerate_choice_sets(ActionSet(labels=tuple(map(str, range(k))))):
         cols = list(subset)
-        expected = np.zeros(5, dtype=np.int64)
-        choices = np.argmax(scores[:, cols], axis=1)
-        expected[cols] = np.bincount(choices, minlength=len(cols))
-        assert np.array_equal(counts, expected), subset
-        seen.append(subset)
-    actions = ActionSet(labels=tuple("abcde"))
-    assert sorted(seen) == sorted(enumerate_choice_sets(actions))
+        expected = np.bincount(np.argmax(scores[:, cols], 1), minlength=len(cols))
+        assert np.array_equal(table[cols, full ^ sum(1 << i for i in cols)], expected)
 
 
 def _optimize_mc_peak_bytes(n_types):
@@ -560,3 +572,28 @@ def test_optimize_mc_memory_does_not_grow_with_the_types():
     finally:
         gc.enable()
     assert many < 1.5 * few
+
+
+def _optimize_mc_table_peak_bytes(n_types):
+    rng = np.random.default_rng(4)
+    actions = ActionSet(labels=tuple(f"a{i}" for i in range(10)))
+    pop = build_population(
+        actions,
+        [UtilityType(utilities=u, weight=1.0) for u in rng.normal(size=(n_types, 10))],
+    )
+    model = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=50, seed=2)
+    tracemalloc.start()
+    try:
+        optimize_choice_set(pop, model)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_optimize_mc_count_tables_stay_bounded():
+    # At 10 actions each type's count table is 10 x 1024 float64 (80 KiB):
+    # unblocked, 180 more types would add about 14.7 MB, against 1.47 MB for
+    # the 1,023 x 180 welfare values the optimizer must hold.
+    values_growth = 1023 * (200 - 20) * 8
+    growth = _optimize_mc_table_peak_bytes(200) - _optimize_mc_table_peak_bytes(20)
+    assert growth <= 1.25 * values_growth

@@ -30,6 +30,7 @@ from choicewelfare import (
     stochastic_pareto_compare_binary,
 )
 from choicewelfare._kernels import logit_welfare_curve
+from choicewelfare.welfare import expected_value
 
 
 def _random_population(rng, n_actions=None, n_types=None) -> Population:
@@ -171,6 +172,19 @@ def test_logit_q_zero_equals_uniform_table(line_population):
 def test_logit_large_q_approaches_idealized(line_population):
     welfare = policy_welfare(line_population, None, Logit(q=200.0)).welfare
     assert abs(welfare - idealized_optimum(line_population)) < 1e-5
+
+
+@pytest.mark.parametrize("n_rows", [1, 9, 1000])
+def test_expected_value_rows_are_bitwise_the_per_row_values(n_rows):
+    # optimize_choice_set evaluates a block of types in one 2-D call and must
+    # reproduce policy_welfare's 1-D per-type values bit for bit.
+    rng = np.random.default_rng(n_rows)
+    for m in range(1, 21):
+        probs = rng.dirichlet(np.ones(m), size=n_rows)
+        realized = rng.normal(scale=10.0, size=(n_rows, m))
+        rows = expected_value(probs, realized)
+        one_by_one = [expected_value(p.copy(), r.copy()) for p, r in zip(probs, realized)]
+        assert rows.tobytes() == np.array(one_by_one).tobytes(), m
 
 
 def test_policy_welfare_matches_kernel_curve(line_population):
