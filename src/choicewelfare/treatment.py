@@ -18,13 +18,13 @@ All weak-preference ties resolve to treatment A, and belief mass sitting
 exactly on the indifference threshold is likewise attributed to A.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import betainc
 
 from .models import PROB_SUM_TOL
 from .scenario import _fields_equal, _frozen_array
@@ -89,6 +89,149 @@ class OutcomeUtilities:
         )
 
 
+# --- regularized incomplete beta I_x(a, b), the CDF of a Beta(a, b) belief ---
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2n / (2n (2n - 1)) for n = 1..8: the Stirling series of lgamma's remainder.
+_STIRLING = (
+    1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+    1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0,
+)
+# From this argument up the truncated series is exact to double precision.
+_STIRLING_MIN = 8.0
+# Near the mean the fraction's error grows like 1e-15 * sqrt(max(a, b)),
+# 6e-11 at 1e10; from about 1e16, where a + 1 == a, it converges to wrong
+# values (0.34 for I_x(1e30, 1e30) one ulp below 1/2, against 0.44), so
+# larger parameters raise instead.
+BETA_PARAM_MAX = 1e10
+# Lentz's stand-in for a zero denominator, and its stopping rule: a step
+# that changes the fraction by an ulp or two.
+_LENTZ_TINY = 1e-300
+_LENTZ_TOL = 3e-16
+
+
+def _stirling_remainder(t: float) -> float:
+    """lgamma(t) - ((t - 1/2) log t - t + log(2 pi) / 2), for t >= 8."""
+    w = 1.0 / (t * t)
+    s = 0.0
+    for c in reversed(_STIRLING):
+        s = s * w + c
+    return s / t
+
+
+def _log_beta_front(a: float, b: float, x: float, y: float) -> float:
+    """log(x^a y^b / B(a, b)) with y = 1 - x.
+
+    The smaller of x and y is exact, the other its rounded complement, so
+    each log is taken from the exact one. When both parameters are at least
+    8 the form is DiDonato & Morris's (TOMS 708, brcomp): with
+    lam = a - (a + b) x, the two large logs collapse into
+    a log1p(-lam / a) + b log1p(lam / b), and lgamma enters only through its
+    Stirling remainder, so nothing of size a or b cancels.
+    """
+    if x <= y:
+        log_x, log_y = math.log(x), math.log1p(-x)
+    else:
+        log_x, log_y = math.log1p(-y), math.log(y)
+    lo, hi = min(a, b), max(a, b)
+    if lo >= _STIRLING_MIN:
+        total = a + b
+        lam = a - total * x if x <= y else total * y - b
+        # log(x / x0) and log(y / y0) about the mean x0 = a / (a + b); far
+        # below it log1p would approach log1p(-1), so take the logs apart.
+        e = -lam / a
+        ax = a * (math.log1p(e) if e > -0.5 else log_x + math.log1p(b / a))
+        e = lam / b
+        by = b * (math.log1p(e) if e > -0.5 else log_y + math.log1p(a / b))
+        return (
+            ax + by + 0.5 * math.log(a / total * b) - _HALF_LOG_2PI
+            - _stirling_remainder(a) - _stirling_remainder(b)
+            + _stirling_remainder(total)
+        )
+    if hi >= _STIRLING_MIN:
+        # lgamma(lo + hi) - lgamma(hi) from the Stirling form, exactly.
+        total = lo + hi
+        lgamma_ratio = (
+            (hi - 0.5) * math.log1p(lo / hi) + lo * math.log(total) - lo
+            + _stirling_remainder(total) - _stirling_remainder(hi)
+        )
+        return a * log_x + b * log_y + lgamma_ratio - math.lgamma(lo)
+    return (
+        a * log_x + b * log_y
+        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    )
+
+
+def _beta_max_iter(a: float, b: float) -> int:
+    # Near the mean the fraction needs about 5.6 * max(a, b) ** (1/3) terms,
+    # and up to 63 for parameters below 100.
+    return 200 + int(2.0 * math.sqrt(max(a, b)))
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float) -> Optional[float]:
+    """I_x(a, b) from its continued fraction by the modified Lentz method
+    (Press et al., Numerical Recipes, 3rd ed., 6.4), for
+    x < (a + 1) / (a + b + 2); None when it does not converge."""
+    total = a + b
+    c = 1.0
+    d = 1.0 - total * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
+    h = d
+    for m in range(1, _beta_max_iter(a, b) + 1):
+        m2 = 2 * m
+        for num in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (total + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _LENTZ_TINY else _LENTZ_TINY
+            step = d * c
+            h *= step
+        if abs(step - 1.0) < _LENTZ_TOL:
+            # x^a y^b / (a B(a, b)): dividing by a in the log keeps a
+            # subnormal a from flushing the prefactor to zero.
+            return math.exp(_log_beta_front(a, b, x, y) - math.log(a)) * h
+    return None
+
+
+def _beta_cdf_error(a: float, b: float, x: float, why: str) -> ArithmeticError:
+    return ArithmeticError(
+        f"regularized incomplete beta I_x(a, b) at a={a!r}, b={b!r}, x={x!r}: {why}"
+    )
+
+
+def _beta_cdf(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b): P(pi <= x) for pi ~ Beta(a, b).
+
+    Exactly 0 for x <= 0 and exactly 1 for x >= 1, infinities included.
+    Above the mean the fraction runs on the mirror image,
+    I_x(a, b) = 1 - I_{1-x}(b, a). Raises ArithmeticError, naming a, b and x,
+    when a parameter exceeds BETA_PARAM_MAX or the fraction does not
+    converge to a probability.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if max(a, b) > BETA_PARAM_MAX:
+        raise _beta_cdf_error(
+            a, b, x, f"parameters above {BETA_PARAM_MAX:g} lie outside the "
+            "continued fraction's convergence domain"
+        )
+    y = 1.0 - x
+    mirrored = x >= (a + 1.0) / (a + b + 2.0)
+    value = _beta_fraction(b, a, y, x) if mirrored else _beta_fraction(a, b, x, y)
+    # NaN fails the range test too.
+    if value is None or not 0.0 <= value <= 1.0:
+        raise _beta_cdf_error(
+            a, b, x, "the continued fraction did not converge to a probability "
+            f"within {_beta_max_iter(a, b)} iterations"
+        )
+    return 1.0 - value if mirrored else value
+
+
 # --- belief models over the subjective outcome probability pi ---
 
 
@@ -110,9 +253,6 @@ class PointMassBelief:
     def prob_lt(self, x: float) -> float:
         return 1.0 if self.pi < x else 0.0
 
-    def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
-        return np.full(n, self.pi)
-
 
 @dataclass(frozen=True)
 class UniformBelief:
@@ -133,13 +273,23 @@ class UniformBelief:
 
     prob_lt = prob_le  # continuous distribution: no atoms
 
-    def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
-        return rng.uniform(self.lo, self.hi, n)
-
 
 @dataclass(frozen=True)
 class BetaBelief:
-    """Beta(a, b) subjective probabilities."""
+    """Beta(a, b) subjective probabilities.
+
+    prob_le is the regularized incomplete beta I_x(a, b), computed in plain
+    floating point (`_beta_cdf`): the continued fraction of Numerical Recipes
+    (Press et al., 3rd ed., 6.4) by the modified Lentz method, applied to
+    I_{1-x}(b, a) above the mean, with the prefactor x^a (1-x)^b / B(a, b)
+    in the Stirling-corrected form of DiDonato & Morris (ACM TOMS 708,
+    1992) once both parameters reach 8. Against scipy.special.betainc it
+    agrees to 1e-13 absolute for a, b in [0.05, 50] and to 1e-12 for a, b
+    in [0.05, 1e4]; near the mean the error grows like
+    1e-15 * sqrt(max(a, b)). prob_le raises ArithmeticError, naming a, b
+    and x, when a parameter exceeds BETA_PARAM_MAX (1e10) or the fraction
+    does not converge.
+    """
 
     a: float
     b: float
@@ -152,13 +302,9 @@ class BetaBelief:
         object.__setattr__(self, "b", b)
 
     def prob_le(self, x: float) -> float:
-        # Regularized incomplete beta function.
-        return float(betainc(self.a, self.b, np.clip(x, 0.0, 1.0)))
+        return _beta_cdf(self.a, self.b, float(x))
 
     prob_lt = prob_le
-
-    def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
-        return rng.beta(self.a, self.b, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,25 +334,18 @@ class MixtureBelief:
 
     __eq__ = _fields_equal
 
+    # The weights sum to 1 only within PROB_SUM_TOL, so the weighted sum can
+    # pass 1 (by 2.2e-16 for weights 0.7075074456958989, 0.2924925543041013),
+    # and a choice probability 1 - P would then fall below 0.
     def prob_le(self, x: float) -> float:
-        return float(
-            sum(w * c.prob_le(x) for w, c in zip(self.weights, self.components))
+        return min(
+            1.0, sum(w * c.prob_le(x) for w, c in zip(self.weights, self.components))
         )
 
     def prob_lt(self, x: float) -> float:
-        return float(
-            sum(w * c.prob_lt(x) for w, c in zip(self.weights, self.components))
+        return min(
+            1.0, sum(w * c.prob_lt(x) for w, c in zip(self.weights, self.components))
         )
-
-    def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
-        picks = rng.choice(len(self.components), size=n, p=np.array(self.weights))
-        out = np.empty(n)
-        for idx, comp in enumerate(self.components):
-            mask = picks == idx
-            count = int(mask.sum())
-            if count:
-                out[mask] = comp.sample(rng, count)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,9 +369,6 @@ class EmpiricalBelief:
 
     def prob_lt(self, x: float) -> float:
         return float(np.mean(self.samples < x))
-
-    def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
-        return rng.choice(self.samples, size=n, replace=True)
 
 
 BeliefModel = Union[

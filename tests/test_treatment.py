@@ -1,7 +1,17 @@
 """Binary-treatment policy analysis: beliefs, mandates, VOI, guideline use."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.special import betainc
 
 from choicewelfare import (
     GUIDELINE_RISK_THRESHOLD,
@@ -29,7 +39,12 @@ from choicewelfare import (
     threshold_probability,
     value_of_information,
 )
+from choicewelfare import treatment
+from choicewelfare.cli import main
+from choicewelfare.treatment import BETA_PARAM_MAX, _beta_cdf
 from conftest import make_reference_cell
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _random_opposed_utilities(rng) -> OutcomeUtilities:
@@ -132,6 +147,92 @@ def test_beta_belief_closed_forms():
         BetaBelief(a=0.0, b=1.0)
 
 
+@st.composite
+def _beta_args(draw, max_param: float):
+    """(a, b, x): a and b log-uniform on [0.05, max_param]; half the x values
+    lie within four standard deviations of the mean a / (a + b), where the
+    prefactor's logs cancel most."""
+    log_param = st.floats(math.log(0.05), math.log(max_param))
+    a, b = math.exp(draw(log_param)), math.exp(draw(log_param))
+    if draw(st.booleans()):
+        sd = math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+        x = a / (a + b) + sd * draw(st.floats(-4.0, 4.0))
+        return a, b, min(max(x, 0.0), 1.0)
+    return a, b, draw(st.floats(0.0, 1.0))
+
+
+@pytest.mark.parametrize("max_param, tol", [(50.0, 1e-13), (1e4, 1e-12)])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_beta_cdf_matches_scipy(max_param, tol, data):
+    a, b, x = data.draw(_beta_args(max_param))
+    assert abs(_beta_cdf(a, b, x) - float(betainc(a, b, x))) <= tol
+
+
+def test_beta_cdf_is_exact_at_and_beyond_the_ends():
+    for a, b in ((0.05, 0.05), (2.0, 5.0), (1e4, 3.0), (1e300, 1e300)):
+        for x in (-math.inf, -0.5, 0.0):
+            assert _beta_cdf(a, b, x) == 0.0
+        for x in (1.0, 1.5, math.inf):
+            assert _beta_cdf(a, b, x) == 1.0
+    belief = BetaBelief(a=2.0, b=5.0)
+    assert belief.prob_le(-math.inf) == 0.0 and belief.prob_lt(math.inf) == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_beta_cdf_is_monotone_in_x(data):
+    a, b, _ = data.draw(_beta_args(1e4))
+    # Rounding makes any floating-point CDF wobble by an ulp or so between
+    # neighbouring floats near the mean; the grids are coarser than that.
+    sd = math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+    xs = np.sort(
+        np.concatenate(
+            [
+                np.linspace(0.0, 1.0, 1001),
+                np.clip(a / (a + b) + sd * np.linspace(-6.0, 6.0, 241), 0.0, 1.0),
+            ]
+        )
+    )
+    values = np.array([_beta_cdf(a, b, float(x)) for x in xs])
+    assert values[0] == 0.0 and values[-1] == 1.0
+    assert np.all(np.diff(values) >= 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_beta_args(50.0))
+@example(args=(37.5, 37.5, 0.5))
+@example(args=(0.05, 50.0, 0.02))
+def test_beta_cdf_mirror_identity(args):
+    a, b, x = args
+    # Snap x so that x and 1 - x are exact complements of each other. Then
+    # one side runs the fraction and the other its mirror image, and the
+    # identity holds to rounding, except at the mirror point itself
+    # (a = b, x = 1/2), where both sides take the same branch and the sum
+    # is off by twice the fraction's error: 1.02e-14 at a = b = 500.39,
+    # hence the range [0.05, 50].
+    x = 1.0 - (1.0 - x)
+    assert abs(_beta_cdf(a, b, x) + _beta_cdf(b, a, 1.0 - x) - 1.0) <= 1e-14
+
+
+def test_beta_cdf_raises_instead_of_returning_a_silent_value(monkeypatch):
+    with pytest.raises(ArithmeticError, match=r"a=1e\+300, b=1e\+300, x=0\.5"):
+        _beta_cdf(1e300, 1e300, 0.5)
+    with pytest.raises(ArithmeticError, match="outside"):
+        BetaBelief(a=2.0, b=BETA_PARAM_MAX * 1.5).prob_le(1e-10)
+    with pytest.raises(ArithmeticError, match="x=nan"):
+        _beta_cdf(2.0, 3.0, math.nan)
+    # At the bound it still answers: I_{1/2}(a, a) = 1/2 by symmetry.
+    assert abs(_beta_cdf(BETA_PARAM_MAX, BETA_PARAM_MAX, 0.5) - 0.5) < 1e-10
+    # A fraction that runs out of iterations names the original a, b and x,
+    # also when it was evaluated on the mirror image.
+    monkeypatch.setattr(treatment, "_beta_max_iter", lambda a, b: 1)
+    with pytest.raises(
+        ArithmeticError, match=r"a=2\.0, b=3\.0, x=0\.9: .* within 1 iterations"
+    ):
+        _beta_cdf(2.0, 3.0, 0.9)
+
+
 def test_mixture_belief_is_weighted_sum():
     mixture = MixtureBelief(
         components=(UniformBelief(lo=0.0, hi=1.0), PointMassBelief(pi=0.9)),
@@ -140,6 +241,29 @@ def test_mixture_belief_is_weighted_sum():
     assert abs(mixture.prob_le(0.5) - 0.75 * 0.5) < 1e-15
     assert abs(mixture.prob_le(0.9) - (0.675 + 0.25)) < 1e-15
     assert abs(mixture.prob_lt(0.9) - 0.675) < 1e-15
+
+
+def test_mixture_cdf_stays_a_probability_when_weights_round_above_one():
+    weights = (0.7075074456958989, 0.2924925543041013)
+    assert sum(weights) > 1.0  # by one ulp, within PROB_SUM_TOL
+    mixture = MixtureBelief(
+        components=(PointMassBelief(pi=0.0), UniformBelief(lo=0.0, hi=0.5)),
+        weights=weights,
+    )
+    assert mixture.prob_le(0.5) == 1.0 and mixture.prob_lt(1.0) == 1.0
+    # B is optimal at p_xz = 0, and A is chosen only at pi >= 1: q was
+    # 1 + 2.2e-16, which bounded_rational_welfare_x rejected.
+    u = OutcomeUtilities.from_components(u0_a=0.0, u1_a=0.0, u0_b=1.0, u1_b=0.0)
+    cell = XCell(
+        x_label="x",
+        weight=1.0,
+        utilities=u,
+        z_cells=(
+            CovariateCell(z_label="z", p_z_given_x=1.0, p_xz=0.0, belief=mixture),
+        ),
+    )
+    assert belief_q_map(cell) == {"z": 1.0}
+    assert build_report(TreatmentScenario(x_cells=(cell,))).aggregate_welfare == 1.0
 
 
 def test_mixture_belief_validation():
@@ -173,6 +297,24 @@ def test_empirical_belief_counts_exactly():
             EmpiricalBelief(samples=bad)
 
 
+def _draw(belief, rng, n: int) -> np.ndarray:
+    """n subjective probabilities drawn from `belief` with numpy alone."""
+    if isinstance(belief, PointMassBelief):
+        return np.full(n, belief.pi)
+    if isinstance(belief, UniformBelief):
+        return rng.uniform(belief.lo, belief.hi, n)
+    if isinstance(belief, BetaBelief):
+        return rng.beta(belief.a, belief.b, n)
+    if isinstance(belief, EmpiricalBelief):
+        return rng.choice(belief.samples, size=n, replace=True)
+    picks = rng.choice(len(belief.components), size=n, p=np.array(belief.weights))
+    out = np.empty(n)
+    for idx, comp in enumerate(belief.components):
+        mask = picks == idx
+        out[mask] = _draw(comp, rng, int(mask.sum()))
+    return out
+
+
 def test_belief_sampling_tracks_cdf():
     rng = np.random.default_rng(41)
     for belief in (
@@ -183,7 +325,7 @@ def test_belief_sampling_tracks_cdf():
             weights=(0.4, 0.6),
         ),
     ):
-        draws = belief.sample(rng, 200_000)
+        draws = _draw(belief, rng, 200_000)
         assert draws.min() >= 0.0 and draws.max() <= 1.0
         for t in (0.3, 0.55, 0.7):
             p = belief.prob_le(t)
@@ -441,7 +583,7 @@ def test_belief_choice_prob_mc_consistency(reference_cell):
     for p_xz in (0.1, 0.5):
         cell = CovariateCell(z_label="z", p_z_given_x=1.0, p_xz=p_xz, belief=belief)
         q = belief_choice_prob(cell, u)
-        draws = belief.sample(rng, 1_000_000)
+        draws = rng.beta(belief.a, belief.b, 1_000_000)
         picks_a = draws <= threshold_probability(u)
         optimal_is_a = (
             expected_outcome_utility(p_xz, u, TREATMENT_A)
@@ -450,6 +592,100 @@ def test_belief_choice_prob_mc_consistency(reference_cell):
         q_hat = np.mean(picks_a == optimal_is_a)
         se = np.sqrt(max(q * (1 - q), 1e-9) / 1_000_000)
         assert abs(q_hat - q) < 3 * se + 1e-4
+
+
+_unit = st.floats(0.0, 1.0)
+_point_mass = _unit.map(lambda pi: PointMassBelief(pi=pi))
+_uniform = st.tuples(_unit, _unit).filter(lambda t: t[0] != t[1]).map(
+    lambda t: UniformBelief(lo=min(t), hi=max(t))
+)
+_beta = st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)).map(
+    lambda t: BetaBelief(a=t[0], b=t[1])
+)
+_empirical = st.lists(_unit, min_size=1, max_size=30).map(
+    lambda v: EmpiricalBelief(samples=np.array(v))
+)
+
+
+@st.composite
+def _mixture(draw):
+    components = draw(
+        st.lists(st.one_of(_point_mass, _uniform, _beta), min_size=1, max_size=4)
+    )
+    n = len(components)
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    return MixtureBelief(
+        components=tuple(components), weights=tuple(w / sum(raw) for w in raw)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    belief=st.one_of(_point_mass, _uniform, _beta, _empirical, _mixture()),
+    utilities=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    p_xz=_unit,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_belief_choice_prob_is_the_rate_of_optimal_subjective_choices(
+    belief, utilities, p_xz, seed
+):
+    u = OutcomeUtilities.from_components(*utilities)
+
+    def gap(p):  # EU_A(p) - EU_B(p), linear in p
+        return expected_outcome_utility(p, u, TREATMENT_A) - expected_outcome_utility(
+            p, u, TREATMENT_B
+        )
+
+    slope = gap(1.0) - gap(0.0)
+    assume(abs(slope) >= 1e-3)
+    root = -gap(0.0) / slope
+    # Both choice rules compare two rounded expected utilities, so within
+    # about 1e-16 / |slope| of the indifference point they may call a tie
+    # where the exact gap is not zero (subjective_choice picks A at
+    # pi = 5.8e-34 for u = (1, 0, 1, 1), where B is better by 5.8e-34).
+    # Keep p_xz off that band; belief mass inside it may go either way.
+    assume(abs(p_xz - root) > 1e-9)
+    band = belief.prob_le(root + 1e-9) - belief.prob_lt(root - 1e-9)
+    optimal = TREATMENT_A if gap(p_xz) > 0.0 else TREATMENT_B
+    cell = CovariateCell(z_label="z", p_z_given_x=1.0, p_xz=p_xz, belief=belief)
+    q = belief_choice_prob(cell, u)
+    if isinstance(belief, PointMassBelief):
+        # Off the band the whole cell makes the one subjective choice.
+        if band == 0.0:
+            assert q == float(subjective_choice(belief.pi, u) == optimal)
+        return
+    n = 2_000
+    draws = _draw(belief, np.random.default_rng(seed), n)
+    rate = sum(subjective_choice(float(pi), u) == optimal for pi in draws) / n
+    assert abs(rate - q) <= 5.0 * math.sqrt(q * (1.0 - q) / n) + 1.0 / n + band
+
+
+@pytest.mark.parametrize(
+    "components, p_star",
+    [
+        # A is best when y = 0 (choose A for pi <= p*) ...
+        ((1.0, 0.0, 0.0, 1.0), 0.5),
+        ((0.75, -0.25, 0.0, 0.0), 0.75),
+        ((0.125, 0.0, 0.0, 0.875), 0.125),
+        # ... or when y = 1 (choose A for pi >= p*).
+        ((0.0, 1.0, 1.0, 0.0), 0.5),
+        ((-0.25, 0.75, 0.0, 0.0), 0.25),
+    ],
+)
+def test_point_mass_on_the_indifference_point_goes_to_a(components, p_star):
+    u = OutcomeUtilities.from_components(*components)
+    # Dyadic utilities: both expected utilities are exact at p*, and tie.
+    assert expected_outcome_utility(p_star, u, TREATMENT_A) == (
+        expected_outcome_utility(p_star, u, TREATMENT_B)
+    )
+    assert subjective_choice(p_star, u) == TREATMENT_A
+    for p_xz in (0.0, 1.0):
+        eu_a = expected_outcome_utility(p_xz, u, TREATMENT_A)
+        eu_b = expected_outcome_utility(p_xz, u, TREATMENT_B)
+        cell = CovariateCell(
+            z_label="z", p_z_given_x=1.0, p_xz=p_xz, belief=PointMassBelief(pi=p_star)
+        )
+        assert belief_choice_prob(cell, u) == (1.0 if eu_a > eu_b else 0.0)
 
 
 # --- bounded-rational welfare ---
@@ -648,3 +884,86 @@ def test_report_and_comparison_share_one_recommendation_rule(make_scenario, expe
     if make_scenario is _exact_tie_scenario:
         (x_report,) = report.per_x
         assert x_report.mandate_welfare == x_report.bounded_rational_welfare
+
+
+# --- the CLI on beta beliefs, without scipy ---
+
+
+def _write_beta_scenario(path: Path, a: float, b: float) -> str:
+    u = {"u0_a": 1.0, "u1_a": 0.0, "u0_b": 0.0, "u1_b": 1.0}  # p* = 1/2
+    beta = {"kind": "beta", "a": a, "b": b}
+    mixture = {
+        "kind": "mixture",
+        "components": [beta, {"kind": "beta", "a": 0.5, "b": 2.0}],
+        "weights": [0.25, 0.75],
+    }
+    doc = {
+        "schema_version": 1,
+        "treatment": {
+            "x_cells": [
+                {
+                    "label": "x1",
+                    "weight": 1.0,
+                    "utilities": u,
+                    "z_cells": [
+                        {"label": "z1", "p_z_given_x": 0.5, "p_xz": 0.3,
+                         "belief": beta},
+                        {"label": "z2", "p_z_given_x": 0.5, "p_xz": 0.8,
+                         "belief": mixture},
+                    ],
+                }
+            ]
+        },
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_importing_the_cli_loads_no_scipy():
+    done = _run_python(
+        "import sys, choicewelfare.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_treatment_runs_with_scipy_blocked(tmp_path):
+    scenario = _write_beta_scenario(tmp_path / "beta.scn", 2.0, 5.0)
+    out = tmp_path / "report.json"
+    # A None entry in sys.modules makes every import of scipy fail.
+    done = _run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from choicewelfare.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))",
+        "treatment", "--scenario", scenario, "--out", str(out),
+    )
+    assert done.returncode == 0, done.stderr
+    q_by_z = json.loads(out.read_text(encoding="utf-8"))["per_x"][0]["q_by_z"]
+    # z1 is A-optimal: q = I_{1/2}(2, 5) = 57/64. z2 is B-optimal: q is the
+    # mixture's mass above 1/2, 0.25 * 7/64 + 0.75 * I_{1/2}(2, 1/2).
+    assert abs(q_by_z["z1"] - 57.0 / 64.0) < 1e-15
+    z2 = 0.25 * 7.0 / 64.0 + 0.75 * (1.0 - float(betainc(0.5, 2.0, 0.5)))
+    assert abs(q_by_z["z2"] - z2) < 1e-14
+
+
+def test_treatment_exits_3_when_the_incomplete_beta_cannot_answer(tmp_path, capsys):
+    scenario = _write_beta_scenario(tmp_path / "huge.scn", 1e300, 1e300)
+    assert main(["treatment", "--scenario", scenario]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: regularized incomplete beta")
+    assert "a=1e+300, b=1e+300" in captured.err
