@@ -7,6 +7,10 @@ an additive-error random-utility model estimated by seeded Monte Carlo, and a
 default-option wrapper that subtracts an as-if cost from every non-default
 action before delegating to its base model.
 
+Each model's arithmetic is written once, in `block_choice_probabilities`,
+for a block of types and groups of equal-size subsets at once;
+`choice_probabilities` is one type and one subset of it.
+
 Ties in maximization (exact score equality) always resolve to the lowest
 action index, both analytically and inside Monte Carlo draws, so results are
 reproducible.
@@ -16,12 +20,12 @@ random-utility model draws one (samples x n_actions) error matrix over the
 full action set, and column i is action i's error in every draw. A subset's
 choice in draw r is the first argmax of u + E[r] over the subset's columns,
 so an action keeps its error whichever other actions are available, and
-removing an action can only move its wins to the others. `mc_scores` returns
-the per-type score matrix u + E, from which a caller can tally every subset.
+removing an action can only move its wins to the others, which lets one
+count table per type give every subset's choices.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -154,11 +158,8 @@ class RandomUtilityMC:
     """Choice maximizes utility plus IID additive error, estimated from
     `samples` seeded draws.
 
-    The draws are common random numbers: for stream t (the type index in
-    population evaluation) the model draws one (samples x n_actions) error
-    matrix over the full action set, and every available subset is tallied
-    on the columns of its own actions. Full-set probabilities use that matrix
-    whole.
+    The draws are common random numbers: one (samples x n_actions) error
+    matrix per stream (the type index), as the module docstring describes.
     """
 
     error: ErrorSpec
@@ -286,13 +287,6 @@ def sample_errors(
     return _draw_errors(spec, int(count), int(n_actions), rng)
 
 
-def _mc_stream_rng(seed: int, stream: int) -> np.random.Generator:
-    # Stream derivation keeps per-type draws independent of evaluation order:
-    # (seed, type index) fully determines the draws.
-    ss = np.random.SeedSequence(entropy=_normalize_seed(seed), spawn_key=(int(stream),))
-    return np.random.default_rng(ss)
-
-
 def choice_probabilities(
     utilities,
     available: Iterable[int],
@@ -305,11 +299,9 @@ def choice_probabilities(
     `utilities` covers the full action set; `available` selects a non-empty
     subset (returned in ascending index order). `stream` is a reproducibility
     sub-key for Monte Carlo models: population evaluation passes the type
-    index so per-type draws do not depend on scheduling. A Monte Carlo model
-    draws the stream's (samples x n_actions) errors over the full action set
-    and tallies the argmax of utility plus error over the available columns
-    only, so each error belongs to an action, not to a position in the
-    subset.
+    index so per-type draws do not depend on scheduling (the module docstring
+    describes the draws). A subset on which the model leaves choice undefined
+    raises ValueError.
     """
     utilities = np.asarray(utilities, dtype=np.float64)
     if utilities.ndim != 1:
@@ -317,97 +309,132 @@ def choice_probabilities(
     if not np.all(np.isfinite(utilities)):
         raise ValueError("utilities must be finite")
     avail = _validate_available(available, utilities.shape[0])
-    u_sub = utilities[list(avail)]
-    k = len(avail)
-
-    if isinstance(model, RationalMax):
-        probs = np.zeros(k)
-        probs[int(np.argmax(u_sub))] = 1.0
-        return ChoiceProbabilities(available=avail, probs=probs)
-
-    if isinstance(model, IndependentTable):
-        return ChoiceProbabilities(
-            available=avail, probs=_renormalized_table(model.probs, avail, utilities)
-        )
-
-    if isinstance(model, AlphaRational):
-        rational = np.zeros(k)
-        rational[int(np.argmax(u_sub))] = 1.0
-        table = _renormalized_table(model.background, avail, utilities)
-        probs = model.alpha * rational + (1.0 - model.alpha) * table
-        return ChoiceProbabilities(available=avail, probs=probs)
-
-    if isinstance(model, Logit):
-        z = model.q * u_sub
-        z = z - z.max()  # max-subtraction: no overflow even at q = 1e6
-        e = np.exp(z)
-        return ChoiceProbabilities(available=avail, probs=e / e.sum())
-
-    if isinstance(model, DefaultNudge):
-        return choice_probabilities(
-            _nudged(utilities, model), avail, model.base, stream=stream
-        )
-
-    if isinstance(model, RandomUtilityMC):
-        errors = _mc_errors(model, utilities.shape[0], stream)
-        counts = argmax_tally(u_sub, errors[:, list(avail)])
-        return ChoiceProbabilities(available=avail, probs=counts / model.samples)
-
-    raise ValueError(f"unknown choice model {model!r}")
+    one_subset = [np.array([avail])]
+    block = block_choice_probabilities(utilities[None], one_subset, model, [stream])
+    return ChoiceProbabilities(available=avail, probs=_defined(block[0][0, 0]))
 
 
-def mc_scores(
-    utilities: NDArray[np.float64], model: ChoiceModel, *, stream: int = 0
-) -> Optional[NDArray[np.float64]]:
-    """The (samples x n_actions) scores u + E a Monte Carlo model maximizes
-    for one type, or None when `model` does not choose by Monte Carlo.
-
-    `utilities` is the type's finite full-set vector. A DefaultNudge over a
-    random-utility model scores the nudge-shifted utilities. For every
-    available subset S, the first argmax of each row over S's columns is the
-    choice `choice_probabilities(utilities, S, model, stream=stream)`
-    tallies, so one score matrix serves every subset.
+def block_choice_probabilities(utilities, groups, model: ChoiceModel, streams):
+    """One (B, G, s) probability array per (G, s) group of ascending subsets
+    (rows of action indices), for the (B, k) full-set `utilities` of B types
+    with Monte Carlo `streams`. [b, g, j] is type b's probability of choosing
+    cols[g, j] from cols[g]; NaN where the model leaves choice undefined (a
+    table with no mass on the subset). A Monte Carlo model tallies one subset
+    on each type's draws, and more from each type's table of 2^k subsets.
     """
     if isinstance(model, DefaultNudge):
-        return mc_scores(_nudged(utilities, model), model.base, stream=stream)
+        return block_choice_probabilities(
+            _nudged(utilities, model), groups, model.base, streams
+        )
     if isinstance(model, RandomUtilityMC):
-        return utilities + _mc_errors(model, utilities.shape[0], stream)
-    return None
+        return _mc_block(utilities, groups, model, streams)
+    out = []
+    for cols in groups:
+        # C order, unlike utilities[:, cols]: each row sums as a 1-D row does.
+        u = np.take(utilities, cols, axis=-1)
+        if isinstance(model, RationalMax):
+            probs = _first_max(u)
+        elif isinstance(model, IndependentTable):
+            table = _renormalized_table(model.probs, cols, utilities.shape[-1])
+            probs = np.broadcast_to(table, u.shape)
+        elif isinstance(model, AlphaRational):
+            table = _renormalized_table(model.background, cols, utilities.shape[-1])
+            probs = model.alpha * _first_max(u) + (1.0 - model.alpha) * table
+        elif isinstance(model, Logit):
+            z = model.q * u
+            z -= z.max(axis=-1, keepdims=True)  # no overflow even at q = 1e6
+            np.exp(z, out=z)
+            probs = z / z.sum(axis=-1, keepdims=True)
+        else:
+            raise ValueError(f"unknown choice model {model!r}")
+        out.append(probs)
+    return out
+
+
+def _defined(probs: NDArray[np.float64]) -> NDArray[np.float64]:
+    if np.isnan(probs).any():  # the block path's mark of an undefined choice
+        raise ValueError("background table has zero probability mass on the "
+                         "available set")
+    return probs
+
+
+def _first_max(u: NDArray[np.float64]) -> NDArray[np.float64]:
+    # One-hot of the first maximum on the last axis: the lowest-index tie-break.
+    return (np.arange(u.shape[-1]) == np.argmax(u, axis=-1)[..., None]).astype(float)
 
 
 def _nudged(utilities, model: DefaultNudge) -> NDArray[np.float64]:
     # The utilities the base model chooses by: gamma off every non-default.
     shifted = np.array(utilities, dtype=np.float64)
-    if not 0 <= model.default_action < shifted.shape[0]:
+    n_actions = shifted.shape[-1]
+    if not 0 <= model.default_action < n_actions:
         raise ValueError(
             f"default action index {model.default_action} out of range for "
-            f"{shifted.shape[0]} actions"
+            f"{n_actions} actions"
         )
-    shifted[np.arange(shifted.shape[0]) != model.default_action] -= model.gamma
+    shifted[..., np.arange(n_actions) != model.default_action] -= model.gamma
     return shifted
 
 
-def _mc_errors(
-    model: RandomUtilityMC, n_actions: int, stream: int
-) -> NDArray[np.float64]:
+def _mc_errors(model: RandomUtilityMC, n_actions: int, stream: int):
     # The stream's common random numbers; column i is action i's error.
-    rng = _mc_stream_rng(model.seed, stream)
+    # (seed, type index) fully determines them, whatever the evaluation order.
+    rng = np.random.default_rng(
+        np.random.SeedSequence(_normalize_seed(model.seed), spawn_key=(int(stream),))
+    )
     return _draw_errors(model.error, model.samples, n_actions, rng)
 
 
-def _renormalized_table(background, avail, utilities) -> NDArray[np.float64]:
-    background = np.asarray(background, dtype=np.float64)
-    if background.shape != utilities.shape:
+def _mc_block(utilities, groups, model: RandomUtilityMC, streams):
+    n = utilities.shape[1]
+    if sum(len(cols) for cols in groups) == 1:
+        cols = groups[0][0]
+        counts = [
+            argmax_tally(u[cols], _mc_errors(model, n, t)[:, cols])
+            for u, t in zip(utilities, streams)
+        ]
+        return [(np.array(counts) / model.samples)[:, np.newaxis]]
+    # One type's draws at a time: only the block's count tables are kept.
+    shares = np.empty(utilities.shape + (1 << n,))
+    for b, t in enumerate(streams):
+        shares[b] = _beaten_tally(utilities[b] + _mc_errors(model, n, t))
+    np.divide(_subset_sums(shares), model.samples, out=shares)
+    full = (1 << n) - 1
+    # Subset S chooses i in shares[:, i, full ^ mask(S)].
+    return [
+        shares[:, cols, (full ^ (1 << cols).sum(axis=1))[:, np.newaxis]]
+        for cols in groups
+    ]
+
+
+def _beaten_tally(scores):
+    """H[i, m]: rows of `scores` where exactly the columns in bitmask m beat
+    column i: score more, or tie from a lower index (np.argmax's first max)."""
+    n = scores.shape[1]
+    order = np.argsort(-scores, axis=1, kind="stable")  # beaten after beaters
+    bits = np.left_shift(1, order)
+    keys = (order << n) | (np.bitwise_or.accumulate(bits, axis=1) ^ bits)
+    return np.bincount(keys.ravel(), minlength=n << n).reshape(n, -1)
+
+
+def _subset_sums(tables):
+    """In place, tables[..., m] becomes the sum over all m' ⊆ m: from H, the
+    rows where no column outside m beats i, so S picks i in F[i, full ^ S]."""
+    for b in range(tables.shape[-1].bit_length() - 1):
+        pairs = tables.reshape(tables.shape[:-1] + (-1, 2, 1 << b))
+        pairs[..., 1, :] += pairs[..., 0, :]
+    return tables
+
+
+def _renormalized_table(background, cols, n_actions) -> NDArray[np.float64]:
+    # (G, s): the table renormalized over each subset, NaN where it has no mass.
+    if background.shape[0] != n_actions:
         raise ValueError(
             "background probability vector must cover the full action set"
         )
-    mass = background[list(avail)]
-    total = float(mass.sum())
-    if total <= 0.0:
-        raise ValueError(
-            "background table has zero probability mass on the available set"
-        )
-    return mass / total
+    mass = background[cols]
+    total = mass.sum(axis=-1, keepdims=True)
+    return np.divide(mass, total, out=np.full(mass.shape, np.nan), where=total > 0.0)
 
 
 def binary_scaled_choice_prob(utilities, base_errors, q: float) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._kernels import logit_welfare_curve
-from .models import ChoiceModel, _validate_available, choice_probabilities, mc_scores
+from .models import ChoiceModel, _validate_available, block_choice_probabilities
 from .scenario import ActionSet, Population, _fields_equal, _frozen_array
 # policy_welfare is not called here: optimize_choice_set reproduces its welfare
 # bit for bit, and perfbench/spans.py wraps the name as search.policy_welfare.
@@ -42,7 +42,7 @@ REFINE_MAX_ITERATIONS = 100
 # Elements (pairs x q values) per block of the sweep's sign scan: bounds the
 # block's temporaries to a few 64 KiB arrays whatever the sweep size.
 PAIR_CHUNK_ELEMENTS = 8192
-# Counts (types x n x 2^n) held at once by the Monte Carlo optimizer: 512 KiB.
+# Counts (types x n x 2^n) in one block of the optimizer's types: 512 KiB.
 TALLY_CHUNK_ELEMENTS = 65536
 
 
@@ -309,62 +309,34 @@ class OptimizeResult:
 
 
 def optimize_choice_set(pop: Population, model: ChoiceModel) -> OptimizeResult:
-    """Exhaustive argmax of policy welfare over all non-empty subsets.
+    """Exhaustive argmax of policy welfare over the non-empty subsets on which
+    the model defines choice.
 
     Ties resolve to the first subset in (size, lexicographic) order; the
-    welfare is exactly policy_welfare's for the winner. A Monte Carlo model
-    (or a nudge over one) counts each type's draws (`mc_scores`) for every
-    subset from one sort and a subset-sum transform: n x 2^n float64 counts
-    per type (n actions), TALLY_CHUNK_ELEMENTS per block of types. Other
-    models call choice_probabilities per type and subset."""
+    welfare is exactly policy_welfare's for the winner. Each block of
+    TALLY_CHUNK_ELEMENTS // (n x 2^n) types (n actions) gets the
+    probabilities of every subset, grouped by size, from one
+    block_choice_probabilities call (a Monte Carlo model's n x 2^n count
+    table per type)."""
+    subsets, welfare = _subset_welfare(pop, model)
+    best = int(np.argmax(np.where(np.isnan(welfare), -np.inf, welfare)))
+    return OptimizeResult(subset=subsets[best], welfare=float(welfare[best]))
+
+
+def _subset_welfare(pop: Population, model: ChoiceModel):
+    """Every subset and its policy welfare (NaN where choice is undefined)."""
     subsets = enumerate_choice_sets(pop.actions)
-    full = (1 << pop.n_actions) - 1
+    groups = [np.array(list(group)) for _, group in itertools.groupby(subsets, len)]
+    matrix = pop.utility_matrix
     values = np.empty((len(subsets), pop.n_types))
     block = max(1, TALLY_CHUNK_ELEMENTS // (pop.n_actions << pop.n_actions))
     for start in range(0, pop.n_types, block):
         streams = range(start, min(start + block, pop.n_types))
-        utilities = np.array([pop.types[t].utilities for t in streams])
-        shares = _choice_shares(utilities, model, streams)
-        for s, subset in enumerate(subsets):
-            cols = list(subset)
-            if shares is None:
-                probs = np.array([choice_probabilities(u, subset, model, stream=t).probs
-                                  for t, u in zip(streams, utilities)])
-            else:
-                probs = shares[:, cols, full ^ sum(1 << i for i in cols)]
-            values[s, start:streams.stop] = expected_value(probs, utilities[:, cols])
-    # Valued and summed as policy_welfare does, so the winner's welfare is its value.
-    welfare = [float(np.sum(pop.weights * type_values)) for type_values in values]
-    best = int(np.argmax(welfare))
-    return OptimizeResult(subset=subsets[best], welfare=welfare[best])
-
-
-def _choice_shares(utilities, model, streams):
-    """For a Monte Carlo model (else None), shares[b, i, m] = count / samples
-    of type b's draws that pick action i from the actions outside bitmask m."""
-    shares = np.empty(utilities.shape + (1 << utilities.shape[1],))
-    for b, t in enumerate(streams):
-        scores = mc_scores(utilities[b], model, stream=t)
-        if scores is None:
-            return None
-        shares[b] = _beaten_tally(scores)
-    return np.divide(_subset_sums(shares), scores.shape[0], out=shares)
-
-
-def _beaten_tally(scores):
-    """H[i, m]: rows of `scores` where exactly the columns in bitmask m beat
-    column i: score more, or tie from a lower index (np.argmax's first max)."""
-    n = scores.shape[1]
-    order = np.argsort(-scores, axis=1, kind="stable")  # beaten after beaters
-    bits = np.left_shift(1, order)
-    keys = (order << n) | (np.bitwise_or.accumulate(bits, axis=1) ^ bits)
-    return np.bincount(keys.ravel(), minlength=n << n).reshape(n, -1)
-
-
-def _subset_sums(tables):
-    """In place, tables[..., m] becomes the sum over all m' ⊆ m: from H, the
-    rows where no column outside m beats i, so S picks i in F[i, full ^ S]."""
-    for b in range(tables.shape[-1].bit_length() - 1):
-        pairs = tables.reshape(tables.shape[:-1] + (-1, 2, 1 << b))
-        pairs[..., 1, :] += pairs[..., 0, :]
-    return tables
+        utilities = matrix[streams.start:streams.stop]
+        blocks = block_choice_probabilities(utilities, groups, model, streams)
+        rows = np.concatenate([expected_value(probs, utilities[:, cols])
+                               for cols, probs in zip(groups, blocks)], axis=1)
+        values[:, streams.start:streams.stop] = rows.T
+    # Valued and summed as policy_welfare does, so each welfare is its value.
+    welfare = np.array([np.sum(pop.weights * type_values) for type_values in values])
+    return subsets, welfare

@@ -595,21 +595,22 @@ def belief_choice_prob(cell: CovariateCell, u: OutcomeUtilities) -> float:
 
     Uses closed-form CDF evaluation (the subjective A-region is an interval
     because subjective expected utility is linear in pi); belief mass exactly
-    on the indifference point is attributed to A. When the cell's objective
-    probability sits exactly on the indifference point both treatments are
-    optimal and q = 1 by definition.
+    on the indifference point is attributed to A. The objectively optimal
+    treatment is decided as optimal_decentralized_x decides it, by comparing
+    the two expected utilities at the cell's objective probability; when
+    they are equal both treatments are optimal and q = 1 by definition.
     """
     if cell.belief is None:
         raise ValueError(f"z cell {cell.z_label!r} has no belief model")
-    d0 = float(u.values[0, 0] - u.values[0, 1])  # u(0,A) - u(0,B)
-    d1 = float(u.values[1, 0] - u.values[1, 1])  # u(1,A) - u(1,B)
+    eu_a = expected_outcome_utility(cell.p_xz, u, TREATMENT_A)
+    eu_b = expected_outcome_utility(cell.p_xz, u, TREATMENT_B)
+    if eu_a == eu_b:
+        return 1.0
+    optimal_is_a = eu_a > eu_b
 
     # EU_A(p) - EU_B(p) is linear in p: d0 + p * (d1 - d0).
-    gap_objective = d0 + cell.p_xz * (d1 - d0)
-    if gap_objective == 0.0:
-        return 1.0
-    optimal_is_a = gap_objective > 0.0
-
+    d0 = float(u.values[0, 0] - u.values[0, 1])  # u(0,A) - u(0,B)
+    d1 = float(u.values[1, 0] - u.values[1, 1])  # u(1,A) - u(1,B)
     slope = d1 - d0
     if slope == 0.0:
         # Subjective choice ignores pi entirely and matches the objective

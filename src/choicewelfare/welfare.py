@@ -17,13 +17,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .models import (
-    AlphaRational,
     ChoiceModel,
     ChoiceProbabilities,
     DefaultNudge,
     Logit,
+    _defined,
     _validate_available,
     _validate_prob_vector,
+    block_choice_probabilities,
     choice_probabilities,
 )
 from .scenario import Population
@@ -116,12 +117,11 @@ def optimal_mandate(
 def expected_value(probs, realized) -> NDArray[np.float64]:
     """Choice-probability-weighted realized utility over the last axis.
 
-    One elementwise product and one sum per row, rather than a BLAS dot,
-    whose last bits can depend on the memory layout of its operands: a 2-D
-    call gives each row the same bits as a 1-D call on that row, so a
-    vectorised caller reproduces policy_welfare's per-type values exactly.
+    One product, laid out in C order whatever the operands' layout, and one
+    sum along each row, rather than a BLAS dot: each row of a block gets the
+    bits of a 1-D call on that row, so block and per-type callers agree.
     """
-    return (probs * realized).sum(axis=-1)
+    return np.multiply(probs, realized, order="C").sum(axis=-1)
 
 
 def policy_welfare(
@@ -141,26 +141,24 @@ def policy_welfare(
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must lie in [0, 1]")
     avail = _resolve_available(pop, available)
-    avail_list = list(avail)
-    per_type = []
-    values = np.empty(pop.n_types)
-    for t, typ in enumerate(pop.types):
-        probs = choice_probabilities(typ.utilities, avail, model, stream=t)
-        realized = typ.utilities[avail_list].astype(np.float64, copy=True)
-        if eta > 0.0 and isinstance(model, DefaultNudge):
-            penalty = np.asarray(avail_list) != model.default_action
-            realized[penalty] -= eta * model.gamma
-        value = float(expected_value(probs.probs, realized))
-        values[t] = value
-        per_type.append(
-            PerTypeEvaluation(type_index=t, probs=probs, value=value)
-        )
+    cols = np.array(avail)
+    matrix = pop.utility_matrix
+    block = block_choice_probabilities(matrix, [cols[None]], model, range(pop.n_types))
+    probs = _defined(block[0][:, 0])
+    realized = matrix[:, cols]
+    if eta > 0.0 and isinstance(model, DefaultNudge):
+        realized[:, cols != model.default_action] -= eta * model.gamma
+    values = expected_value(probs, realized)
+    per_type = tuple(
+        PerTypeEvaluation(t, ChoiceProbabilities(avail, row), float(value))
+        for t, (row, value) in enumerate(zip(probs, values))
+    )
     welfare = float(np.sum(pop.weights * values))
     return PolicyEvaluation(
         available=avail,
         welfare=welfare,
         regret=idealized_optimum(pop) - welfare,
-        per_type=tuple(per_type),
+        per_type=per_type,
     )
 
 
@@ -212,9 +210,8 @@ def logit_sensitivities(
     if not (np.isfinite(q) and q >= 0.0):
         raise ValueError("q must be finite and >= 0")
     utilities = np.asarray(utilities, dtype=np.float64)
-    probs = choice_probabilities(utilities, available, Logit(q=q)).probs
-    avail = _validate_available(available, utilities.shape[0])
-    u_sub = utilities[list(avail)]
+    chosen = choice_probabilities(utilities, available, Logit(q=q))
+    probs, u_sub = chosen.probs, utilities[list(chosen.available)]
     v = float(np.dot(probs, u_sub))
     centered = u_sub - v
     return LogitSensitivities(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from choicewelfare import (
     CovariateCell,
@@ -10,6 +11,11 @@ from choicewelfare import (
     XCell,
     hotelling_population,
 )
+
+# CI runs the suite with --hypothesis-profile=ci: the examples are derived
+# from each test's name, so a red run replays exactly, and a failure prints
+# the blob that reproduces it. Local runs keep the random default profile.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from choicewelfare import (
     policy_welfare,
     sample_errors,
 )
-from choicewelfare.models import mc_scores
+from choicewelfare.models import block_choice_probabilities
 
 U3 = np.array([0.0, 0.5, 1.0])
 
@@ -419,13 +419,116 @@ def test_nudge_default_out_of_range_is_rejected(default_action, base):
     message = f"default action index {default_action} out of range for 2 actions"
     with pytest.raises(ValueError, match=message):
         choice_probabilities(u, (0, 1), model)
-    with pytest.raises(ValueError, match=message):
-        mc_scores(u, model)
     pop = build_population(
         ActionSet(labels=("a", "b")), [UtilityType(utilities=u, weight=1.0)]
     )
     with pytest.raises(ValueError, match=message):
         optimize_choice_set(pop, model)
+
+
+# --- the block path ---
+
+
+@st.composite
+def block_problems(draw):
+    # From 8 actions on, a row sum is no longer a plain left-to-right sum, so
+    # its bits depend on how the block is laid out.
+    k = draw(st.integers(1, 10))
+    n_types = draw(st.integers(1, 4))
+    # Coarse utilities tie often; the first maximum must win in every shape.
+    utility = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3.0, 3.0)
+    row = st.lists(utility, min_size=k, max_size=k)
+    utilities = np.array(draw(st.lists(row, min_size=n_types, max_size=n_types)))
+    subsets = [
+        subset
+        for size in range(1, k + 1)
+        for subset in itertools.combinations(range(k), size)
+    ]
+    chosen = draw(
+        st.lists(st.sampled_from(subsets), min_size=1, max_size=40, unique=True)
+    )
+    groups = [
+        np.array(list(group))
+        for _, group in itertools.groupby(sorted(chosen, key=len), len)
+    ]
+    # Zero entries leave choice undefined on the subsets they cover.
+    background = (
+        st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0),
+                 min_size=k, max_size=k)
+        .filter(lambda mass: sum(mass) > 0.0)
+        .map(lambda mass: np.array(mass) / sum(mass))
+    )
+    error = st.sampled_from(
+        [GumbelIID(scale=0.5), UniformBoundedIID(delta=0.5), NormalIID(sigma=0.5)]
+    )
+    mc = st.builds(
+        RandomUtilityMC, error=error, samples=st.integers(1, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    logit = st.builds(Logit, q=st.sampled_from([0.0, 1e6]) | st.floats(0.0, 50.0))
+    base = st.one_of(
+        st.just(RationalMax()),
+        st.builds(IndependentTable, probs=background),
+        st.builds(AlphaRational, alpha=st.floats(0.0, 1.0), background=background),
+        logit,
+        mc,
+    )
+    model = draw(base)
+    if isinstance(model, (Logit, RandomUtilityMC)) and draw(st.booleans()):
+        model = DefaultNudge(
+            default_action=draw(st.integers(0, k - 1)),
+            gamma=draw(st.floats(0.0, 1.0)),
+            base=model,
+        )
+    first = draw(st.integers(0, 50))
+    return utilities, groups, model, range(first, first + n_types)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_problems())
+def test_block_rows_are_bitwise_the_one_row_probabilities(problem):
+    utilities, groups, model, streams = problem
+    blocks = block_choice_probabilities(utilities, groups, model, streams)
+    assert len(blocks) == len(groups)
+    for cols, probs in zip(groups, blocks):
+        assert probs.shape == (len(streams),) + cols.shape
+        for b, stream in enumerate(streams):
+            for g, subset in enumerate(cols):
+                try:
+                    expected = choice_probabilities(
+                        utilities[b], subset, model, stream=stream
+                    ).probs
+                except ValueError as exc:
+                    assert "zero probability mass" in str(exc)
+                    assert np.isnan(probs[b, g]).all()
+                else:
+                    assert np.array_equal(probs[b, g], expected)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        Logit(q=1.5),
+        DefaultNudge(default_action=3, gamma=0.4, base=Logit(q=1.5)),
+        AlphaRational(alpha=0.3, background=np.arange(1.0, 11.0) / 55.0),
+        RandomUtilityMC(error=GumbelIID(scale=0.5), samples=50, seed=9),
+    ],
+    ids=["logit", "nudge-logit", "alpha", "mc"],
+)
+def test_block_rows_of_eight_or_more_actions_are_the_one_row_probabilities(model):
+    # Rows of 8 or more are summed pairwise: a block laid out with the types
+    # innermost (as a plain utilities[:, cols] gather is) would sum them in
+    # another order and change the last bits.
+    utilities = np.random.default_rng(10).normal(size=(5, 10))
+    groups = [
+        np.array(list(itertools.combinations(range(10), size))) for size in (8, 9, 10)
+    ]
+    blocks = block_choice_probabilities(utilities, groups, model, range(5))
+    for cols, probs in zip(groups, blocks):
+        for b in range(5):
+            for g, subset in enumerate(cols):
+                expected = choice_probabilities(utilities[b], subset, model, stream=b)
+                assert np.array_equal(probs[b, g], expected.probs)
 
 
 # --- common-random-number binary scaling ---

@@ -36,13 +36,14 @@ from choicewelfare import (
     policy_welfare,
     sweep_logit,
 )
+from choicewelfare.models import _beaten_tally, _subset_sums
 from choicewelfare.search import (
     BISECT_VALUE_TOL,
+    TALLY_CHUNK_ELEMENTS,
     TOUCH_TOL,
-    _beaten_tally,
     _refine_sign_changes,
     _sign_change_brackets,
-    _subset_sums,
+    _subset_welfare,
 )
 
 # Roots frozen from an independent bracketing root finder (xtol 1e-13) on the
@@ -530,6 +531,73 @@ def test_optimize_matches_exhaustive_policy_welfare(problem):
     result = optimize_choice_set(pop, model)
     assert result.subset == best_subset
     assert result.welfare == best_welfare
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        RandomUtilityMC(error=NormalIID(sigma=0.5), samples=40, seed=3),
+        DefaultNudge(default_action=4, gamma=0.3, base=Logit(q=2.0)),
+    ],
+    ids=["mc", "nudge-logit"],
+)
+def test_optimize_at_eleven_actions_is_policy_welfare_on_every_subset(model):
+    # At 11 actions a block holds two types, so three types make one full
+    # block and one block of a single type. Every one of the 2,047 subset
+    # welfares must be policy_welfare's, bit for bit.
+    k, n_types = 11, 3
+    assert TALLY_CHUNK_ELEMENTS // (k << k) == 2
+    rng = np.random.default_rng(11)
+    pop = build_population(
+        ActionSet(labels=tuple(f"a{i}" for i in range(k))),
+        [
+            UtilityType(utilities=u, weight=float(w))
+            for u, w in zip(rng.normal(size=(n_types, k)),
+                            rng.uniform(0.1, 1.0, n_types))
+        ],
+    )
+    subsets, welfare = _subset_welfare(pop, model)
+    assert len(subsets) == 2**k - 1
+    for subset, value in zip(subsets, welfare):
+        assert value == policy_welfare(pop, subset, model).welfare, subset
+    result = optimize_choice_set(pop, model)
+    assert result.subset == subsets[int(np.argmax(welfare))]
+    assert result.welfare == np.max(welfare)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        IndependentTable(probs=np.array([0.5, 0.5, 0.0])),
+        AlphaRational(alpha=0.5, background=np.array([0.5, 0.5, 0.0])),
+    ],
+    ids=["table", "alpha"],
+)
+def test_optimize_ranks_only_subsets_where_choice_is_defined(model):
+    # The table puts no mass on c, so it leaves choice from {c} undefined;
+    # c is everyone's best action, so {c} would otherwise be a candidate.
+    pop = build_population(
+        ActionSet(labels=("a", "b", "c")),
+        [
+            UtilityType(utilities=np.array([0.0, 0.3, 1.0]), weight=0.5),
+            UtilityType(utilities=np.array([0.4, 0.0, 2.0]), weight=0.5),
+        ],
+    )
+    with pytest.raises(ValueError, match="zero probability mass"):
+        policy_welfare(pop, (2,), model)
+    with pytest.raises(ValueError, match="zero probability mass"):
+        choice_probabilities(pop.types[0].utilities, (2,), model)
+    best_subset, best_welfare = None, -np.inf
+    for subset in enumerate_choice_sets(pop.actions):
+        if subset == (2,):
+            continue
+        welfare = policy_welfare(pop, subset, model).welfare
+        if welfare > best_welfare:
+            best_subset, best_welfare = subset, welfare
+    result = optimize_choice_set(pop, model)
+    assert result.subset != (2,)
+    assert result.subset == best_subset
+    assert result.welfare == policy_welfare(pop, result.subset, model).welfare
 
 
 @settings(max_examples=200, deadline=None)

@@ -555,6 +555,22 @@ def test_flat_objective_gap_counts_as_optimal():
     assert belief_choice_prob(cell, u) == 1.0
 
 
+def test_rounded_objective_tie_counts_as_optimal():
+    # The exact gap at p_xz = 6.5e-97 favours B by 6.5e-97, but both expected
+    # utilities round to -1: optimal_decentralized_x puts the cell in z_a, a
+    # tie, so every choice is optimal and q must be 1, not the 0 the exact
+    # gap gave the point mass at pi = 0 (which picks A).
+    u = OutcomeUtilities.from_components(u0_a=-1.0, u1_a=-1.0, u0_b=-1.0, u1_b=0.0)
+    z_cell = CovariateCell(
+        z_label="z", p_z_given_x=1.0, p_xz=6.5e-97, belief=PointMassBelief(pi=0.0)
+    )
+    cell = XCell(x_label="x", weight=1.0, utilities=u, z_cells=(z_cell,))
+    assert optimal_decentralized_x(cell).z_a == ("z",)
+    assert belief_choice_prob(z_cell, u) == 1.0
+    (x_report,) = build_report(TreatmentScenario(x_cells=(cell,))).per_x
+    assert x_report.q_by_z == (("z", 1.0),)
+
+
 def test_belief_position_not_distance_drives_choice(reference_cell):
     u = reference_cell.utilities  # p* = 1/3, B optimal at p_xz = 0.9
     for pi in (0.35, 0.9):

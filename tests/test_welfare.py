@@ -1,5 +1,7 @@
 """Welfare engine: evaluation, closed forms, bounds, sensitivities, Pareto."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from choicewelfare import (
     UtilityType,
     alpha_welfare_closed_form,
     bounded_error_welfare_bound,
+    choice_probabilities,
     expected_utilities,
     idealized_optimum,
     logit_sensitivities,
@@ -197,6 +200,57 @@ def test_policy_welfare_matches_kernel_curve(line_population):
         assert abs(got - curve[qi]) < 1e-12
 
 
+_MC = RandomUtilityMC(error=GumbelIID(scale=0.5), samples=300, seed=5)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        DefaultNudge(default_action=1, gamma=0.3, base=Logit(q=2.0)),
+        DefaultNudge(default_action=2, gamma=0.3, base=_MC),
+        DefaultNudge(default_action=0, gamma=0.3, base=RationalMax()),
+        AlphaRational(alpha=0.4, background=np.arange(1.0, 11.0) / 55.0),
+        Logit(q=1e6),
+        _MC,
+    ],
+    ids=["nudge-logit", "nudge-mc", "nudge-rational", "alpha", "logit", "mc"],
+)
+def test_policy_welfare_is_bitwise_a_per_type_loop(model):
+    # One block call for all types must give each type the bits of its own
+    # choice_probabilities row valued by expected_value, eta included.
+    # Ten actions: rows of 8 or more are summed pairwise, not left to right.
+    pop = _random_population(np.random.default_rng(21), n_actions=10, n_types=40)
+    eta = 0.6
+    for available in (None, (0, 2, 3, 4, 5, 6, 7, 9), (1, 2, 3), (3,)):
+        result = policy_welfare(pop, available, model, eta=eta)
+        cols = list(result.available)
+        values = []
+        for t, typ in enumerate(pop.types):
+            probs = choice_probabilities(typ.utilities, cols, model, stream=t)
+            realized = typ.utilities[cols].copy()
+            if isinstance(model, DefaultNudge):
+                realized[np.array(cols) != model.default_action] -= eta * model.gamma
+            values.append(float(expected_value(probs.probs, realized)))
+            assert result.per_type[t].type_index == t
+            assert result.per_type[t].probs == probs
+            assert result.per_type[t].value == values[-1]
+        assert result.welfare == float(np.sum(pop.weights * np.array(values)))
+
+
+def test_mc_evaluation_of_one_subset_builds_no_count_table():
+    # One subset is tallied on the type's draws; the count table of every
+    # subset (14 x 2^14 float64, 1.8 MB here) is for the optimizer only.
+    pop = _random_population(np.random.default_rng(22), n_actions=14, n_types=2)
+    model = RandomUtilityMC(error=GumbelIID(scale=1.0), samples=100, seed=0)
+    tracemalloc.start()
+    try:
+        policy_welfare(pop, None, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**14 * 8 // 4
+
+
 def test_per_type_values_compose_welfare(line_population):
     result = policy_welfare(line_population, (0, 1), Logit(q=1.0))
     manual = sum(
@@ -326,6 +380,14 @@ def test_sensitivities_match_equivalent_forms():
         assert np.allclose(sens.prob_derivs, p * (u - v), atol=1e-12)
         assert abs(sens.prob_derivs.sum()) < 1e-12
         assert sens.welfare_deriv >= 0.0
+
+
+def test_sensitivities_read_a_one_pass_available_iterable_once():
+    u = np.array([0.3, -1.0, 2.0, 0.5])
+    expected = logit_sensitivities(u, (3, 0, 2), 1.5)
+    got = logit_sensitivities(u, iter([3, 0, 2]), 1.5)
+    assert np.array_equal(got.prob_derivs, expected.prob_derivs)
+    assert got.welfare_deriv == expected.welfare_deriv
 
 
 def test_sensitivities_match_finite_difference():
