@@ -178,6 +178,12 @@ def _csv_text(header, rows) -> str:
     return sio.getvalue()
 
 
+def _csv_lead(field: str) -> str:
+    """``field`` as csv.writer writes the first field of a row of several,
+    followed by the delimiter."""
+    return _csv_text((field, ""), ()).removesuffix("\r\n")
+
+
 # --- scenario plumbing ---
 
 
@@ -346,13 +352,21 @@ def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
     welfare = result.welfare.tolist()
     envelope = result.envelope.tolist()
     if args.format == "csv":
+        # The rows are the bytes csv.writer writes (its default dialect ends
+        # rows with CRLF) without a tuple per row through it: only a label can
+        # need quoting, never a number or a flag, so each label is quoted
+        # once. ``w:.12g`` is `_fmt` for the floats of ``tolist()``.
         q_text = [_fmt(q) for q in q_list]
-        rows = [
-            (label, q, _fmt(w), "true" if best == si else "false")
-            for si, label in enumerate(labels)
-            for q, w, best in zip(q_text, welfare[si], envelope)
-        ]
-        main_text = _csv_text(("subset_label", "q", "welfare", "is_envelope"), rows)
+        lines = [_csv_text(("subset_label", "q", "welfare", "is_envelope"), ())]
+        for si, label in enumerate(labels):
+            lead = _csv_lead(label)
+            lines.extend(
+                [
+                    f"{lead}{q},{w:.12g},{'true' if best == si else 'false'}\r\n"
+                    for q, w, best in zip(q_text, welfare[si], envelope)
+                ]
+            )
+        main_text = "".join(lines)
         crossing_rows = [
             (
                 _subset_label(actions, c.subset_a),

@@ -1,12 +1,17 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import csv
 import hashlib
+import io
 import json
 
+import numpy as np
 import pytest
 
 from choicewelfare import cli
 from choicewelfare.cli import main
+from choicewelfare.document import parse_scenario
+from choicewelfare.search import SweepGrid, sweep_logit
 
 
 def _write(tmp_path, name, payload) -> str:
@@ -333,6 +338,65 @@ def test_sweep_output_bytes_are_pinned(command, fmt, population_file, tmp_path, 
         for path in (out, tmp_path / f"rows.crossings.{fmt}")
     )
     assert digests in _SWEEP_SHA256[command, fmt]
+
+
+def test_sweep_csv_quotes_labels_as_csv_writer_does(tmp_path, capsys):
+    # The parser and ActionSet accept any distinct strings as labels, the
+    # empty one and line breaks included.
+    labels = ["a,b", 'say "hi"', " lead", "\u00e9t\u00e9", "", "two\r\nlines"]
+    rng = np.random.default_rng(3)
+    scenario = _write(
+        tmp_path,
+        "quoted.scn",
+        {
+            "schema_version": 1,
+            "population": {
+                "actions": labels,
+                "types": [
+                    {"utilities": row.tolist(), "weight": 0.125}
+                    for row in rng.normal(size=(8, len(labels)))
+                ],
+            },
+        },
+    )
+    out = tmp_path / "rows.csv"
+    argv = ["sweep", "--scenario", scenario, "--out", str(out)]
+    assert main(argv + ["--q-min", "0", "--q-max", "4", "--q-step", "0.5"]) == 0
+    capsys.readouterr()
+
+    pop = parse_scenario(scenario).population.population
+    result = sweep_logit(pop, SweepGrid.from_range(q_min=0.0, q_max=4.0, q_step=0.5))
+
+    def label(subset):
+        return "+".join(labels[i] for i in subset)
+
+    def csv_bytes(header, rows):
+        sio = io.StringIO()
+        writer = csv.writer(sio)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return sio.getvalue().encode("utf-8")
+
+    rows = [
+        (
+            label(subset),
+            format(float(q), ".12g"),
+            format(float(w), ".12g"),
+            "true" if best == si else "false",
+        )
+        for si, subset in enumerate(result.subsets)
+        for q, w, best in zip(result.grid.q_values, result.welfare[si], result.envelope)
+    ]
+    assert len(rows) == 63 * 9
+    assert out.read_bytes() == csv_bytes(("subset_label", "q", "welfare", "is_envelope"), rows)
+    crossings = [
+        (label(c.subset_a), label(c.subset_b), format(c.q_star, ".12g"))
+        for c in result.crossings
+    ]
+    assert crossings
+    assert (tmp_path / "rows.crossings.csv").read_bytes() == csv_bytes(
+        ("subset_a", "subset_b", "q"), crossings
+    )
 
 
 def test_sweep_json_format(hotelling_file, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicewelfare import _kernels as kernels
 
@@ -78,12 +80,23 @@ def _curve_one_q_at_a_time(weights, utilities, q_values):
         (3, 1, 50_000, False),
         (400, 1, 400, False),
         (120, 5, 300, True),
+        (50, 8, 400, False),
+        (30, 9, 600, False),
+        (40, 9, 400, True),
+        (20, 16, 500, False),
+        (25, 20, 300, False),
+        (60, 20, 150, True),
     ],
-    ids=["300-7-500", "40-3-2000", "10000-7-4", "3-1-50000", "400-1-400", "120-5-300-tied"],
+    ids=[
+        "300-7-500", "40-3-2000", "10000-7-4", "3-1-50000", "400-1-400", "120-5-300-tied",
+        "50-8-400", "30-9-600", "40-9-400-tied", "20-16-500", "25-20-300", "60-20-150-tied",
+    ],
 )
 def test_logit_welfare_curve_chunks_match_loop(n_types, k, n_q, tied):
     # The shapes span several chunks, and a single q that exceeds a chunk.
-    # Tied utilities are small integers, so many (q, type) rows have several
+    # From k = 8 on, numpy sums over actions with 8 running partials (k = 8
+    # and 16 exactly, 9 and 20 with a tail), which the kernel repeats. Tied
+    # utilities are small integers, so many (q, type) rows have several
     # maximal scores.
     assert n_types * k * n_q > 2 * kernels.CURVE_CHUNK_ELEMENTS
     rng = np.random.default_rng(n_types * k)
@@ -101,6 +114,33 @@ def test_logit_welfare_curve_chunks_match_loop(n_types, k, n_q, tied):
     # Chunking over q changes no arithmetic, so the curve is bit for bit the
     # loop's.
     assert np.array_equal(curve, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_types=st.integers(1, 60),
+    k=st.integers(1, 20),
+    n_q=st.integers(1, 300),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_logit_welfare_curve_is_bitwise_the_one_q_loop(n_types, k, n_q, tied, seed):
+    # A refiner that evaluates many q values in one call relies on each of
+    # them having the bits it has alone. q spans 1e-3..1e3, where exp of a
+    # shifted score underflows to 0.
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_types))
+    if tied:
+        utilities = rng.integers(-2, 3, size=(n_types, k)).astype(np.float64)
+    else:
+        utilities = rng.normal(scale=2.0, size=(n_types, k))
+    q_values = 10.0 ** rng.uniform(-3.0, 3.0, n_q)
+    q_values[rng.random(n_q) < 0.1] = 0.0
+    curve = kernels.logit_welfare_curve(weights, utilities, q_values)
+    assert np.array_equal(curve, _curve_one_q_at_a_time(weights, utilities, q_values))
+    i = int(rng.integers(n_q))
+    alone = kernels.logit_welfare_curve(weights, utilities, q_values[i:i + 1])
+    assert alone.tobytes() == curve[i:i + 1].tobytes()
 
 
 def test_logit_welfare_curve_q_zero_is_uniform_mean():

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choicewelfare import (
@@ -133,9 +133,31 @@ def test_logit_zero_q_is_uniform_property(case):
     assert np.all(cp.probs == 1.0 / len(available))
 
 
-def test_logit_large_q_approaches_argmax():
-    cp = choice_probabilities(U3, (0, 1, 2), Logit(q=200.0))
-    assert cp.probs[2] > 1.0 - 1e-12
+@st.composite
+def _unique_max_and_q(draw):
+    """Utilities with a unique maximum that beats the runner-up by a gap g,
+    and a q with q * g >= 40."""
+    k = draw(st.integers(2, 20))
+    others = draw(st.lists(st.floats(-100.0, 100.0), min_size=k - 1, max_size=k - 1))
+    best = draw(st.integers(0, k - 1))
+    runner_up = max(others)
+    top = runner_up + draw(st.floats(1e-3, 100.0))
+    gap = top - runner_up
+    q = 40.0 / gap * draw(st.floats(1.0, 1e3))
+    if q * gap < 40.0:
+        q = float(np.nextafter(q, np.inf))
+    utilities = np.array(others[:best] + [top] + others[best:])
+    return utilities, best, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unique_max_and_q())
+@example((U3, 2, 200.0))
+def test_logit_large_q_approaches_argmax(case):
+    # 1 - p_best <= (k - 1) * exp(-q * g) <= 19 * exp(-40), about 8e-17.
+    utilities, best, q = case
+    cp = choice_probabilities(utilities, range(utilities.shape[0]), Logit(q=q))
+    assert cp.probs[best] >= 1.0 - 1e-12
 
 
 def test_logit_overflow_safe_at_extreme_q():
