@@ -14,13 +14,17 @@ plus optional ``sweep`` (q grid) and ``mc`` (Monte Carlo sample count and
 seed defaults) sections.
 
 The tables below are the schema, and both the parser and the serializer read
-them. ``_TAGGED`` maps each family of tagged objects (error distributions,
-choice models, beliefs) and each ``kind`` value to its class and fields.
-``_SWEEP``, ``_MC``, ``_HOTELLING``, ``_OUTCOME`` (an x cell's outcome
-utilities), ``_Z_CELL`` and ``_X_CELL`` are untagged records; ``_TYPES`` (a
-population's utility types) and ``_X_CELLS`` are lists of untagged records. A field's key is its
-constructor argument's name unless the field names another (an x or z cell's
-``label``), and a key is required unless the constructor gives it a default.
+them. A record kind holds its class, its fields and the set of JSON keys its
+objects may hold; the fields and the key set are built once, with the
+tables, so parsing an object checks its keys against a ready set.
+``_TAGGED`` maps each family of tagged objects (error distributions, choice
+models, beliefs) and each ``kind`` value to its record kind, whose key set
+includes ``kind``. ``_SWEEP``, ``_MC``, ``_HOTELLING``, ``_OUTCOME`` (an x
+cell's outcome utilities), ``_Z_CELL`` and ``_X_CELL`` are untagged record
+kinds; ``_TYPES`` (a population's utility types) and ``_X_CELLS`` are lists
+of untagged records. A field's key is its constructor argument's name unless
+the field names another (an x or z cell's ``label``), and a key is required
+unless the constructor gives it a default.
 The optional keys are: every key of ``sweep`` (q_min 0, q_max 10, q_step
 0.05) and ``mc`` (samples 100000, seed 0); ``gumbel.scale`` (1);
 ``random_utility_mc.samples`` and ``.seed`` (the document's ``mc`` section);
@@ -42,7 +46,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Callable, NamedTuple, Optional
+from typing import AbstractSet, Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -164,9 +168,9 @@ def _require_object(value: Any, path: str) -> dict:
     return value
 
 
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
+def _check_keys(obj: dict, allowed: AbstractSet[str], path: str) -> None:
+    if not allowed.issuperset(obj):
+        unknown = sorted(set(obj) - allowed)
         raise ScenarioError(f"{path}: unknown field {unknown[0]!r}")
 
 
@@ -177,6 +181,9 @@ def _get(obj: dict, key: str, path: str) -> Any:
 
 
 def _as_number(value: Any, path: str) -> float:
+    # The common case: json reads a number with a fraction or exponent as float.
+    if type(value) is float and math.isfinite(value):
+        return value
     # bool is an int subclass; reject it explicitly.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: expected a number")
@@ -255,33 +262,49 @@ class _Codec(NamedTuple):
     absent: Optional[Callable[[_Context, str], Any]] = None
 
 
+class _Record(NamedTuple):
+    """One record kind: its constructor, its fields in reading order as
+    (argument name, JSON key, codec), and the JSON keys its objects may
+    hold. Built once, with the table."""
+
+    ctor: Callable
+    fields: tuple
+    keys: frozenset
+
+
+def _record_kind(ctor, fields: dict, tagged: bool = False) -> _Record:
+    """`fields` maps each constructor argument to its codec; the objects of a
+    tagged record kind also hold their "kind"."""
+    fields = tuple((name, codec.key or name, codec) for name, codec in fields.items())
+    keys = {key for _, key, _ in fields} | ({"kind"} if tagged else set())
+    return _Record(ctor, fields, frozenset(keys))
+
+
+def _tagged(ctor, fields: dict) -> _Record:
+    return _record_kind(ctor, fields, tagged=True)
+
+
 def _has_default(ctor, name: str) -> bool:
     param = inspect.signature(ctor).parameters[name]
     return param.default is not inspect.Parameter.empty
 
 
-def _json_keys(record) -> set:
-    return {codec.key or name for name, codec in record[1].items()}
-
-
-def _read_fields(obj: dict, path: str, record, ctx: _Context):
+def _read_fields(obj: dict, path: str, record: _Record, ctx: _Context):
     # The caller has checked that obj is an object with no unknown keys.
-    ctor, fields = record
     kwargs = {}
-    for name, codec in fields.items():
-        key = codec.key or name
+    for name, key, codec in record.fields:
         if key in obj:
             kwargs[name] = codec.read(obj[key], f"{path}.{key}", ctx)
         elif codec.absent is not None:
             kwargs[name] = codec.absent(ctx, name)
-        elif not _has_default(ctor, name):
+        elif not _has_default(record.ctor, name):
             raise ScenarioError(f"{path}: missing required field {key!r}")
-    return _build(path, ctor, **kwargs)
+    return _build(path, record.ctor, **kwargs)
 
 
-def _parse_record(value: Any, path: str, record, ctx: _Context = _Context()):
+def _parse_record(value: Any, path: str, record: _Record, ctx: _Context = _Context()):
     obj = _require_object(value, path)
-    _check_keys(obj, _json_keys(record), path)
+    _check_keys(obj, record.keys, path)
     return _read_fields(obj, path, record, ctx)
 
 
@@ -291,16 +314,16 @@ def _parse_tagged(family: str, value: Any, path: str, ctx: _Context = _Context()
     record = _TAGGED[family].get(kind)
     if record is None:
         raise ScenarioError(f"{path}.kind: unknown {family} {kind!r}")
-    _check_keys(obj, _json_keys(record) | {"kind"}, path)
+    _check_keys(obj, record.keys, path)
     return _read_fields(obj, path, record, ctx)
 
 
-def _record_to_json(obj, record, ctx: _Context = _Context()) -> dict:
+def _record_to_json(obj, record: _Record, ctx: _Context = _Context()) -> dict:
     out = {}
-    for name, codec in record[1].items():
+    for name, key, codec in record.fields:
         value = getattr(obj, name)
         if value is not None:
-            out[codec.key or name] = codec.write(value, ctx)
+            out[key] = codec.write(value, ctx)
     return out
 
 
@@ -318,10 +341,6 @@ _LABEL = _Codec(lambda v, path, ctx: _as_str(v, path), lambda v, ctx: v, key="la
 _NUMBER_ARRAY = _Codec(
     lambda v, path, ctx: _as_number_array(v, path),
     lambda v, ctx: [float(x) for x in v],
-)
-_NUMBER_TUPLE = _Codec(
-    lambda v, path, ctx: tuple(_as_number_array(v, path).tolist()),
-    lambda v, ctx: list(v),
 )
 _ACTION_LABEL = _Codec(
     lambda v, path, ctx: _build(path, ctx.actions.index_of, _as_str(v, path)),
@@ -353,22 +372,22 @@ def _list_of(item: _Codec) -> _Codec:
     )
 
 
-# family noun -> "kind" value -> (class, {argument name: codec}).
+# family noun -> "kind" value -> record kind.
 _TAGGED = {
     "error distribution": {
-        "gumbel": (GumbelIID, {"scale": _NUMBER}),
-        "uniform_bounded": (UniformBoundedIID, {"delta": _NUMBER}),
-        "normal": (NormalIID, {"sigma": _NUMBER}),
+        "gumbel": _tagged(GumbelIID, {"scale": _NUMBER}),
+        "uniform_bounded": _tagged(UniformBoundedIID, {"delta": _NUMBER}),
+        "normal": _tagged(NormalIID, {"sigma": _NUMBER}),
     },
     "model kind": {
-        "rational_max": (RationalMax, {}),
-        "independent_table": (IndependentTable, {"probs": _NUMBER_ARRAY}),
-        "alpha_rational": (
+        "rational_max": _tagged(RationalMax, {}),
+        "independent_table": _tagged(IndependentTable, {"probs": _NUMBER_ARRAY}),
+        "alpha_rational": _tagged(
             AlphaRational,
             {"alpha": _NUMBER, "background": _NUMBER_ARRAY},
         ),
-        "logit": (Logit, {"q": _NUMBER}),
-        "random_utility_mc": (
+        "logit": _tagged(Logit, {"q": _NUMBER}),
+        "random_utility_mc": _tagged(
             RandomUtilityMC,
             {
                 "error": _one_of("error distribution"),
@@ -376,7 +395,7 @@ _TAGGED = {
                 "seed": _MC_INT,
             },
         ),
-        "default_nudge": (
+        "default_nudge": _tagged(
             DefaultNudge,
             {
                 "default_action": _ACTION_LABEL,
@@ -386,29 +405,31 @@ _TAGGED = {
         ),
     },
     "belief kind": {
-        "point_mass": (PointMassBelief, {"pi": _NUMBER}),
-        "uniform": (UniformBelief, {"lo": _NUMBER, "hi": _NUMBER}),
-        "beta": (BetaBelief, {"a": _NUMBER, "b": _NUMBER}),
-        "mixture": (
+        "point_mass": _tagged(PointMassBelief, {"pi": _NUMBER}),
+        "uniform": _tagged(UniformBelief, {"lo": _NUMBER, "hi": _NUMBER}),
+        "beta": _tagged(BetaBelief, {"a": _NUMBER, "b": _NUMBER}),
+        "mixture": _tagged(
             MixtureBelief,
             {
                 "components": _list_of(_one_of("belief kind")),
-                "weights": _NUMBER_TUPLE,
+                "weights": _list_of(_NUMBER),
             },
         ),
-        "empirical": (EmpiricalBelief, {"samples": _NUMBER_ARRAY}),
+        "empirical": _tagged(EmpiricalBelief, {"samples": _NUMBER_ARRAY}),
     },
 }
 _KIND_OF = {
-    record[0]: (kind, record)
+    record.ctor: (kind, record)
     for family in _TAGGED.values()
     for kind, record in family.items()
 }
 
-# Untagged records: (constructor, {argument name: codec}).
-_SWEEP = (SweepConfig, {"q_min": _NUMBER, "q_max": _NUMBER, "q_step": _NUMBER})
-_MC = (MCConfig, {"samples": _INT, "seed": _INT})
-_HOTELLING = (
+# Untagged records.
+_SWEEP = _record_kind(
+    SweepConfig, {"q_min": _NUMBER, "q_max": _NUMBER, "q_step": _NUMBER}
+)
+_MC = _record_kind(MCConfig, {"samples": _INT, "seed": _INT})
+_HOTELLING = _record_kind(
     HotellingScenario,
     {
         "store_locations": _NUMBER_ARRAY,
@@ -417,11 +438,13 @@ _HOTELLING = (
     },
 )
 _TYPES = _list_of(
-    _record((UtilityType, {"utilities": _NUMBER_ARRAY, "weight": _NUMBER}))
+    _record(
+        _record_kind(UtilityType, {"utilities": _NUMBER_ARRAY, "weight": _NUMBER})
+    )
 )
 # Outcome utility u{y}_{a|b} is values[y, 0|1]: OutcomeUtilities.values is
 # laid out [y][treatment].
-_OUTCOME = (
+_OUTCOME = _record_kind(
     OutcomeUtilities.from_components,
     {"u0_a": _NUMBER, "u1_a": _NUMBER, "u0_b": _NUMBER, "u1_b": _NUMBER},
 )
@@ -435,7 +458,7 @@ _OUTCOME_UTILITIES = _Codec(
 )
 # A z cell reads its belief before its label, so of two bad fields the
 # belief's error is the one reported.
-_Z_CELL = (
+_Z_CELL = _record_kind(
     CovariateCell,
     {
         "belief": _one_of("belief kind"),
@@ -444,7 +467,7 @@ _Z_CELL = (
         "p_xz": _NUMBER,
     },
 )
-_X_CELL = (
+_X_CELL = _record_kind(
     XCell,
     {
         "x_label": _LABEL,

@@ -269,7 +269,8 @@ class UniformBelief:
         object.__setattr__(self, "hi", hi)
 
     def prob_le(self, x: float) -> float:
-        return float(np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0))
+        # min and max give np.clip's bits, -0.0 and NaN included.
+        return float(min(max((x - self.lo) / (self.hi - self.lo), 0.0), 1.0))
 
     prob_lt = prob_le  # continuous distribution: no atoms
 
@@ -296,7 +297,7 @@ class BetaBelief:
 
     def __post_init__(self):
         a, b = float(self.a), float(self.b)
-        if not (np.isfinite(a) and np.isfinite(b) and a > 0.0 and b > 0.0):
+        if not (math.isfinite(a) and math.isfinite(b) and a > 0.0 and b > 0.0):
             raise ValueError("beta parameters must be positive and finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -364,11 +365,12 @@ class EmpiricalBelief:
 
     __eq__ = _fields_equal
 
+    # Both counts are exact and the division rounds once, as in np.mean.
     def prob_le(self, x: float) -> float:
-        return float(np.mean(self.samples <= x))
+        return np.count_nonzero(self.samples <= x) / self.samples.shape[0]
 
     def prob_lt(self, x: float) -> float:
-        return float(np.mean(self.samples < x))
+        return np.count_nonzero(self.samples < x) / self.samples.shape[0]
 
 
 BeliefModel = Union[
@@ -400,7 +402,7 @@ class CovariateCell:
     def __post_init__(self):
         p_z = float(self.p_z_given_x)
         p = float(self.p_xz)
-        if not (np.isfinite(p_z) and p_z > 0.0):
+        if not (math.isfinite(p_z) and p_z > 0.0):
             raise ValueError("p_z_given_x must be strictly positive")
         if not (0.0 <= p <= 1.0):
             raise ValueError("p_xz must lie in [0, 1]")
@@ -420,7 +422,7 @@ class XCell:
 
     def __post_init__(self):
         weight = float(self.weight)
-        if not (np.isfinite(weight) and weight > 0.0):
+        if not (math.isfinite(weight) and weight > 0.0):
             raise ValueError("x-cell weight must be strictly positive")
         z_cells = tuple(self.z_cells)
         if len(z_cells) == 0:
@@ -437,7 +439,9 @@ class XCell:
             warnings.warn(
                 f"x cell {self.x_label!r}: p_xz is constant across z; private "
                 "information is worthless here",
-                stacklevel=2,
+                # Past __post_init__ and the dataclass's generated __init__,
+                # to the code that built the cell.
+                stacklevel=3,
             )
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "x_label", str(self.x_label))
@@ -475,6 +479,21 @@ def expected_outcome_utility(p: float, u: OutcomeUtilities, treatment: str) -> f
     return p * float(u.values[1, col]) + (1.0 - p) * float(u.values[0, col])
 
 
+def _z_utilities(cell: XCell) -> list[tuple[float, float]]:
+    """(EU_A, EU_B) at each z cell's outcome probability, in z order.
+
+    expected_outcome_utility's expression on Python floats, so the bits are
+    its bits. The per-x operations below share one such list; it is built
+    per call and kept on no object.
+    """
+    (u0_a, u0_b), (u1_a, u1_b) = cell.utilities.values.tolist()
+    eus = []
+    for z in cell.z_cells:
+        p = z.p_xz
+        eus.append((p * u1_a + (1.0 - p) * u0_a, p * u1_b + (1.0 - p) * u0_b))
+    return eus
+
+
 def aggregate_outcome_prob(cell: XCell) -> float:
     """P(y=1 | x): the z-mixture of the cell's outcome probabilities."""
     return float(sum(z.p_z_given_x * z.p_xz for z in cell.z_cells))
@@ -510,12 +529,14 @@ def optimal_decentralized_x(cell: XCell) -> DecentralizedOutcome:
     z_a collects cells where A is weakly best (ties included, per the shared
     tie-break); z_b collects cells where B is strictly better.
     """
+    return _decentralized(cell, _z_utilities(cell))
+
+
+def _decentralized(cell: XCell, eus) -> DecentralizedOutcome:
     welfare = 0.0
     z_a: list[str] = []
     z_b: list[str] = []
-    for z in cell.z_cells:
-        eu_a = expected_outcome_utility(z.p_xz, cell.utilities, TREATMENT_A)
-        eu_b = expected_outcome_utility(z.p_xz, cell.utilities, TREATMENT_B)
+    for z, (eu_a, eu_b) in zip(cell.z_cells, eus):
         if eu_a >= eu_b:
             z_a.append(z.z_label)
             welfare += z.p_z_given_x * eu_a
@@ -544,12 +565,14 @@ def value_of_information(cell: XCell) -> InformationValue:
     the optimal x mandate. When the mandate is B the treatment roles swap
     symmetrically; when no cell beats the mandate, all components are 0."""
     mandated = optimal_mandate_x(cell).treatment
-    other = TREATMENT_B if mandated == TREATMENT_A else TREATMENT_A
+    return _information_value(cell, mandated, _z_utilities(cell))
+
+
+def _information_value(cell: XCell, mandated: str, eus) -> InformationValue:
     p_better = 0.0
     weighted_gain = 0.0
-    for z in cell.z_cells:
-        eu_m = expected_outcome_utility(z.p_xz, cell.utilities, mandated)
-        eu_o = expected_outcome_utility(z.p_xz, cell.utilities, other)
+    for z, (eu_a, eu_b) in zip(cell.z_cells, eus):
+        eu_m, eu_o = (eu_a, eu_b) if mandated == TREATMENT_A else (eu_b, eu_a)
         if eu_o > eu_m:
             p_better += z.p_z_given_x
             weighted_gain += z.p_z_given_x * (eu_o - eu_m)
@@ -600,17 +623,23 @@ def belief_choice_prob(cell: CovariateCell, u: OutcomeUtilities) -> float:
     the two expected utilities at the cell's objective probability; when
     they are equal both treatments are optimal and q = 1 by definition.
     """
-    if cell.belief is None:
-        raise ValueError(f"z cell {cell.z_label!r} has no belief model")
     eu_a = expected_outcome_utility(cell.p_xz, u, TREATMENT_A)
     eu_b = expected_outcome_utility(cell.p_xz, u, TREATMENT_B)
+    return _choice_prob(cell, eu_a, eu_b, u.values.tolist())
+
+
+def _choice_prob(cell: CovariateCell, eu_a: float, eu_b: float, utilities) -> float:
+    # `utilities` is OutcomeUtilities.values as nested lists of floats.
+    if cell.belief is None:
+        raise ValueError(f"z cell {cell.z_label!r} has no belief model")
     if eu_a == eu_b:
         return 1.0
     optimal_is_a = eu_a > eu_b
 
     # EU_A(p) - EU_B(p) is linear in p: d0 + p * (d1 - d0).
-    d0 = float(u.values[0, 0] - u.values[0, 1])  # u(0,A) - u(0,B)
-    d1 = float(u.values[1, 0] - u.values[1, 1])  # u(1,A) - u(1,B)
+    (u0_a, u0_b), (u1_a, u1_b) = utilities
+    d0 = u0_a - u0_b
+    d1 = u1_a - u1_b
     slope = d1 - d0
     if slope == 0.0:
         # Subjective choice ignores pi entirely and matches the objective
@@ -627,16 +656,18 @@ def belief_choice_prob(cell: CovariateCell, u: OutcomeUtilities) -> float:
 def bounded_rational_welfare_x(cell: XCell, q_map: Mapping[str, float]) -> float:
     """Decentralized welfare when a fraction q_xz of each z cell makes the
     objectively optimal choice and the rest take the other treatment."""
+    return _bounded_welfare(cell, q_map, _z_utilities(cell))
+
+
+def _bounded_welfare(cell: XCell, q_map: Mapping[str, float], eus) -> float:
     welfare = 0.0
-    for z in cell.z_cells:
+    for z, (eu_a, eu_b) in zip(cell.z_cells, eus):
         try:
             q = float(q_map[z.z_label])
         except KeyError:
             raise ValueError(f"q_map missing z cell {z.z_label!r}") from None
         if not (0.0 <= q <= 1.0):
             raise ValueError(f"q for z cell {z.z_label!r} must lie in [0, 1]")
-        eu_a = expected_outcome_utility(z.p_xz, cell.utilities, TREATMENT_A)
-        eu_b = expected_outcome_utility(z.p_xz, cell.utilities, TREATMENT_B)
         eu_opt, eu_other = (eu_a, eu_b) if eu_a >= eu_b else (eu_b, eu_a)
         welfare += z.p_z_given_x * (q * eu_opt + (1.0 - q) * eu_other)
     return welfare
@@ -644,8 +675,14 @@ def bounded_rational_welfare_x(cell: XCell, q_map: Mapping[str, float]) -> float
 
 def belief_q_map(cell: XCell) -> dict[str, float]:
     """belief_choice_prob for every z cell, keyed by z label."""
+    return _q_map(cell, _z_utilities(cell))
+
+
+def _q_map(cell: XCell, eus) -> dict[str, float]:
+    utilities = cell.utilities.values.tolist()
     return {
-        z.z_label: belief_choice_prob(z, cell.utilities) for z in cell.z_cells
+        z.z_label: _choice_prob(z, eu_a, eu_b, utilities)
+        for z, (eu_a, eu_b) in zip(cell.z_cells, eus)
     }
 
 
@@ -661,7 +698,8 @@ def compare_policies_x(cell: XCell) -> str:
     decentralization (with q from the cell's beliefs); 'decentralize'
     otherwise, including ties (the less restrictive policy)."""
     mandate_welfare = optimal_mandate_x(cell).welfare
-    decentralized = bounded_rational_welfare_x(cell, belief_q_map(cell))
+    eus = _z_utilities(cell)
+    decentralized = _bounded_welfare(cell, _q_map(cell, eus), eus)
     return _recommendation(mandate_welfare, decentralized)
 
 
@@ -692,15 +730,22 @@ class TreatmentReport:
 
 
 def build_report(scenario: TreatmentScenario) -> TreatmentReport:
-    """Analyze every x cell; requires beliefs on every z cell."""
+    """Analyze every x cell; requires beliefs on every z cell.
+
+    Each field is the one its public function (optimal_mandate_x,
+    optimal_decentralized_x, value_of_information, belief_q_map,
+    bounded_rational_welfare_x) computes, bit for bit; the z cells' expected
+    utilities are computed once per x cell and shared.
+    """
     reports = []
     aggregate = 0.0
     for cell in scenario.x_cells:
+        eus = _z_utilities(cell)
         mandate = optimal_mandate_x(cell)
-        decentralized = optimal_decentralized_x(cell)
-        info = value_of_information(cell)
-        q_map = belief_q_map(cell)
-        bounded = bounded_rational_welfare_x(cell, q_map)
+        decentralized = _decentralized(cell, eus)
+        info = _information_value(cell, mandate.treatment, eus)
+        q_map = _q_map(cell, eus)
+        bounded = _bounded_welfare(cell, q_map, eus)
         recommendation = _recommendation(mandate.welfare, bounded)
         reports.append(
             XReport(

@@ -254,13 +254,46 @@ def test_mc_stream_changes_draws():
     assert a != b
 
 
-def test_mc_gumbel_matches_analytic_logit():
-    # Gumbel errors with scale 1/q reproduce the logit model.
-    q = 2.0
-    model = RandomUtilityMC(error=GumbelIID(scale=1.0 / q), samples=100_000, seed=11)
-    mc = choice_probabilities(U3, (0, 1, 2), model)
-    analytic = choice_probabilities(U3, (0, 1, 2), Logit(q=q))
-    assert np.max(np.abs(mc.probs - analytic.probs)) < 0.01
+# Draws per Monte Carlo estimate, and the standard errors it may stray.
+_GUMBEL_SAMPLES = 20_000
+_GUMBEL_Z = 6.0
+
+
+@st.composite
+def _gumbel_case(draw):
+    """Utilities in [-1, 1] on k = 2..6 actions, a non-empty subset, q in
+    [0.05, 3] and a seed. q times the utility range is at most 6, so every
+    logit probability is at least exp(-6) / 6, about 4e-4, and each action
+    expects at least 8 of the draws."""
+    k = draw(st.integers(2, 6))
+    utilities = np.array(
+        draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k))
+    )
+    available = tuple(
+        sorted(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k)))
+    )
+    q = draw(st.floats(0.05, 3.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return utilities, available, q, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gumbel_case())
+@example((U3, (0, 1, 2), 2.0, 11))
+def test_mc_gumbel_matches_analytic_logit(case):
+    # Gumbel errors with scale 1/q reproduce the logit model. Each Monte
+    # Carlo share is a binomial proportion of n draws, so it lies within z
+    # standard errors sqrt(p (1 - p) / n) of the logit probability p. At
+    # z = 6 an action fails by chance with probability 2e-9 at p = 1/2, and
+    # 6e-7 (the binomial's upper tail) at the smallest p the strategy allows.
+    utilities, available, q, seed = case
+    model = RandomUtilityMC(
+        error=GumbelIID(scale=1.0 / q), samples=_GUMBEL_SAMPLES, seed=seed
+    )
+    mc = choice_probabilities(utilities, available, model).probs
+    p = choice_probabilities(utilities, available, Logit(q=q)).probs
+    standard_error = np.sqrt(p * (1.0 - p) / _GUMBEL_SAMPLES)
+    assert np.all(np.abs(mc - p) <= _GUMBEL_Z * standard_error)
 
 
 def test_mc_probs_sum_to_one_exactly():

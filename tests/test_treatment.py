@@ -1,8 +1,11 @@
 """Binary-treatment policy analysis: beliefs, mandates, VOI, guideline use."""
 
+import hashlib
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -363,7 +366,7 @@ def test_cell_validation():
 
 def test_uninformative_signal_warns():
     u = OutcomeUtilities.from_components(u0_a=1.0, u1_a=0.0, u0_b=0.5, u1_b=1.0)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         XCell(
             x_label="x",
             weight=1.0,
@@ -373,6 +376,8 @@ def test_uninformative_signal_warns():
                 CovariateCell(z_label="z2", p_z_given_x=0.5, p_xz=0.3),
             ),
         )
+    # Reported where the cell was built, not in the dataclass's __init__.
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_scenario_weights_must_sum_to_one(reference_cell):
@@ -983,3 +988,267 @@ def test_treatment_exits_3_when_the_incomplete_beta_cannot_answer(tmp_path, caps
     assert captured.out == ""
     assert captured.err.startswith("error: regularized incomplete beta")
     assert "a=1e+300, b=1e+300" in captured.err
+
+
+# --- the report's bytes, pinned ---
+
+
+def _a_region_root(u0_a: float, u1_a: float, u0_b: float, u1_b: float) -> float:
+    """The subjective probability at which both treatments tie, computed as
+    belief_choice_prob computes it, so a sample placed here ties exactly."""
+    d0 = u0_a - u0_b
+    return -d0 / ((u1_a - u1_b) - d0)
+
+
+def _pinned_belief(rng, kind: int, root: float) -> dict:
+    if kind == 0:
+        # Every other point mass sits on the indifference point.
+        pi = root if rng.random() < 0.5 else rng.random()
+        return {"kind": "point_mass", "pi": pi}
+    if kind == 1:
+        lo, hi = sorted((rng.random(), rng.random()))
+        return {"kind": "uniform", "lo": lo, "hi": hi}
+    if kind == 2:
+        return {"kind": "beta", "a": rng.uniform(0.3, 6.0), "b": rng.uniform(0.3, 6.0)}
+    if kind == 3:
+        # Both parameters at least 8: the prefactor's Stirling branch.
+        a, b = rng.uniform(8.0, 400.0), rng.uniform(8.0, 400.0)
+        return {"kind": "beta", "a": a, "b": b}
+    if kind == 4:
+        lo, hi = sorted((rng.random(), rng.random()))
+        weights = [rng.uniform(0.5, 1.5) for _ in range(3)]
+        return {
+            "kind": "mixture",
+            "components": [
+                {"kind": "point_mass", "pi": rng.random()},
+                {"kind": "uniform", "lo": lo, "hi": hi},
+                {"kind": "beta", "a": rng.uniform(0.5, 20.0), "b": rng.uniform(0.5, 20.0)},
+            ],
+            "weights": [w / sum(weights) for w in weights],
+        }
+    # Samples that tie at the threshold, where prob_le and prob_lt differ.
+    samples = [rng.random() for _ in range(rng.randint(1, 40))]
+    samples += [root] * rng.randint(1, 4)
+    rng.shuffle(samples)
+    return {"kind": "empirical", "samples": samples}
+
+
+def _pinned_report_scenario() -> dict:
+    """A treatment scenario from random.Random(0), independent of numpy: all
+    five belief kinds, opposed and reversed utilities (so both the prob_le
+    and the prob_lt side of the threshold are read), mandates of A and B."""
+    rng = random.Random(0)
+    n_x = 18
+    x_weights = [rng.uniform(0.5, 1.5) for _ in range(n_x)]
+    x_cells = []
+    for i, x_weight in enumerate(x_weights):
+        wins, loses = rng.uniform(0.0, 1.0), rng.uniform(-1.0, 0.0)
+        other_wins, other_loses = rng.uniform(0.0, 1.0), rng.uniform(-1.0, 0.0)
+        if i % 3 == 2:
+            # A is best when y = 1: the threshold's A side lies above it.
+            u = {"u0_a": loses, "u1_a": wins, "u0_b": other_wins, "u1_b": other_loses}
+        else:
+            u = {"u0_a": wins, "u1_a": loses, "u0_b": other_loses, "u1_b": other_wins}
+        root = _a_region_root(u["u0_a"], u["u1_a"], u["u0_b"], u["u1_b"])
+        n_z = rng.randint(2, 9)
+        shares = [rng.uniform(0.2, 1.8) for _ in range(n_z)]
+        z_cells = [
+            {
+                "label": f"z{j}",
+                "p_z_given_x": share / sum(shares),
+                "p_xz": rng.uniform(0.0, 1.0),
+                "belief": _pinned_belief(rng, (i + j) % 6, root),
+            }
+            for j, share in enumerate(shares)
+        ]
+        x_cells.append(
+            {
+                "label": f"x{i}",
+                "weight": x_weight / sum(x_weights),
+                "utilities": u,
+                "z_cells": z_cells,
+            }
+        )
+    return {"schema_version": 1, "treatment": {"x_cells": x_cells}}
+
+
+# sha256 of the `treatment` JSON report on _pinned_report_scenario(). Its
+# floats come from Python float arithmetic and libm (the Beta CDF's log,
+# exp and lgamma), not from numpy's SIMD code.
+_REPORT_SHA256 = "b821954776c43d86ac74ec371a0991c452c86f1a5840cdf244be5125807c7925"
+
+
+def test_pinned_report_scenario_covers_what_it_claims():
+    doc = json.loads(json.dumps(_pinned_report_scenario()))
+    beliefs = [
+        z["belief"] for x in doc["treatment"]["x_cells"] for z in x["z_cells"]
+    ]
+    kinds = {b["kind"] for b in beliefs}
+    assert kinds == {"point_mass", "uniform", "beta", "mixture", "empirical"}
+    assert any(b["kind"] == "beta" and min(b["a"], b["b"]) >= 8.0 for b in beliefs)
+    ties = 0
+    for x in doc["treatment"]["x_cells"]:
+        root = _a_region_root(**x["utilities"])
+        for z in x["z_cells"]:
+            if z["belief"]["kind"] == "empirical":
+                belief = EmpiricalBelief(samples=np.array(z["belief"]["samples"]))
+                ties += belief.prob_le(root) > belief.prob_lt(root)
+    assert ties > 0
+
+
+def test_treatment_report_bytes_are_pinned(tmp_path):
+    scenario = tmp_path / "pinned.scn"
+    scenario.write_text(json.dumps(_pinned_report_scenario()), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["treatment", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _REPORT_SHA256
+
+
+# --- the report's fast paths are the plain forms, bit for bit ---
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+_EDGE_XS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _samples_and_x(draw):
+    sample = st.floats(0.0, 1.0) | st.sampled_from((-0.0, 0.25, 0.5))
+    samples = draw(st.lists(sample, min_size=1, max_size=60))
+    x = draw(
+        st.sampled_from(samples) | st.sampled_from(_EDGE_XS) | st.floats(-0.5, 1.5)
+    )
+    return samples, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_samples_and_x())
+@example(([0.0, 0.5, 0.5, 1.0], 0.5))
+@example(([-0.0, 0.0, 0.3], -0.0))
+def test_empirical_cdf_is_the_mean_of_the_indicator(case):
+    samples, x = case
+    belief = EmpiricalBelief(samples=np.array(samples))
+    arr = np.array(samples)
+    assert _bits(belief.prob_le(x)) == _bits(float(np.mean(arr <= x)))
+    assert _bits(belief.prob_lt(x)) == _bits(float(np.mean(arr < x)))
+
+
+@st.composite
+def _uniform_and_x(draw):
+    lo = draw(st.floats(0.0, 0.99) | st.sampled_from((0.0, -0.0)))
+    hi = draw(st.floats(lo, 1.0).filter(lambda hi: hi > lo))
+    x = draw(
+        st.sampled_from((lo, hi))
+        | st.sampled_from(_EDGE_XS[:4])
+        | st.floats(-1.0, 2.0)
+        | st.floats(lo, hi)
+    )
+    return lo, hi, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_uniform_and_x())
+@example((0.0, 0.5, -0.0))
+@example((0.25, 0.5, 0.0))
+@example((0.25, 0.5, 1.5))
+def test_uniform_cdf_is_the_clipped_ramp(case):
+    # Below lo the ramp is negative and above hi beyond 1; at x = -0.0 on
+    # lo = 0.0 it is -0.0, which np.clip keeps.
+    lo, hi, x = case
+    belief = UniformBelief(lo=lo, hi=hi)
+    expected = float(np.clip((x - lo) / (hi - lo), 0.0, 1.0))
+    assert _bits(belief.prob_le(x)) == _bits(expected)
+    assert _bits(belief.prob_lt(x)) == _bits(expected)
+
+
+@st.composite
+def _any_belief(draw):
+    kinds = ("point_mass", "uniform", "beta", "mixture", "empirical")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "point_mass":
+        return PointMassBelief(pi=draw(st.floats(0.0, 1.0)))
+    if kind == "uniform":
+        lo = draw(st.floats(0.0, 0.9))
+        return UniformBelief(lo=lo, hi=draw(st.floats(lo + 0.05, 1.0)))
+    if kind == "beta":
+        return BetaBelief(a=draw(st.floats(0.1, 60.0)), b=draw(st.floats(0.1, 60.0)))
+    if kind == "empirical":
+        samples = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+        return EmpiricalBelief(samples=np.array(samples))
+    parts = draw(st.lists(st.floats(0.5, 1.5), min_size=1, max_size=3))
+    components = tuple(
+        PointMassBelief(pi=draw(st.floats(0.0, 1.0)))
+        if i % 2 == 0
+        else BetaBelief(a=draw(st.floats(0.1, 20.0)), b=draw(st.floats(0.1, 20.0)))
+        for i in range(len(parts))
+    )
+    weights = [w / sum(parts) for w in parts]
+    return MixtureBelief(components=components, weights=weights)
+
+
+@st.composite
+def _x_cell_with_beliefs(draw, label):
+    # Utilities of either sign: opposed, reversed, dominated and flat gaps.
+    value = st.sampled_from((-1.0, 0.0, 0.5, 1.0)) | st.floats(-2.0, 2.0)
+    u = draw(st.lists(value, min_size=4, max_size=4))
+    shares = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=6))
+    z_cells = tuple(
+        CovariateCell(
+            z_label=f"z{j}",
+            p_z_given_x=share / sum(shares),
+            p_xz=draw(st.floats(0.0, 1.0) | st.sampled_from((0.0, 0.5, 1.0))),
+            belief=draw(_any_belief()),
+        )
+        for j, share in enumerate(shares)
+    )
+    return XCell(
+        x_label=label,
+        weight=1.0,
+        utilities=OutcomeUtilities.from_components(*u),
+        z_cells=z_cells,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:.*private information is worthless:UserWarning")
+@settings(max_examples=200, deadline=None)
+@given(_x_cell_with_beliefs("x"))
+def test_build_report_fields_are_the_public_functions(cell):
+    report = build_report(TreatmentScenario(x_cells=(cell,)))
+    x = report.per_x[0]
+    mandate = optimal_mandate_x(cell)
+    decentralized = optimal_decentralized_x(cell)
+    info = value_of_information(cell)
+    q_map = belief_q_map(cell)
+    assert x.mandate_treatment == mandate.treatment
+    assert _bits(x.mandate_welfare) == _bits(mandate.welfare)
+    assert _bits(x.decentralized_welfare) == _bits(decentralized.welfare)
+    assert (x.z_a, x.z_b) == (decentralized.z_a, decentralized.z_b)
+    assert [_bits(v) for v in (info.voi, info.p_better, info.mean_gain)] == [
+        _bits(v)
+        for v in (
+            x.information_value.voi,
+            x.information_value.p_better,
+            x.information_value.mean_gain,
+        )
+    ]
+    # belief_choice_prob reads the expected utilities through
+    # expected_outcome_utility; the report shares one pass per x cell.
+    by_z = {z.z_label: belief_choice_prob(z, cell.utilities) for z in cell.z_cells}
+    assert [(k, _bits(v)) for k, v in x.q_by_z] == [
+        (k, _bits(v)) for k, v in sorted(q_map.items())
+    ]
+    assert {k: _bits(v) for k, v in by_z.items()} == {
+        k: _bits(v) for k, v in q_map.items()
+    }
+    bounded = bounded_rational_welfare_x(cell, q_map)
+    assert _bits(x.bounded_rational_welfare) == _bits(bounded)
+    for z, (eu_a, eu_b) in zip(cell.z_cells, treatment._z_utilities(cell)):
+        assert _bits(eu_a) == _bits(
+            expected_outcome_utility(z.p_xz, cell.utilities, TREATMENT_A)
+        )
+        assert _bits(eu_b) == _bits(
+            expected_outcome_utility(z.p_xz, cell.utilities, TREATMENT_B)
+        )
