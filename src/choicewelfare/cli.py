@@ -11,11 +11,11 @@ Subcommands:
 * ``treatment`` - binary-treatment report (mandate vs decentralization).
 * ``hotelling`` - sweep of the bundled (or given) line-location scenario.
 
-Reports (evaluate/optimize/treatment) are JSON; plot data (sweep/hotelling)
-defaults to CSV with 12-significant-digit floats. Outputs are written
-atomically (temp file + rename). Exit codes: 0 success, 1 usage error,
-2 scenario validation error, 3 runtime error (out of memory included) or
-write error.
+Reports (evaluate/optimize/treatment) are JSON and take no --format flag;
+plot data (sweep/hotelling) is CSV with 12-significant-digit floats, or JSON
+with --format json. Outputs are written atomically (temp file + rename).
+Exit codes: 0 success, 1 usage error, 2 scenario validation error,
+3 runtime error (out of memory included) or write error.
 """
 
 import argparse
@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument("--samples", type=int, help="Monte Carlo sample override")
     evaluate.add_argument("--seed", type=int, help="Monte Carlo seed override")
-    evaluate.add_argument("--format", choices=("csv", "json"), default="json")
 
     optimize = sub.add_parser(
         "optimize", help="exhaustive best choice set under one model"
@@ -102,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument("--samples", type=int, help="Monte Carlo sample override")
     optimize.add_argument("--seed", type=int, help="Monte Carlo seed override")
-    optimize.add_argument("--format", choices=("csv", "json"), default="json")
 
     def add_sweep_flags(p):
         p.add_argument("--q-min", type=float, help="lowest rationality scale")
@@ -123,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "treatment", help="mandate vs decentralization report"
     )
     add_common(treatment)
-    treatment.add_argument("--format", choices=("csv", "json"), default="json")
 
     hotelling = sub.add_parser(
         "hotelling", help="sweep the bundled (or given) line-location scenario"
@@ -258,19 +255,10 @@ def _sweep_config(doc: ScenarioDocument, args) -> SweepConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _require_json_format(args):
-    if args.format != "json":
-        raise _UsageError(
-            f"--format {args.format} is not supported for {args.command}; "
-            "reports are JSON"
-        )
-
-
 # --- subcommands ---
 
 
 def _cmd_evaluate(args) -> int:
-    _require_json_format(args)
     _check_samples(args)
     doc = _load(args)
     section = _require_kind(doc, "population", "evaluate")
@@ -303,7 +291,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    _require_json_format(args)
     _check_samples(args)
     doc = _load(args)
     section = _require_kind(doc, "population", "optimize")
@@ -431,7 +418,6 @@ def _cmd_hotelling(args) -> int:
 
 
 def _cmd_treatment(args) -> int:
-    _require_json_format(args)
     doc = _load(args)
     scenario: TreatmentScenario = _require_kind(doc, "treatment", "treatment")
     for i, cell in enumerate(scenario.x_cells):

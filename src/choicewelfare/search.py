@@ -130,23 +130,6 @@ def enumerate_choice_sets(actions: ActionSet) -> list[tuple[int, ...]]:
     return out
 
 
-def _subset_matrix(matrix: NDArray[np.float64], subset) -> NDArray[np.float64]:
-    return np.ascontiguousarray(matrix[:, list(subset)])
-
-
-def _gap_at(weights, matrix_a, matrix_b):
-    """The welfare gap W_a(q) - W_b(q) at one q, as a function of q."""
-
-    def gap(q: float) -> float:
-        qarr = np.array([q])
-        return float(
-            logit_welfare_curve(weights, matrix_a, qarr)[0]
-            - logit_welfare_curve(weights, matrix_b, qarr)[0]
-        )
-
-    return gap
-
-
 def sweep_logit(pop: Population, grid: Optional[SweepGrid] = None) -> SweepResult:
     """Evaluate every subset under Logit(q) across the grid.
 
@@ -159,31 +142,8 @@ def sweep_logit(pop: Population, grid: Optional[SweepGrid] = None) -> SweepResul
     if grid is None:
         grid = SweepGrid.from_range()
     subsets = tuple(enumerate_choice_sets(pop.actions))
-    qs = grid.q_values
-    weights, matrix = pop.weights, pop.utility_matrix
-    matrices = [_subset_matrix(matrix, subset) for subset in subsets]
-    welfare = np.empty((len(subsets), qs.shape[0]))
-    for si, sub_matrix in enumerate(matrices):
-        welfare[si] = logit_welfare_curve(weights, sub_matrix, qs)
+    welfare, crossings = _sweep(pop, subsets, grid.q_values)
     envelope = np.argmax(welfare, axis=0).astype(np.int64)
-    crossings = []
-    # Row-major upper-triangle order is itertools.combinations order.
-    pair_a, pair_b = np.triu_indices(len(subsets), k=1)
-    chunk = max(1, PAIR_CHUNK_ELEMENTS // qs.shape[0])
-    for start in range(0, pair_a.shape[0], chunk):
-        rows_a = pair_a[start:start + chunk]
-        rows_b = pair_b[start:start + chunk]
-        diff = welfare[rows_a] - welfare[rows_b]
-        for row, left, right in zip(*_sign_change_brackets(diff)):
-            ia, ib = rows_a[row], rows_b[row]
-            q_star = _illinois(
-                _gap_at(weights, matrices[ia], matrices[ib]),
-                float(qs[left]),
-                float(qs[right]),
-                float(diff[row, left]),
-                float(diff[row, right]),
-            )
-            crossings.append(Crossing(subsets[ia], subsets[ib], q_star))
     welfare.setflags(write=False)
     envelope.setflags(write=False)
     return SweepResult(
@@ -202,7 +162,7 @@ def find_crossings(
     grid: Optional[SweepGrid] = None,
 ) -> list[float]:
     """q values where the two subsets' welfare curves cross, in increasing
-    order.
+    order: the crossings sweep_logit reports for this pair, bit for bit.
 
     Each sign change of the difference between grid points is refined by a
     bracketed secant (Illinois) iteration from the two grid values, until the
@@ -215,29 +175,50 @@ def find_crossings(
     """
     if grid is None:
         grid = SweepGrid.from_range()
-    sub_a = _validate_available(subset_a, pop.n_actions)
-    sub_b = _validate_available(subset_b, pop.n_actions)
-    qs = grid.q_values
-    weights, matrix = pop.weights, pop.utility_matrix
-    matrix_a, matrix_b = _subset_matrix(matrix, sub_a), _subset_matrix(matrix, sub_b)
-    diff = logit_welfare_curve(weights, matrix_a, qs) - logit_welfare_curve(
-        weights, matrix_b, qs
+    pair = (
+        _validate_available(subset_a, pop.n_actions),
+        _validate_available(subset_b, pop.n_actions),
     )
-    return _refine_sign_changes(qs, diff, _gap_at(weights, matrix_a, matrix_b))
+    _, crossings = _sweep(pop, pair, grid.q_values)
+    return [c.q_star for c in crossings]
 
 
-def _refine_sign_changes(qs, diff, gap) -> list[float]:
-    _, lefts, rights = _sign_change_brackets(diff[np.newaxis, :])
-    return [
-        _illinois(
-            gap,
-            float(qs[left]),
-            float(qs[right]),
-            float(diff[left]),
-            float(diff[right]),
-        )
-        for left, right in zip(lefts, rights)
-    ]
+def _sweep(pop: Population, subsets, qs) -> tuple[NDArray[np.float64], list[Crossing]]:
+    """Each subset's welfare curve on the grid qs, and the refined crossings
+    of every subset pair in itertools.combinations order."""
+    weights, matrix = pop.weights, pop.utility_matrix
+    matrices = [np.ascontiguousarray(matrix[:, list(subset)]) for subset in subsets]
+    welfare = np.empty((len(subsets), qs.shape[0]))
+    for si, sub_matrix in enumerate(matrices):
+        welfare[si] = logit_welfare_curve(weights, sub_matrix, qs)
+    crossings = []
+    # Row-major upper-triangle order is itertools.combinations order.
+    pair_a, pair_b = np.triu_indices(len(subsets), k=1)
+    chunk = max(1, PAIR_CHUNK_ELEMENTS // qs.shape[0])
+    for start in range(0, pair_a.shape[0], chunk):
+        rows_a = pair_a[start:start + chunk]
+        rows_b = pair_b[start:start + chunk]
+        diff = welfare[rows_a] - welfare[rows_b]
+        for row, left, right in zip(*_sign_change_brackets(diff)):
+            ia, ib = rows_a[row], rows_b[row]
+
+            # The welfare gap at one q; refinement calls the kernel per q.
+            def gap(q, matrix_a=matrices[ia], matrix_b=matrices[ib]) -> float:
+                qarr = np.array([q])
+                return float(
+                    logit_welfare_curve(weights, matrix_a, qarr)[0]
+                    - logit_welfare_curve(weights, matrix_b, qarr)[0]
+                )
+
+            q_star = _illinois(
+                gap,
+                float(qs[left]),
+                float(qs[right]),
+                float(diff[row, left]),
+                float(diff[row, right]),
+            )
+            crossings.append(Crossing(subsets[ia], subsets[ib], q_star))
+    return welfare, crossings
 
 
 def _sign_change_brackets(diff):

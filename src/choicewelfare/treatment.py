@@ -413,7 +413,11 @@ class CovariateCell:
 
 @dataclass(frozen=True)
 class XCell:
-    """One public-covariate cell: outcome utilities plus its z cells."""
+    """One public-covariate cell: outcome utilities plus its z cells.
+
+    `_eu_pairs` holds (EU_A, EU_B) at each z cell's outcome probability, in
+    z order, for the per-x operations to read.
+    """
 
     x_label: str
     weight: float
@@ -446,6 +450,11 @@ class XCell:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "x_label", str(self.x_label))
         object.__setattr__(self, "z_cells", z_cells)
+        # expected_outcome_utility's expression on Python floats: its bits.
+        (u0_a, u0_b), (u1_a, u1_b) = self.utilities.values.tolist()
+        eus = tuple((z.p_xz * u1_a + (1.0 - z.p_xz) * u0_a,
+                     z.p_xz * u1_b + (1.0 - z.p_xz) * u0_b) for z in z_cells)
+        object.__setattr__(self, "_eu_pairs", eus)
 
 
 @dataclass(frozen=True)
@@ -479,24 +488,12 @@ def expected_outcome_utility(p: float, u: OutcomeUtilities, treatment: str) -> f
     return p * float(u.values[1, col]) + (1.0 - p) * float(u.values[0, col])
 
 
-def _z_utilities(cell: XCell) -> list[tuple[float, float]]:
-    """(EU_A, EU_B) at each z cell's outcome probability, in z order.
-
-    expected_outcome_utility's expression on Python floats, so the bits are
-    its bits. The per-x operations below share one such list; it is built
-    per call and kept on no object.
-    """
-    (u0_a, u0_b), (u1_a, u1_b) = cell.utilities.values.tolist()
-    eus = []
-    for z in cell.z_cells:
-        p = z.p_xz
-        eus.append((p * u1_a + (1.0 - p) * u0_a, p * u1_b + (1.0 - p) * u0_b))
-    return eus
-
-
 def aggregate_outcome_prob(cell: XCell) -> float:
     """P(y=1 | x): the z-mixture of the cell's outcome probabilities."""
-    return float(sum(z.p_z_given_x * z.p_xz for z in cell.z_cells))
+    # P(z|x) sums to 1 only within PROB_SUM_TOL, so with every p_xz = 1 the
+    # sum can round above 1 (to 1.0000000000000002 for shares 0.562..,
+    # 0.221.., 0.216..), which no treatment's expected utility accepts.
+    return min(1.0, float(sum(z.p_z_given_x * z.p_xz for z in cell.z_cells)))
 
 
 @dataclass(frozen=True)
@@ -529,14 +526,10 @@ def optimal_decentralized_x(cell: XCell) -> DecentralizedOutcome:
     z_a collects cells where A is weakly best (ties included, per the shared
     tie-break); z_b collects cells where B is strictly better.
     """
-    return _decentralized(cell, _z_utilities(cell))
-
-
-def _decentralized(cell: XCell, eus) -> DecentralizedOutcome:
     welfare = 0.0
     z_a: list[str] = []
     z_b: list[str] = []
-    for z, (eu_a, eu_b) in zip(cell.z_cells, eus):
+    for z, (eu_a, eu_b) in zip(cell.z_cells, cell._eu_pairs):
         if eu_a >= eu_b:
             z_a.append(z.z_label)
             welfare += z.p_z_given_x * eu_a
@@ -565,13 +558,9 @@ def value_of_information(cell: XCell) -> InformationValue:
     the optimal x mandate. When the mandate is B the treatment roles swap
     symmetrically; when no cell beats the mandate, all components are 0."""
     mandated = optimal_mandate_x(cell).treatment
-    return _information_value(cell, mandated, _z_utilities(cell))
-
-
-def _information_value(cell: XCell, mandated: str, eus) -> InformationValue:
     p_better = 0.0
     weighted_gain = 0.0
-    for z, (eu_a, eu_b) in zip(cell.z_cells, eus):
+    for z, (eu_a, eu_b) in zip(cell.z_cells, cell._eu_pairs):
         eu_m, eu_o = (eu_a, eu_b) if mandated == TREATMENT_A else (eu_b, eu_a)
         if eu_o > eu_m:
             p_better += z.p_z_given_x
@@ -596,20 +585,40 @@ def threshold_probability(u: OutcomeUtilities) -> float:
         raise ValueError(
             "threshold undefined: need u(0,A) > u(0,B) and u(1,B) > u(1,A)"
         )
-    d0 = float(u.values[0, 0] - u.values[0, 1])
-    d1 = float(u.values[1, 1] - u.values[1, 0])
-    return d0 / (d0 + d1)
+    return _indifference(u)[1]
+
+
+def _indifference(u: OutcomeUtilities) -> tuple[float, float]:
+    """(slope, root) of the gap EU_A(p) - EU_B(p) = d0 + slope * p, with
+    d0 = u(0,A) - u(0,B).
+
+    A is weakly better where p <= root when slope < 0, and where p >= root
+    otherwise. For opposed treatments root is threshold_probability's p*,
+    rounded once. A zero slope leaves the gap constant at d0; root is then
+    -inf when A is weakly better everywhere and +inf when B is better.
+    """
+    (u0_a, u0_b), (u1_a, u1_b) = u.values.tolist()
+    d0 = u0_a - u0_b
+    slope = (u1_a - u1_b) - d0
+    if slope == 0.0:
+        return slope, -math.inf if d0 >= 0.0 else math.inf
+    return slope, -d0 / slope
 
 
 def subjective_choice(pi: float, u: OutcomeUtilities) -> str:
     """Treatment maximizing expected utility under subjective probability pi
-    (tie goes to A)."""
+    (tie goes to A).
+
+    pi is compared with the indifference point of _indifference, the same
+    once-rounded root belief_choice_prob reads, so the two agree on every pi
+    however close it is to the root.
+    """
     pi = float(pi)
     if not (0.0 <= pi <= 1.0):
         raise ValueError("pi must lie in [0, 1]")
-    eu_a = expected_outcome_utility(pi, u, TREATMENT_A)
-    eu_b = expected_outcome_utility(pi, u, TREATMENT_B)
-    return TREATMENT_A if eu_a >= eu_b else TREATMENT_B
+    slope, root = _indifference(u)
+    choose_a = pi <= root if slope < 0.0 else pi >= root
+    return TREATMENT_A if choose_a else TREATMENT_B
 
 
 def belief_choice_prob(cell: CovariateCell, u: OutcomeUtilities) -> float:
@@ -625,43 +634,33 @@ def belief_choice_prob(cell: CovariateCell, u: OutcomeUtilities) -> float:
     """
     eu_a = expected_outcome_utility(cell.p_xz, u, TREATMENT_A)
     eu_b = expected_outcome_utility(cell.p_xz, u, TREATMENT_B)
-    return _choice_prob(cell, eu_a, eu_b, u.values.tolist())
+    return _choice_prob(cell, eu_a, eu_b, *_indifference(u))
 
 
-def _choice_prob(cell: CovariateCell, eu_a: float, eu_b: float, utilities) -> float:
-    # `utilities` is OutcomeUtilities.values as nested lists of floats.
+def _choice_prob(
+    cell: CovariateCell, eu_a: float, eu_b: float, slope: float, root: float
+) -> float:
+    # (slope, root) is _indifference of the cell's outcome utilities.
     if cell.belief is None:
         raise ValueError(f"z cell {cell.z_label!r} has no belief model")
     if eu_a == eu_b:
         return 1.0
-    optimal_is_a = eu_a > eu_b
-
-    # EU_A(p) - EU_B(p) is linear in p: d0 + p * (d1 - d0).
-    (u0_a, u0_b), (u1_a, u1_b) = utilities
-    d0 = u0_a - u0_b
-    d1 = u1_a - u1_b
-    slope = d1 - d0
     if slope == 0.0:
         # Subjective choice ignores pi entirely and matches the objective
         # sign, so it is always optimal.
         return 1.0
-    root = -d0 / slope
     if slope < 0.0:
         p_choose_a = cell.belief.prob_le(root)
     else:
         p_choose_a = 1.0 - cell.belief.prob_lt(root)
-    return p_choose_a if optimal_is_a else 1.0 - p_choose_a
+    return p_choose_a if eu_a > eu_b else 1.0 - p_choose_a
 
 
 def bounded_rational_welfare_x(cell: XCell, q_map: Mapping[str, float]) -> float:
     """Decentralized welfare when a fraction q_xz of each z cell makes the
     objectively optimal choice and the rest take the other treatment."""
-    return _bounded_welfare(cell, q_map, _z_utilities(cell))
-
-
-def _bounded_welfare(cell: XCell, q_map: Mapping[str, float], eus) -> float:
     welfare = 0.0
-    for z, (eu_a, eu_b) in zip(cell.z_cells, eus):
+    for z, (eu_a, eu_b) in zip(cell.z_cells, cell._eu_pairs):
         try:
             q = float(q_map[z.z_label])
         except KeyError:
@@ -675,14 +674,10 @@ def _bounded_welfare(cell: XCell, q_map: Mapping[str, float], eus) -> float:
 
 def belief_q_map(cell: XCell) -> dict[str, float]:
     """belief_choice_prob for every z cell, keyed by z label."""
-    return _q_map(cell, _z_utilities(cell))
-
-
-def _q_map(cell: XCell, eus) -> dict[str, float]:
-    utilities = cell.utilities.values.tolist()
+    slope, root = _indifference(cell.utilities)
     return {
-        z.z_label: _choice_prob(z, eu_a, eu_b, utilities)
-        for z, (eu_a, eu_b) in zip(cell.z_cells, eus)
+        z.z_label: _choice_prob(z, eu_a, eu_b, slope, root)
+        for z, (eu_a, eu_b) in zip(cell.z_cells, cell._eu_pairs)
     }
 
 
@@ -698,8 +693,7 @@ def compare_policies_x(cell: XCell) -> str:
     decentralization (with q from the cell's beliefs); 'decentralize'
     otherwise, including ties (the less restrictive policy)."""
     mandate_welfare = optimal_mandate_x(cell).welfare
-    eus = _z_utilities(cell)
-    decentralized = _bounded_welfare(cell, _q_map(cell, eus), eus)
+    decentralized = bounded_rational_welfare_x(cell, belief_q_map(cell))
     return _recommendation(mandate_welfare, decentralized)
 
 
@@ -732,20 +726,19 @@ class TreatmentReport:
 def build_report(scenario: TreatmentScenario) -> TreatmentReport:
     """Analyze every x cell; requires beliefs on every z cell.
 
-    Each field is the one its public function (optimal_mandate_x,
+    Each field is what its public function (optimal_mandate_x,
     optimal_decentralized_x, value_of_information, belief_q_map,
-    bounded_rational_welfare_x) computes, bit for bit; the z cells' expected
-    utilities are computed once per x cell and shared.
+    bounded_rational_welfare_x) returns; each reads the (EU_A, EU_B) pairs
+    that the x cell built when it was constructed.
     """
     reports = []
     aggregate = 0.0
     for cell in scenario.x_cells:
-        eus = _z_utilities(cell)
         mandate = optimal_mandate_x(cell)
-        decentralized = _decentralized(cell, eus)
-        info = _information_value(cell, mandate.treatment, eus)
-        q_map = _q_map(cell, eus)
-        bounded = _bounded_welfare(cell, q_map, eus)
+        decentralized = optimal_decentralized_x(cell)
+        info = value_of_information(cell)
+        q_map = belief_q_map(cell)
+        bounded = bounded_rational_welfare_x(cell, q_map)
         recommendation = _recommendation(mandate.welfare, bounded)
         reports.append(
             XReport(

@@ -555,9 +555,9 @@ def test_csv_format_rejected_for_reports(population_file, treatment_file, capsys
         )
         == 1
     )
-    assert "reports are JSON" in capsys.readouterr().err
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
     assert main(["treatment", "--scenario", treatment_file, "--format", "csv"]) == 1
-    capsys.readouterr()
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_bad_eta_is_usage_error(population_file, capsys):

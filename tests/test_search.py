@@ -41,7 +41,7 @@ from choicewelfare.search import (
     BISECT_VALUE_TOL,
     TALLY_CHUNK_ELEMENTS,
     TOUCH_TOL,
-    _refine_sign_changes,
+    _illinois,
     _sign_change_brackets,
     _subset_welfare,
 )
@@ -243,6 +243,18 @@ def test_singleton_pair_never_crosses(line_population):
     assert find_crossings(line_population, (0,), (1,)) == []
 
 
+@pytest.mark.parametrize("subset", [(0, 0), (3,), (-1, 2)])
+def test_find_crossings_rejects_a_bad_subset(line_population, subset):
+    with pytest.raises(ValueError, match="unique|out of range"):
+        find_crossings(line_population, subset, (0, 1))
+    with pytest.raises(ValueError, match="unique|out of range"):
+        find_crossings(line_population, (0, 1), subset)
+
+
+def test_subset_paired_with_itself_never_crosses(line_population):
+    assert find_crossings(line_population, (0, 2), (2, 0)) == []
+
+
 # --- refinement contract ---
 
 
@@ -373,10 +385,8 @@ def test_refinement_that_cannot_converge_names_its_bracket():
         value = (q - 0.3) + rng.uniform(-1e-6, 1e-6)
         return math.copysign(max(abs(value), 10 * BISECT_VALUE_TOL), value)
 
-    qs = np.array([0.25, 0.35])
-    diff = np.array([noisy_gap(q) for q in qs])
     with pytest.raises(RefinementError, match=r"\[0\.25, 0\.35\]"):
-        _refine_sign_changes(qs, diff, noisy_gap)
+        _illinois(noisy_gap, 0.25, 0.35, noisy_gap(0.25), noisy_gap(0.35))
 
 
 # --- discrete optimization ---

@@ -385,6 +385,26 @@ def test_scenario_weights_must_sum_to_one(reference_cell):
         TreatmentScenario(x_cells=(reference_cell,) * 2)
 
 
+@pytest.mark.filterwarnings("ignore:.*private information is worthless:UserWarning")
+def test_aggregate_outcome_prob_stays_a_probability():
+    # These shares pass the P(z|x) sum check, but their sum with every
+    # p_xz = 1 rounds to 1.0000000000000002.
+    shares = (0.5620508766294069, 0.2215529554843712, 0.21639616788622199)
+    assert sum(shares) > 1.0
+    cell = XCell(
+        x_label="x",
+        weight=1.0,
+        utilities=OutcomeUtilities.from_components(-1.0, -1.0, -1.0, -1.0),
+        z_cells=tuple(
+            CovariateCell(z_label=f"z{j}", p_z_given_x=share, p_xz=1.0)
+            for j, share in enumerate(shares)
+        ),
+    )
+    assert aggregate_outcome_prob(cell) == 1.0
+    mandate = optimal_mandate_x(cell)
+    assert (mandate.treatment, mandate.welfare) == (TREATMENT_A, -1.0)
+
+
 # --- reference cell: frozen values ---
 
 
@@ -647,6 +667,20 @@ def _mixture(draw):
     p_xz=_unit,
     seed=st.integers(0, 2**32 - 1),
 )
+# Half of this sample sits within 1e-16 of the indifference point p = 0, where
+# the two rounded expected utilities tie although B is better.
+@example(
+    belief=EmpiricalBelief(samples=np.array([1.0, 2.346185342789181e-195])),
+    utilities=[1.0, 0.0, 1.0, 1.0],
+    p_xz=1.0,
+    seed=0,
+)
+@example(
+    belief=PointMassBelief(pi=5e-324),
+    utilities=[1.0, 0.0, 1.0, 1.0],
+    p_xz=1.0,
+    seed=0,
+)
 def test_belief_choice_prob_is_the_rate_of_optimal_subjective_choices(
     belief, utilities, p_xz, seed
 ):
@@ -660,21 +694,22 @@ def test_belief_choice_prob_is_the_rate_of_optimal_subjective_choices(
     slope = gap(1.0) - gap(0.0)
     assume(abs(slope) >= 1e-3)
     root = -gap(0.0) / slope
-    # Both choice rules compare two rounded expected utilities, so within
-    # about 1e-16 / |slope| of the indifference point they may call a tie
-    # where the exact gap is not zero (subjective_choice picks A at
-    # pi = 5.8e-34 for u = (1, 0, 1, 1), where B is better by 5.8e-34).
-    # Keep p_xz off that band; belief mass inside it may go either way.
+    # The objective optimum compares two rounded expected utilities, so
+    # within about 1e-16 / |slope| of the indifference point it may call a
+    # tie where the exact gap is not zero. Keep p_xz off that band.
     assume(abs(p_xz - root) > 1e-9)
-    band = belief.prob_le(root + 1e-9) - belief.prob_lt(root - 1e-9)
     optimal = TREATMENT_A if gap(p_xz) > 0.0 else TREATMENT_B
     cell = CovariateCell(z_label="z", p_z_given_x=1.0, p_xz=p_xz, belief=belief)
     q = belief_choice_prob(cell, u)
     if isinstance(belief, PointMassBelief):
-        # Off the band the whole cell makes the one subjective choice.
-        if band == 0.0:
-            assert q == float(subjective_choice(belief.pi, u) == optimal)
+        # Both rules read the same rounded indifference point, so the whole
+        # cell makes the one subjective choice, however close pi is to it.
+        assert q == float(subjective_choice(belief.pi, u) == optimal)
         return
+    # numpy's samplers round some draws onto the indifference point (about 1%
+    # of Beta(1, 0.125) draws land on a root of 1.0), so belief mass near it
+    # may go either way.
+    band = belief.prob_le(root + 1e-9) - belief.prob_lt(root - 1e-9)
     n = 2_000
     draws = _draw(belief, np.random.default_rng(seed), n)
     rate = sum(subjective_choice(float(pi), u) == optimal for pi in draws) / n
@@ -1235,7 +1270,7 @@ def test_build_report_fields_are_the_public_functions(cell):
         )
     ]
     # belief_choice_prob reads the expected utilities through
-    # expected_outcome_utility; the report shares one pass per x cell.
+    # expected_outcome_utility; the report reads the x cell's stored pairs.
     by_z = {z.z_label: belief_choice_prob(z, cell.utilities) for z in cell.z_cells}
     assert [(k, _bits(v)) for k, v in x.q_by_z] == [
         (k, _bits(v)) for k, v in sorted(q_map.items())
@@ -1245,7 +1280,7 @@ def test_build_report_fields_are_the_public_functions(cell):
     }
     bounded = bounded_rational_welfare_x(cell, q_map)
     assert _bits(x.bounded_rational_welfare) == _bits(bounded)
-    for z, (eu_a, eu_b) in zip(cell.z_cells, treatment._z_utilities(cell)):
+    for z, (eu_a, eu_b) in zip(cell.z_cells, cell._eu_pairs):
         assert _bits(eu_a) == _bits(
             expected_outcome_utility(z.p_xz, cell.utilities, TREATMENT_A)
         )
