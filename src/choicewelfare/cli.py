@@ -14,6 +14,9 @@ Subcommands:
 Reports (evaluate/optimize/treatment) are JSON and take no --format flag;
 plot data (sweep/hotelling) is CSV with 12-significant-digit floats, or JSON
 with --format json. Outputs are written atomically (temp file + rename).
+The q grid flags override the scenario's sweep section, and --samples/--seed
+its Monte Carlo models' settings; search.SweepConfig and models.MCConfig own
+the defaults and rules of both.
 Exit codes: 0 success, 1 usage error, 2 scenario validation error,
 3 runtime error (out of memory included) or write error.
 """
@@ -29,15 +32,15 @@ import tempfile
 from typing import Optional
 
 from .document import (
+    PopulationSection,
     ScenarioDocument,
     ScenarioError,
-    SweepConfig,
     load_bundled_scenario,
     parse_scenario,
 )
-from .models import ChoiceModel, DefaultNudge, RandomUtilityMC
+from .models import ChoiceModel, DefaultNudge, MCConfig, RandomUtilityMC
 from .scenario import ActionSet, Population, hotelling_population
-from .search import SweepGrid, SweepResult, sweep_logit, optimize_choice_set
+from .search import SweepConfig, SweepResult, sweep_logit, optimize_choice_set
 from .treatment import TreatmentScenario, build_report
 from .welfare import policy_welfare
 
@@ -64,11 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, scenario_required=True):
+    def add_common(p):
         p.add_argument(
-            "--scenario",
-            required=scenario_required,
-            help="path to a JSON scenario file",
+            "--scenario", required=True, help="path to a JSON scenario file"
         )
         p.add_argument("--out", help="output path (default: stdout)")
 
@@ -184,27 +185,35 @@ def _csv_lead(field: str) -> str:
 # --- scenario plumbing ---
 
 
-def _load(args) -> ScenarioDocument:
-    return parse_scenario(args.scenario)
+def _section(doc: ScenarioDocument, command: str, *kinds: str):
+    """The document's section of whichever of `kinds` it holds."""
+    for kind in kinds:
+        section = getattr(doc, kind)
+        if section is not None:
+            return section
+    expected = " or ".join(repr(kind) for kind in kinds)
+    raise ScenarioError(
+        f"scenario kind {doc.kind!r} does not match command {command!r} "
+        f"(expected {expected})"
+    )
 
 
-def _require_kind(doc: ScenarioDocument, kind: str, command: str):
-    if getattr(doc, kind) is None:
-        raise ScenarioError(
-            f"scenario kind {doc.kind!r} does not match command {command!r} "
-            f"(expected {kind!r})"
-        )
-    return getattr(doc, kind)
-
-
-def _resolve_model(doc: ScenarioDocument, name: str, command: str) -> ChoiceModel:
-    section = _require_kind(doc, "population", command)
-    if name not in section.models:
+def _population_and_model(args, command: str) -> tuple[Population, ChoiceModel]:
+    """The population of the --scenario file and its --model, with the
+    --samples/--seed overrides applied."""
+    if args.samples is not None:
+        try:
+            MCConfig(samples=args.samples)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+    section = _section(parse_scenario(args.scenario), command, "population")
+    if args.model not in section.models:
         known = ", ".join(sorted(section.models)) or "none"
         raise ScenarioError(
-            f"population.models: unknown model {name!r} (defined: {known})"
+            f"population.models: unknown model {args.model!r} (defined: {known})"
         )
-    return section.models[name]
+    model = _override_mc(section.models[args.model], args.samples, args.seed)
+    return section.population, model
 
 
 def _override_mc(
@@ -222,11 +231,6 @@ def _override_mc(
         base = _override_mc(model.base, samples, seed)
         return dataclasses.replace(model, base=base) if base is not model.base else model
     return model
-
-
-def _check_samples(args):
-    if args.samples is not None and args.samples < 1:
-        raise _UsageError("samples must be >= 1")
 
 
 def _resolve_available(args, actions: ActionSet) -> Optional[list[int]]:
@@ -259,13 +263,7 @@ def _sweep_config(doc: ScenarioDocument, args) -> SweepConfig:
 
 
 def _cmd_evaluate(args) -> int:
-    _check_samples(args)
-    doc = _load(args)
-    section = _require_kind(doc, "population", "evaluate")
-    pop = section.population
-    model = _override_mc(
-        _resolve_model(doc, args.model, "evaluate"), args.samples, args.seed
-    )
+    pop, model = _population_and_model(args, "evaluate")
     available = _resolve_available(args, pop.actions)
     if not 0.0 <= args.eta <= 1.0:
         raise _UsageError("--eta must lie in [0, 1]")
@@ -291,13 +289,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    _check_samples(args)
-    doc = _load(args)
-    section = _require_kind(doc, "population", "optimize")
-    pop = section.population
-    model = _override_mc(
-        _resolve_model(doc, args.model, "optimize"), args.samples, args.seed
-    )
+    pop, model = _population_and_model(args, "optimize")
     result = optimize_choice_set(pop, model)
     payload = {
         "subset": [pop.actions.labels[i] for i in result.subset],
@@ -305,17 +297,6 @@ def _cmd_optimize(args) -> int:
     }
     _emit(_json_text(payload), args.out)
     return 0
-
-
-def _population_for_sweep(doc: ScenarioDocument, command: str) -> Population:
-    if doc.population is not None:
-        return doc.population.population
-    if doc.hotelling is not None:
-        return hotelling_population(doc.hotelling)
-    raise ScenarioError(
-        f"scenario kind {doc.kind!r} does not match command {command!r} "
-        "(expected 'population' or 'hotelling')"
-    )
 
 
 def _crossings_path(out: str, fmt: str) -> str:
@@ -331,6 +312,11 @@ def _subset_label(actions: ActionSet, subset) -> str:
 
 def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
     labels = [_subset_label(actions, subset) for subset in result.subsets]
+    label_of = dict(zip(result.subsets, labels))
+    crossings = [
+        (label_of[c.subset_a], label_of[c.subset_b], c.q_star)
+        for c in result.crossings
+    ]
     crossings_out = _crossings_path(args.out, args.format)
 
     # The row loops read Python lists: indexing a numpy array per element
@@ -354,15 +340,9 @@ def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
                 ]
             )
         main_text = "".join(lines)
-        crossing_rows = [
-            (
-                _subset_label(actions, c.subset_a),
-                _subset_label(actions, c.subset_b),
-                _fmt(c.q_star),
-            )
-            for c in result.crossings
-        ]
-        crossings_text = _csv_text(("subset_a", "subset_b", "q"), crossing_rows)
+        crossings_text = _csv_text(
+            ("subset_a", "subset_b", "q"), [(a, b, _fmt(q)) for a, b, q in crossings]
+        )
     else:
         main_text = _json_text(
             {
@@ -381,12 +361,7 @@ def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
         crossings_text = _json_text(
             {
                 "crossings": [
-                    {
-                        "subset_a": _subset_label(actions, c.subset_a),
-                        "subset_b": _subset_label(actions, c.subset_b),
-                        "q": c.q_star,
-                    }
-                    for c in result.crossings
+                    {"subset_a": a, "subset_b": b, "q": q} for a, b, q in crossings
                 ]
             }
         )
@@ -395,31 +370,40 @@ def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
     _write_text_atomic(crossings_out, crossings_text)
     n_rows = len(labels) * len(q_list)
     print(f"wrote {n_rows} sweep rows to {args.out}")
-    print(f"wrote {len(result.crossings)} crossings to {crossings_out}")
+    print(f"wrote {len(crossings)} crossings to {crossings_out}")
     return 0
 
 
-def _run_sweep(doc: ScenarioDocument, args, command: str) -> int:
-    pop = _population_for_sweep(doc, command)
-    cfg = _sweep_config(doc, args)
-    grid = SweepGrid.from_range(q_min=cfg.q_min, q_max=cfg.q_max, q_step=cfg.q_step)
-    result = sweep_logit(pop, grid)
+def _run_sweep(doc: ScenarioDocument, section, args) -> int:
+    if isinstance(section, PopulationSection):
+        pop = section.population
+    else:
+        pop = hotelling_population(section)
+    result = sweep_logit(pop, _sweep_config(doc, args).grid())
     return _emit_sweep_files(result, pop.actions, args)
 
 
 def _cmd_sweep(args) -> int:
-    return _run_sweep(_load(args), args, "sweep")
+    doc = parse_scenario(args.scenario)
+    return _run_sweep(doc, _section(doc, "sweep", "population", "hotelling"), args)
 
 
 def _cmd_hotelling(args) -> int:
     doc = parse_scenario(args.scenario) if args.scenario else load_bundled_scenario()
-    _require_kind(doc, "hotelling", "hotelling")
-    return _run_sweep(doc, args, "hotelling")
+    return _run_sweep(doc, _section(doc, "hotelling", "hotelling"), args)
+
+
+def _x_payload(x) -> dict:
+    """An XReport's fields, as the treatment report names them."""
+    fields = dict(vars(x))
+    fields["value_of_information"] = vars(fields.pop("information_value"))
+    fields["q_by_z"] = dict(x.q_by_z)
+    return fields
 
 
 def _cmd_treatment(args) -> int:
-    doc = _load(args)
-    scenario: TreatmentScenario = _require_kind(doc, "treatment", "treatment")
+    doc = parse_scenario(args.scenario)
+    scenario: TreatmentScenario = _section(doc, "treatment", "treatment")
     for i, cell in enumerate(scenario.x_cells):
         for j, z in enumerate(cell.z_cells):
             if z.belief is None:
@@ -430,26 +414,7 @@ def _cmd_treatment(args) -> int:
     report = build_report(scenario)
     payload = {
         "aggregate_welfare": report.aggregate_welfare,
-        "per_x": [
-            {
-                "x_label": x.x_label,
-                "weight": x.weight,
-                "mandate_treatment": x.mandate_treatment,
-                "mandate_welfare": x.mandate_welfare,
-                "decentralized_welfare": x.decentralized_welfare,
-                "z_a": list(x.z_a),
-                "z_b": list(x.z_b),
-                "value_of_information": {
-                    "voi": x.information_value.voi,
-                    "p_better": x.information_value.p_better,
-                    "mean_gain": x.information_value.mean_gain,
-                },
-                "q_by_z": dict(x.q_by_z),
-                "bounded_rational_welfare": x.bounded_rational_welfare,
-                "recommendation": x.recommendation,
-            }
-            for x in report.per_x
-        ],
+        "per_x": [_x_payload(x) for x in report.per_x],
     }
     _emit(_json_text(payload), args.out)
     return 0

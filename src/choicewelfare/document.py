@@ -10,8 +10,9 @@ holds exactly one scenario kind:
 * ``treatment``: binary-treatment cells with outcome probabilities, outcome
   utilities, and optional subjective-belief models,
 
-plus optional ``sweep`` (q grid) and ``mc`` (Monte Carlo sample count and
-seed defaults) sections.
+plus optional ``sweep`` (the q grid, a ``search.SweepConfig``) and ``mc``
+(the sample count and seed a Monte Carlo model takes when it omits them, a
+``models.MCConfig``) sections.
 
 The tables below are the schema, and both the parser and the serializer read
 them. A record kind holds its class, its fields and the set of JSON keys its
@@ -25,8 +26,8 @@ kinds; ``_TYPES`` (a population's utility types) and ``_X_CELLS`` are lists
 of untagged records. A field's key is its constructor argument's name unless
 the field names another (an x or z cell's ``label``), and a key is required
 unless the constructor gives it a default.
-The optional keys are: every key of ``sweep`` (q_min 0, q_max 10, q_step
-0.05) and ``mc`` (samples 100000, seed 0); ``gumbel.scale`` (1);
+The optional keys are: every key of ``sweep`` and ``mc`` (the defaults of
+``SweepConfig`` and ``MCConfig``); ``gumbel.scale`` (1);
 ``random_utility_mc.samples`` and ``.seed`` (the document's ``mc`` section);
 ``hotelling.person_weights`` (uniform); a population's ``models`` (none); and
 a z cell's ``belief`` (none). A population's action labels and named models
@@ -57,12 +58,14 @@ from .models import (
     GumbelIID,
     IndependentTable,
     Logit,
+    MCConfig,
     NormalIID,
     RandomUtilityMC,
     RationalMax,
     UniformBoundedIID,
 )
 from .scenario import ActionSet, HotellingScenario, Population, UtilityType
+from .search import SweepConfig
 from .treatment import (
     BetaBelief,
     CovariateCell,
@@ -82,45 +85,6 @@ _SCENARIO_KINDS = ("population", "hotelling", "treatment")
 
 class ScenarioError(Exception):
     """Syntax, schema, or invariant violation in a scenario document."""
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Rationality-scale grid bounds for sweep-style commands."""
-
-    q_min: float = 0.0
-    q_max: float = 10.0
-    q_step: float = 0.05
-
-    def __post_init__(self):
-        q_min, q_max = float(self.q_min), float(self.q_max)
-        q_step = float(self.q_step)
-        if not all(np.isfinite(v) for v in (q_min, q_max, q_step)):
-            raise ValueError("sweep bounds must be finite")
-        if q_min < 0.0:
-            raise ValueError("q_min must be >= 0")
-        if q_max < q_min:
-            raise ValueError("q_max must be >= q_min")
-        if q_step <= 0.0:
-            raise ValueError("q_step must be > 0")
-        object.__setattr__(self, "q_min", q_min)
-        object.__setattr__(self, "q_max", q_max)
-        object.__setattr__(self, "q_step", q_step)
-
-
-@dataclass(frozen=True)
-class MCConfig:
-    """Default sample count and seed for Monte Carlo choice models."""
-
-    samples: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        samples = int(self.samples)
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)

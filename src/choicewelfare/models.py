@@ -31,9 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._kernels import argmax_tally
-from .scenario import _fields_equal, _frozen_array
-
-PROB_SUM_TOL = 1e-12
+from .scenario import PROB_SUM_TOL, _fields_equal, _frozen_array
 
 
 def _validate_prob_vector(probs, name: str) -> NDArray[np.float64]:
@@ -154,26 +152,41 @@ class Logit:
 
 
 @dataclass(frozen=True)
+class MCConfig:
+    """Sample count and seed of a Monte Carlo choice model. A scenario's mc
+    section holds the values its models take when they omit them."""
+
+    samples: int = 100_000
+    seed: int = 0
+
+    def __post_init__(self):
+        samples = int(self.samples)
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", int(self.seed))
+
+
+@dataclass(frozen=True)
 class RandomUtilityMC:
     """Choice maximizes utility plus IID additive error, estimated from
-    `samples` seeded draws.
+    `samples` seeded draws; `samples` and `seed` follow MCConfig's defaults
+    and rules.
 
     The draws are common random numbers: one (samples x n_actions) error
     matrix per stream (the type index), as the module docstring describes.
     """
 
     error: ErrorSpec
-    samples: int = 100_000
-    seed: int = 0
+    samples: int = MCConfig.samples
+    seed: int = MCConfig.seed
 
     def __post_init__(self):
         if not isinstance(self.error, (GumbelIID, UniformBoundedIID, NormalIID)):
             raise ValueError("error must be an ErrorSpec instance")
-        samples = int(self.samples)
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", int(self.seed))
+        config = MCConfig(self.samples, self.seed)
+        object.__setattr__(self, "samples", config.samples)
+        object.__setattr__(self, "seed", config.seed)
 
 
 @dataclass(frozen=True)

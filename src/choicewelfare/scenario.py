@@ -17,6 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+# How far a probability or weight vector's sum may be from 1.
+PROB_SUM_TOL = 1e-12
+
 
 def _frozen_array(values, dtype=np.float64) -> NDArray:
     arr = np.array(values, dtype=dtype)
@@ -100,9 +103,6 @@ class UtilityType:
     __eq__ = _fields_equal
 
 
-WEIGHT_SUM_TOL = 1e-12
-
-
 @dataclass(frozen=True, eq=False)
 class Population:
     """Finite weighted mixture of utility types over a common action set.
@@ -127,9 +127,9 @@ class Population:
                     f"does not match action count {n}"
                 )
         total = float(np.sum([typ.weight for typ in types]))
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(
-                f"type weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
+                f"type weights must sum to 1 within {PROB_SUM_TOL}, got {total!r}"
             )
         object.__setattr__(self, "types", types)
         # Built once: every sweep, welfare and search path reads these, and
@@ -198,7 +198,7 @@ class HotellingScenario:
                 )
             if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
                 raise ValueError("person_weights must be positive and finite")
-            if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+            if abs(float(w.sum()) - 1.0) > PROB_SUM_TOL:
                 raise ValueError("person_weights must sum to 1")
             object.__setattr__(self, "person_weights", w)
 

@@ -7,12 +7,12 @@ reverse back), crossings of welfare curves are located for every subset pair:
 one vectorised scan over blocks of pairs finds the sign changes on the grid,
 and each is refined by a bracketed secant (Illinois) iteration that starts
 from the two grid values. Crossing detection is quadratic in the number of
-subsets, i.e. O(4^|actions|) pairs, and dominates the cost of a sweep: with
-50 types on 201 grid points, a sweep of 9 actions (130,305 pairs, 74,540
-crossings) takes about 14 s on a 2-vCPU host, nearly all of it in the
-refinement's one-q kernel calls, and each further action roughly quadruples
-that. The |actions| <= 20 guard only bounds subset enumeration; it does not
-keep sweeps that large feasible.
+subsets, i.e. O(4^|actions|) pairs, and dominates the cost of a sweep:
+nearly all of it is the refinement's one-q kernel calls, a few per crossing,
+and the crossings grow with the pairs. Each further action therefore roughly
+quadruples a sweep's time; with 50 types on 201 grid points, 9 actions give
+130,305 pairs and 74,540 crossings. The |actions| <= 20 guard only bounds
+subset enumeration; it does not keep sweeps that large feasible.
 """
 
 import itertools
@@ -50,6 +50,43 @@ class RefinementError(ArithmeticError):
     """A crossing's refinement met neither tolerance within its iteration cap."""
 
 
+@dataclass(frozen=True)
+class SweepConfig:
+    """An inclusive arithmetic q range: the one rule for the bounds and step
+    of a sweep grid. The defaults bracket every crossing the bundled
+    scenarios exhibit, with margin."""
+
+    q_min: float = 0.0
+    q_max: float = 10.0
+    q_step: float = 0.05
+
+    def __post_init__(self):
+        q_min, q_max = float(self.q_min), float(self.q_max)
+        q_step = float(self.q_step)
+        if not (math.isfinite(q_min) and math.isfinite(q_max)):
+            raise ValueError(f"q_min and q_max must be finite, got {q_min}, {q_max}")
+        if not math.isfinite(q_step):
+            raise ValueError("sweep bounds must be finite")
+        if q_min < 0.0:
+            raise ValueError("q_min must be >= 0")
+        if q_max < q_min:
+            raise ValueError("q_max must be >= q_min")
+        if q_step <= 0.0:
+            raise ValueError("q_step must be > 0")
+        object.__setattr__(self, "q_min", q_min)
+        object.__setattr__(self, "q_max", q_max)
+        object.__setattr__(self, "q_step", q_step)
+
+    def grid(self) -> "SweepGrid":
+        """The values q_min + i * q_step, i = 0, 1, ..., that are at most
+        q_max."""
+        n = int(np.floor((self.q_max - self.q_min) / self.q_step + 1e-9))
+        values = self.q_min + self.q_step * np.arange(n + 1)
+        if values[-1] > self.q_max:
+            values = values[:-1]
+        return SweepGrid(q_values=values)
+
+
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
     """Strictly increasing, finite, non-negative q values."""
@@ -72,23 +109,13 @@ class SweepGrid:
 
     @classmethod
     def from_range(
-        cls, q_min: float = 0.0, q_max: float = 10.0, q_step: float = 0.05
+        cls,
+        q_min: float = SweepConfig.q_min,
+        q_max: float = SweepConfig.q_max,
+        q_step: float = SweepConfig.q_step,
     ) -> "SweepGrid":
-        """Inclusive arithmetic grid; the defaults bracket every crossing the
-        bundled scenarios exhibit, with margin."""
-        q_min, q_max, q_step = float(q_min), float(q_max), float(q_step)
-        if not (np.isfinite(q_min) and np.isfinite(q_max)):
-            raise ValueError(f"q_min and q_max must be finite, got {q_min}, {q_max}")
-        if q_step <= 0.0 or not np.isfinite(q_step):
-            raise ValueError("q_step must be positive and finite")
-        if q_max < q_min:
-            raise ValueError("q_max must be >= q_min")
-        span = q_max - q_min
-        n = int(np.floor(span / q_step + 1e-9))
-        values = q_min + q_step * np.arange(n + 1)
-        if values[-1] > q_max:
-            values = values[:-1]
-        return cls(q_values=values)
+        """SweepConfig(q_min, q_max, q_step).grid()."""
+        return SweepConfig(q_min, q_max, q_step).grid()
 
 
 @dataclass(frozen=True)
@@ -133,14 +160,14 @@ def enumerate_choice_sets(actions: ActionSet) -> list[tuple[int, ...]]:
 def sweep_logit(pop: Population, grid: Optional[SweepGrid] = None) -> SweepResult:
     """Evaluate every subset under Logit(q) across the grid.
 
-    The default grid is 0..10 in steps of 0.05. Crossings are located for
+    The default grid is SweepConfig().grid(). Crossings are located for
     every unordered subset pair and listed pair by pair, in the order of
     itertools.combinations over `subsets`, each pair's in increasing q. The
     sign scan takes the pairs in blocks of about PAIR_CHUNK_ELEMENTS
     (pairs x q) differences, so its memory stays bounded.
     """
     if grid is None:
-        grid = SweepGrid.from_range()
+        grid = SweepConfig().grid()
     subsets = tuple(enumerate_choice_sets(pop.actions))
     welfare, crossings = _sweep(pop, subsets, grid.q_values)
     envelope = np.argmax(welfare, axis=0).astype(np.int64)
@@ -174,7 +201,7 @@ def find_crossings(
     two grid points with equal signs are invisible at the grid resolution.
     """
     if grid is None:
-        grid = SweepGrid.from_range()
+        grid = SweepConfig().grid()
     pair = (
         _validate_available(subset_a, pop.n_actions),
         _validate_available(subset_b, pop.n_actions),
@@ -318,6 +345,7 @@ def _subset_welfare(pop: Population, model: ChoiceModel):
         rows = np.concatenate([expected_value(probs, utilities[:, cols])
                                for cols, probs in zip(groups, blocks)], axis=1)
         values[:, streams.start:streams.stop] = rows.T
-    # Valued and summed as policy_welfare does, so each welfare is its value.
-    welfare = np.array([np.sum(pop.weights * type_values) for type_values in values])
-    return subsets, welfare
+    # Valued and summed as policy_welfare does, so each welfare is its value:
+    # a C-ordered row sums as the 1-d weighted vector does.
+    values *= pop.weights
+    return subsets, values.sum(axis=1)

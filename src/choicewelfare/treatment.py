@@ -26,8 +26,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .models import PROB_SUM_TOL
-from .scenario import _fields_equal, _frozen_array
+from .scenario import PROB_SUM_TOL, _fields_equal, _frozen_array
 
 TREATMENT_A = "A"
 TREATMENT_B = "B"

@@ -11,7 +11,7 @@ import pytest
 from choicewelfare import cli
 from choicewelfare.cli import main
 from choicewelfare.document import parse_scenario
-from choicewelfare.search import SweepGrid, sweep_logit
+from choicewelfare.search import SweepConfig, SweepGrid, sweep_logit
 
 
 def _write(tmp_path, name, payload) -> str:
@@ -605,6 +605,31 @@ def test_bad_grid_step_is_usage_error(hotelling_file, tmp_path, capsys):
         == 1
     )
     assert "q_step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "q_min, q_max, q_step",
+    [
+        (float("nan"), 10.0, 0.1),
+        (0.0, float("inf"), 0.1),
+        (float("-inf"), 1.0, 0.1),
+        (0.0, 1.0, float("inf")),
+        (0.0, 1.0, 0.0),
+        (0.0, 1.0, -0.5),
+        (1.0, 0.5, 0.1),
+        (-0.5, 1.0, 0.1),
+    ],
+)
+def test_bad_q_range_is_one_rule(hotelling_file, tmp_path, capsys, q_min, q_max, q_step):
+    with pytest.raises(ValueError) as config_error:
+        SweepConfig(q_min, q_max, q_step)
+    with pytest.raises(ValueError) as range_error:
+        SweepGrid.from_range(q_min, q_max, q_step)
+    assert str(range_error.value) == str(config_error.value)
+    flags = [f"--q-min={q_min!r}", f"--q-max={q_max!r}", f"--q-step={q_step!r}"]
+    out = str(tmp_path / "x.csv")
+    assert main(["sweep", "--scenario", hotelling_file, "--out", out, *flags]) == 1
+    assert capsys.readouterr().err == f"error: {config_error.value}\n"
 
 
 def test_unwritable_out_is_runtime_error(population_file, tmp_path, capsys):

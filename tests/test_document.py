@@ -370,7 +370,7 @@ def test_mc_defaults_without_section():
         "plain": {"kind": "random_utility_mc", "error": {"kind": "gumbel"}},
     }
     model = _parse(doc_dict).population.models["plain"]
-    assert isinstance(model, RandomUtilityMC)
+    assert model == RandomUtilityMC(error=GumbelIID())
     assert (model.samples, model.seed) == (100_000, 0)
     assert model.error.scale == 1.0
 

@@ -23,6 +23,7 @@ from choicewelfare import (
     RandomUtilityMC,
     RationalMax,
     RefinementError,
+    SweepConfig,
     SweepGrid,
     UniformBoundedIID,
     UtilityType,
@@ -100,6 +101,14 @@ def test_from_range_validation():
 def test_from_range_rejects_non_finite_bounds(bounds):
     with pytest.raises(ValueError, match="q_min and q_max must be finite"):
         SweepGrid.from_range(*bounds, 0.1)
+
+
+@given(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.floats(0.01, 10.0))
+def test_from_range_is_the_sweep_config_grid(a, b, q_step):
+    q_min, q_max = sorted((a, b))
+    grid = SweepGrid.from_range(q_min, q_max, q_step)
+    config_grid = SweepConfig(q_min, q_max, q_step).grid()
+    assert grid.q_values.tobytes() == config_grid.q_values.tobytes()
 
 
 def test_grid_requires_increasing_nonnegative_values():
@@ -271,9 +280,9 @@ def _grid_sign_changes(diff):
 
 
 @st.composite
-def small_populations(draw):
+def small_populations(draw, max_actions=4):
     n_types = draw(st.integers(1, 8))
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(2, max_actions))
     utility = st.floats(-3.0, 3.0, allow_nan=False)
     types = [
         UtilityType(
@@ -525,6 +534,19 @@ def optimize_problems(draw):
             base=model,
         )
     return pop, model
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_populations(max_actions=6))
+def test_optimize_logit_is_the_sweep_envelope(pop):
+    # Both value every subset with the same bits and break ties toward the
+    # first subset, so at each grid q they name the same subset and welfare.
+    result = sweep_logit(pop, SweepConfig(0.0, 4.0, 0.5).grid())
+    for qi, q in enumerate(result.grid.q_values):
+        best = result.envelope[qi]
+        got = optimize_choice_set(pop, Logit(q=float(q)))
+        assert got.subset == result.subsets[best]
+        assert got.welfare == result.welfare[best, qi]
 
 
 @settings(max_examples=200, deadline=None)

@@ -57,8 +57,8 @@ def _distributions(draw, n):
 
 
 @st.composite
-def _populations(draw):
-    k = draw(st.integers(1, 5))
+def _populations(draw, max_actions=5):
+    k = draw(st.integers(1, max_actions))
     actions = ActionSet(labels=tuple(f"a{i}" for i in range(k)))
     types = tuple(
         UtilityType(
@@ -190,14 +190,20 @@ def test_expected_value_rows_are_bitwise_the_per_row_values(n_rows):
         assert rows.tobytes() == np.array(one_by_one).tobytes(), m
 
 
-def test_policy_welfare_matches_kernel_curve(line_population):
-    q_values = np.array([0.0, 0.4, 1.3, 6.0])
-    curve = logit_welfare_curve(
-        line_population.weights, line_population.utility_matrix, q_values
-    )
-    for qi, q in enumerate(q_values):
-        got = policy_welfare(line_population, None, Logit(q=float(q))).welfare
-        assert abs(got - curve[qi]) < 1e-12
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_policy_welfare_matches_kernel_curve(data):
+    # The sweep's curve kernel and policy_welfare agree bit for bit on every
+    # choice set, so the sweep's envelope and optimize_choice_set can agree.
+    # From 8 actions on, both sum over actions in numpy's 8-partial order.
+    pop = data.draw(_populations(max_actions=12))
+    q_values = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=6)))
+    for subset in data.draw(st.lists(_subsets(pop.n_actions), min_size=1, max_size=4)):
+        matrix = np.ascontiguousarray(pop.utility_matrix[:, list(subset)])
+        curve = logit_welfare_curve(pop.weights, matrix, q_values)
+        for qi, q in enumerate(q_values):
+            got = policy_welfare(pop, subset, Logit(q=float(q))).welfare
+            assert got == curve[qi], (subset, q)
 
 
 _MC = RandomUtilityMC(error=GumbelIID(scale=0.5), samples=300, seed=5)
