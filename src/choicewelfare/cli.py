@@ -17,6 +17,8 @@ with --format json. Outputs are written atomically (temp file + rename).
 The q grid flags override the scenario's sweep section, and --samples/--seed
 its Monte Carlo models' settings; search.SweepConfig and models.MCConfig own
 the defaults and rules of both.
+Only ``treatment`` loads the treatment module: through the parse of a
+treatment scenario and `build_report`, which imports it when first called.
 Exit codes: 0 success, 1 usage error, 2 scenario validation error,
 3 runtime error (out of memory included) or write error.
 """
@@ -41,8 +43,14 @@ from .document import (
 from .models import ChoiceModel, DefaultNudge, MCConfig, RandomUtilityMC
 from .scenario import ActionSet, Population, hotelling_population
 from .search import SweepConfig, SweepResult, sweep_logit, optimize_choice_set
-from .treatment import TreatmentScenario, build_report
 from .welfare import policy_welfare
+
+
+def build_report(scenario):
+    """treatment.build_report, imported when first called."""
+    from . import treatment
+
+    return treatment.build_report(scenario)
 
 
 class _UsageError(Exception):
@@ -403,7 +411,7 @@ def _x_payload(x) -> dict:
 
 def _cmd_treatment(args) -> int:
     doc = parse_scenario(args.scenario)
-    scenario: TreatmentScenario = _section(doc, "treatment", "treatment")
+    scenario = _section(doc, "treatment", "treatment")
     for i, cell in enumerate(scenario.x_cells):
         for j, z in enumerate(cell.z_cells):
             if z.belief is None:

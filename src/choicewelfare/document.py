@@ -20,10 +20,13 @@ objects may hold; the fields and the key set are built once, with the
 tables, so parsing an object checks its keys against a ready set.
 ``_TAGGED`` maps each family of tagged objects (error distributions, choice
 models, beliefs) and each ``kind`` value to its record kind, whose key set
-includes ``kind``. ``_SWEEP``, ``_MC``, ``_HOTELLING``, ``_OUTCOME`` (an x
-cell's outcome utilities), ``_Z_CELL`` and ``_X_CELL`` are untagged record
-kinds; ``_TYPES`` (a population's utility types) and ``_X_CELLS`` are lists
-of untagged records. A field's key is its constructor argument's name unless
+includes ``kind``. ``_SWEEP``, ``_MC`` and ``_HOTELLING`` are untagged
+record kinds, and ``_TYPES`` (a population's utility types) is a list of
+them. The treatment section's record kinds (an x cell, its outcome
+utilities, a z cell) and the belief family are built by
+``_treatment_cells()`` the first time a treatment document is parsed or
+serialized, so that other documents never load the treatment module. A
+field's key is its constructor argument's name unless
 the field names another (an x or z cell's ``label``), and a key is required
 unless the constructor gives it a default.
 The optional keys are: every key of ``sweep`` and ``mc`` (the defaults of
@@ -42,12 +45,12 @@ list; the per-element pass runs only when that check fails, to name the first
 bad element. parse -> serialize -> parse is an identity on documents.
 """
 
+import functools
 import inspect
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
-from typing import AbstractSet, Any, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,17 +69,9 @@ from .models import (
 )
 from .scenario import ActionSet, HotellingScenario, Population, UtilityType
 from .search import SweepConfig
-from .treatment import (
-    BetaBelief,
-    CovariateCell,
-    EmpiricalBelief,
-    MixtureBelief,
-    OutcomeUtilities,
-    PointMassBelief,
-    TreatmentScenario,
-    UniformBelief,
-    XCell,
-)
+
+if TYPE_CHECKING:
+    from .treatment import TreatmentScenario
 
 SCHEMA_VERSION = 1
 
@@ -102,7 +97,7 @@ class ScenarioDocument:
     schema_version: int
     population: Optional[PopulationSection] = None
     hotelling: Optional[HotellingScenario] = None
-    treatment: Optional[TreatmentScenario] = None
+    treatment: Optional["TreatmentScenario"] = None
     sweep: Optional[SweepConfig] = None
     mc: Optional[MCConfig] = None
 
@@ -368,19 +363,7 @@ _TAGGED = {
             },
         ),
     },
-    "belief kind": {
-        "point_mass": _tagged(PointMassBelief, {"pi": _NUMBER}),
-        "uniform": _tagged(UniformBelief, {"lo": _NUMBER, "hi": _NUMBER}),
-        "beta": _tagged(BetaBelief, {"a": _NUMBER, "b": _NUMBER}),
-        "mixture": _tagged(
-            MixtureBelief,
-            {
-                "components": _list_of(_one_of("belief kind")),
-                "weights": _list_of(_NUMBER),
-            },
-        ),
-        "empirical": _tagged(EmpiricalBelief, {"samples": _NUMBER_ARRAY}),
-    },
+    # "belief kind" is added by _treatment_cells().
 }
 _KIND_OF = {
     record.ctor: (kind, record)
@@ -406,41 +389,75 @@ _TYPES = _list_of(
         _record_kind(UtilityType, {"utilities": _NUMBER_ARRAY, "weight": _NUMBER})
     )
 )
-# Outcome utility u{y}_{a|b} is values[y, 0|1]: OutcomeUtilities.values is
-# laid out [y][treatment].
-_OUTCOME = _record_kind(
-    OutcomeUtilities.from_components,
-    {"u0_a": _NUMBER, "u1_a": _NUMBER, "u0_b": _NUMBER, "u1_b": _NUMBER},
-)
-_OUTCOME_UTILITIES = _Codec(
-    lambda v, path, ctx: _parse_record(v, path, _OUTCOME),
-    lambda u, ctx: {
-        f"u{y}_{t}": float(u.values[y, col])
-        for y in (0, 1)
-        for col, t in enumerate("ab")
-    },
-)
-# A z cell reads its belief before its label, so of two bad fields the
-# belief's error is the one reported.
-_Z_CELL = _record_kind(
-    CovariateCell,
-    {
-        "belief": _one_of("belief kind"),
-        "z_label": _LABEL,
-        "p_z_given_x": _NUMBER,
-        "p_xz": _NUMBER,
-    },
-)
-_X_CELL = _record_kind(
-    XCell,
-    {
-        "x_label": _LABEL,
-        "weight": _NUMBER,
-        "utilities": _OUTCOME_UTILITIES,
-        "z_cells": _list_of(_record(_Z_CELL)),
-    },
-)
-_X_CELLS = _list_of(_record(_X_CELL))
+
+
+@functools.cache
+def _treatment_cells() -> _Codec:
+    """The codec of a treatment section's x cells. It and the belief family
+    of `_TAGGED` and `_KIND_OF` are built on first use, so that only
+    treatment documents load the treatment module."""
+    from .treatment import (
+        BetaBelief,
+        CovariateCell,
+        EmpiricalBelief,
+        MixtureBelief,
+        OutcomeUtilities,
+        PointMassBelief,
+        UniformBelief,
+        XCell,
+    )
+
+    beliefs = {
+        "point_mass": _tagged(PointMassBelief, {"pi": _NUMBER}),
+        "uniform": _tagged(UniformBelief, {"lo": _NUMBER, "hi": _NUMBER}),
+        "beta": _tagged(BetaBelief, {"a": _NUMBER, "b": _NUMBER}),
+        "mixture": _tagged(
+            MixtureBelief,
+            {
+                "components": _list_of(_one_of("belief kind")),
+                "weights": _list_of(_NUMBER),
+            },
+        ),
+        "empirical": _tagged(EmpiricalBelief, {"samples": _NUMBER_ARRAY}),
+    }
+    _TAGGED["belief kind"] = beliefs
+    _KIND_OF.update((record.ctor, (kind, record)) for kind, record in beliefs.items())
+
+    # Outcome utility u{y}_{a|b} is values[y, 0|1]: OutcomeUtilities.values is
+    # laid out [y][treatment].
+    outcome = _record_kind(
+        OutcomeUtilities.from_components,
+        {"u0_a": _NUMBER, "u1_a": _NUMBER, "u0_b": _NUMBER, "u1_b": _NUMBER},
+    )
+    outcome_utilities = _Codec(
+        lambda v, path, ctx: _parse_record(v, path, outcome),
+        lambda u, ctx: {
+            f"u{y}_{t}": float(u.values[y, col])
+            for y in (0, 1)
+            for col, t in enumerate("ab")
+        },
+    )
+    # A z cell reads its belief before its label, so of two bad fields the
+    # belief's error is the one reported.
+    z_cell = _record_kind(
+        CovariateCell,
+        {
+            "belief": _one_of("belief kind"),
+            "z_label": _LABEL,
+            "p_z_given_x": _NUMBER,
+            "p_xz": _NUMBER,
+        },
+    )
+    x_cell = _record_kind(
+        XCell,
+        {
+            "x_label": _LABEL,
+            "weight": _NUMBER,
+            "utilities": outcome_utilities,
+            "z_cells": _list_of(_record(z_cell)),
+        },
+    )
+    return _list_of(_record(x_cell))
 
 
 # --- section parsers ---
@@ -471,11 +488,15 @@ def _parse_population(value: Any, path: str, mc: MCConfig) -> PopulationSection:
     return PopulationSection(population=population, models=models)
 
 
-def _parse_treatment(value: Any, path: str) -> TreatmentScenario:
+def _parse_treatment(value: Any, path: str) -> "TreatmentScenario":
+    from .treatment import TreatmentScenario
+
     obj = _require_object(value, path)
     _check_keys(obj, {"x_cells"}, path)
     cells_path = f"{path}.x_cells"
-    x_cells = _X_CELLS.read(_get(obj, "x_cells", path), cells_path, _Context())
+    x_cells = _treatment_cells().read(
+        _get(obj, "x_cells", path), cells_path, _Context()
+    )
     return _build(cells_path, TreatmentScenario, x_cells=x_cells)
 
 
@@ -542,6 +563,8 @@ def parse_scenario(path) -> ScenarioDocument:
 
 def bundled_scenario_text(name: str = "hotelling.scn") -> str:
     """Raw text of a scenario file shipped inside the package."""
+    from importlib import resources
+
     return (
         resources.files("choicewelfare").joinpath("data").joinpath(name)
     ).read_text(encoding="utf-8")
@@ -575,7 +598,7 @@ def document_to_json_dict(doc: ScenarioDocument) -> dict:
     if doc.hotelling is not None:
         out["hotelling"] = _record_to_json(doc.hotelling, _HOTELLING)
     if doc.treatment is not None:
-        x_cells = _X_CELLS.write(doc.treatment.x_cells, _Context())
+        x_cells = _treatment_cells().write(doc.treatment.x_cells, _Context())
         out["treatment"] = {"x_cells": x_cells}
     if doc.sweep is not None:
         out["sweep"] = _record_to_json(doc.sweep, _SWEEP)

@@ -66,7 +66,7 @@ class SweepConfig:
         if not (math.isfinite(q_min) and math.isfinite(q_max)):
             raise ValueError(f"q_min and q_max must be finite, got {q_min}, {q_max}")
         if not math.isfinite(q_step):
-            raise ValueError("sweep bounds must be finite")
+            raise ValueError(f"q_step must be finite, got {q_step}")
         if q_min < 0.0:
             raise ValueError("q_min must be >= 0")
         if q_max < q_min:

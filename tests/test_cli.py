@@ -607,22 +607,29 @@ def test_bad_grid_step_is_usage_error(hotelling_file, tmp_path, capsys):
     assert "q_step" in capsys.readouterr().err
 
 
+BAD_Q_RANGES = [
+    (float("nan"), 10.0, 0.1, "q_min and q_max must be finite, got nan, 10.0"),
+    (0.0, float("inf"), 0.1, "q_min and q_max must be finite, got 0.0, inf"),
+    (float("-inf"), 1.0, 0.1, "q_min and q_max must be finite, got -inf, 1.0"),
+    (0.0, 1.0, float("inf"), "q_step must be finite, got inf"),
+    (0.0, 1.0, 0.0, "q_step must be > 0"),
+    (0.0, 1.0, -0.5, "q_step must be > 0"),
+    (1.0, 0.5, 0.1, "q_max must be >= q_min"),
+    (-0.5, 1.0, 0.1, "q_min must be >= 0"),
+]
+
+
 @pytest.mark.parametrize(
-    "q_min, q_max, q_step",
-    [
-        (float("nan"), 10.0, 0.1),
-        (0.0, float("inf"), 0.1),
-        (float("-inf"), 1.0, 0.1),
-        (0.0, 1.0, float("inf")),
-        (0.0, 1.0, 0.0),
-        (0.0, 1.0, -0.5),
-        (1.0, 0.5, 0.1),
-        (-0.5, 1.0, 0.1),
-    ],
+    "q_min, q_max, q_step, message",
+    BAD_Q_RANGES,
+    ids=[f"{q_min}-{q_max}-{q_step}" for q_min, q_max, q_step, _ in BAD_Q_RANGES],
 )
-def test_bad_q_range_is_one_rule(hotelling_file, tmp_path, capsys, q_min, q_max, q_step):
+def test_bad_q_range_is_one_rule(
+    hotelling_file, tmp_path, capsys, q_min, q_max, q_step, message
+):
     with pytest.raises(ValueError) as config_error:
         SweepConfig(q_min, q_max, q_step)
+    assert str(config_error.value) == message
     with pytest.raises(ValueError) as range_error:
         SweepGrid.from_range(q_min, q_max, q_step)
     assert str(range_error.value) == str(config_error.value)
