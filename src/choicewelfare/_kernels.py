@@ -11,7 +11,22 @@ a contiguous (q, T) slice, not a reduction along a last axis only k long.
 Its two sums over actions add in the order numpy's ``add.reduce`` uses along
 a contiguous axis (`_sum_actions`), so the curve is bit for bit what a
 per-q softmax over (T, k) rows gives, for any chunking of the q values.
+
+A large curve call splits its chunks across the CPUs the process may use
+(`WORKERS`): the calling thread and WORKERS - 1 helper threads each claim
+the next chunk whenever they are free, and numpy releases the GIL inside
+every ufunc a chunk runs. Threads start only when the call holds at least
+one full chunk per worker (Q x T x k >= WORKERS x CURVE_CHUNK_ELEMENTS) and
+one q fits in a WORKERS-th of a chunk; the chunks then shrink to a
+WORKERS-th of the budget, so the memory in flight stays what one thread
+uses. Every other call, such as a one-q refinement call, runs the same chunk
+function on the calling thread alone. Since the bits of each q do not
+depend on the chunking, the curve is the same on any number of CPUs.
 """
+
+import _thread
+import contextvars
+import os
 
 import numpy as np
 
@@ -30,6 +45,16 @@ def argmax_tally(utilities, errors):
 # Elements (q values x types x actions) per chunk of the curve kernel: bounds
 # its temporaries to a few 512 KiB arrays whatever the grid length.
 CURVE_CHUNK_ELEMENTS = 65536
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# CPUs this process may run on, read once at import; `taskset` lowers it.
+WORKERS = _usable_cpus()
 
 
 def _sum_actions(z):
@@ -70,6 +95,17 @@ def logit_welfare_curve(weights, utilities, q_values):
     chunks of q values of at most CURVE_CHUNK_ELEMENTS (k x q x T) elements,
     so memory stays bounded for any grid.
 
+    When Q x T x k >= WORKERS x CURVE_CHUNK_ELEMENTS and one q fits in a
+    WORKERS-th of the budget (T x k <= CURVE_CHUNK_ELEMENTS // WORKERS), the
+    chunks hold CURVE_CHUNK_ELEMENTS // WORKERS // (T x k) q values each,
+    and the calling thread and WORKERS - 1 helper threads share them out
+    (`_split_across_threads`); the helpers run under a copy of the caller's
+    context, so ``np.errstate`` holds in them too. WORKERS chunks in flight
+    then take the memory one full chunk takes. Every helper has finished its
+    last chunk before the call returns or raises, and an error in a helper
+    is raised in the caller. A smaller call, and every call when WORKERS is
+    1, runs the chunks on the calling thread and starts no thread.
+
     Each chunk is action-major, (k, q, T), against ``utilities`` transposed
     once per call. The row max is a running np.maximum over the k (q, T)
     slices; each (q, type) row subtracts it before exponentiating. The two
@@ -77,18 +113,38 @@ def logit_welfare_curve(weights, utilities, q_values):
     numpy's ``add.reduce`` order (`_sum_actions`), and the type reduction is
     numpy's pairwise sum over the contiguous T axis, to keep large-T
     accumulation accurate. A max is exact in any order, and every other step
-    is elementwise, so a q value's welfare does not depend on the chunk or
-    on the other q values: it is bit for bit the per-q softmax
-    ``z = q * utilities; z -= z.max(axis=1, keepdims=True); ...`` over
-    (T, k), and a single q alone gives the same bits as inside a vector.
+    is elementwise, so a q value's welfare does not depend on the chunk, on
+    the other q values or on the thread or number of threads: it is bit for
+    bit the per-q softmax ``z = q * utilities; z -= z.max(axis=1,
+    keepdims=True); ...`` over (T, k), and a single q alone gives the same
+    bits as inside a vector.
     """
     weights = np.asarray(weights, dtype=np.float64)
     utilities = np.asarray(utilities, dtype=np.float64)
     q_values = np.asarray(q_values, dtype=np.float64)
     out = np.empty(q_values.shape[0], dtype=np.float64)
     by_action = np.ascontiguousarray(utilities.T)[:, np.newaxis, :]
-    chunk = max(1, CURVE_CHUNK_ELEMENTS // utilities.size)
-    for start in range(0, q_values.shape[0], chunk):
+    per_q = utilities.size
+    workers = WORKERS
+    if (workers > 1 and q_values.shape[0] * per_q >= workers * CURVE_CHUNK_ELEMENTS
+            and per_q <= CURVE_CHUNK_ELEMENTS // workers):
+        chunk = CURVE_CHUNK_ELEMENTS // workers // per_q
+    else:
+        workers = 1
+        chunk = max(1, CURVE_CHUNK_ELEMENTS // per_q)
+    starts = range(0, q_values.shape[0], chunk)
+    args = (weights, by_action, q_values, chunk, out)
+    if workers == 1:
+        _curve_chunks(starts, *args)
+    else:
+        _split_across_threads(starts, workers, args)
+    return out
+
+
+def _curve_chunks(starts, weights, by_action, q_values, chunk, out):
+    """Fill ``out`` with the welfare of the chunks of q values that begin at
+    ``starts``; the one body of `logit_welfare_curve`'s arithmetic."""
+    for start in starts:
         z = q_values[start:start + chunk, np.newaxis] * by_action
         row_max = z[0].copy()
         for i in range(1, z.shape[0]):
@@ -100,7 +156,55 @@ def logit_welfare_curve(weights, utilities, q_values):
         per_type = _sum_actions(z)
         per_type *= weights
         out[start:start + chunk] = per_type.sum(axis=1)
-    return out
+
+
+def _split_across_threads(starts, workers, args):
+    """Run `_curve_chunks` over ``starts`` on the calling thread and
+    ``workers - 1`` helper threads, each under a copy of the caller's context.
+
+    Each thread claims the next chunk whenever it is free, so a helper that
+    starts late, or shares its CPU with another process, leaves its chunks
+    to the others instead of holding the caller up; and the caller does not
+    wait for a helper to start. The first error on any thread stops further
+    claims. The caller waits until every helper has finished its last chunk,
+    then raises its own error or else the first helper error.
+    """
+    pending = iter(starts)
+    claim_lock = _thread.allocate_lock()
+    failed = []
+
+    def claims():
+        while True:
+            with claim_lock:
+                start = None if failed else next(pending, None)
+            if start is None:
+                return
+            yield start
+
+    def helper(finished):
+        try:
+            _curve_chunks(claims(), *args)
+        except BaseException as exc:  # raised in the caller
+            failed.append(exc)
+        finally:
+            finished.release()
+
+    running = []
+    try:
+        for _ in range(workers - 1):
+            finished = _thread.allocate_lock()
+            finished.acquire()
+            _thread.start_new_thread(contextvars.copy_context().run, (helper, finished))
+            running.append(finished)
+        _curve_chunks(claims(), *args)
+    except BaseException as exc:
+        failed.append(exc)
+        raise
+    finally:
+        for finished in running:
+            finished.acquire()
+    if failed:
+        raise failed[0]
 
 
 def active_backend() -> str:
@@ -113,7 +217,9 @@ def warm_up() -> None:
     """Run each kernel once on a tiny input.
 
     Timed runs call it during set-up, so any first-call cost of the kernels'
-    code paths is counted as set-up time and not in the timed work.
+    code paths is counted as set-up time and not in the timed work. Its
+    input is too small to start threads, so the first thread start of a
+    large curve call is paid in the run.
     """
     u = np.array([0.0, 1.0])
     argmax_tally(u, np.zeros((2, 2)))

@@ -4,6 +4,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +401,57 @@ def test_sweep_csv_quotes_labels_as_csv_writer_does(tmp_path, capsys):
     assert (tmp_path / "rows.crossings.csv").read_bytes() == csv_bytes(
         ("subset_a", "subset_b", "q"), crossings
     )
+
+
+# Runs `cli.main` on each argv in a fresh interpreter, first pinned to one
+# CPU when a CPU is given, and prints the kernel's worker count.
+_SWEEP_ON_CPUS = """
+import json, os, sys
+cpu = json.loads(sys.argv[1])
+if cpu is not None:
+    os.sched_setaffinity(0, {cpu})
+from choicewelfare import _kernels, cli
+for argv in json.loads(sys.argv[2]):
+    if cli.main(argv) != 0:
+        sys.exit(1)
+print(_kernels.WORKERS)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_sweep_outputs_are_the_same_on_one_cpu(tmp_path):
+    # 100 types x 3 actions on a 1,001-point grid: the two- and three-action
+    # curve calls are large enough to split across every usable CPU. The
+    # JSON output holds every bit of each welfare value; the CSV 12 digits.
+    rng = np.random.default_rng(18)
+    scenario = _write(tmp_path, "wide.scn", {
+        "schema_version": 1,
+        "population": {
+            "actions": ["a", "b", "c"],
+            "types": [{"utilities": [float(u) for u in row], "weight": 0.01}
+                      for row in rng.normal(scale=2.0, size=(100, 3))],
+        },
+    })
+    argvs = [["sweep", "--scenario", scenario, "--out", f"rows.{fmt}", "--q-step", "0.01",
+              "--format", fmt] for fmt in ("csv", "json")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outputs = {}
+    for name, cpu in (("one", min(os.sched_getaffinity(0))), ("all", None)):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", _SWEEP_ON_CPUS, json.dumps(cpu), json.dumps(argvs)],
+            cwd=run_dir, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        workers = int(done.stdout.splitlines()[-1])
+        assert workers == (1 if cpu is not None else len(os.sched_getaffinity(0)))
+        outputs[name] = {f.name: f.read_bytes() for f in sorted(run_dir.iterdir())}
+    assert sorted(outputs["one"]) == [
+        "rows.crossings.csv", "rows.crossings.json", "rows.csv", "rows.json"]
+    assert len(json.loads(outputs["one"]["rows.json"])["rows"]) == 7 * 1001
+    assert outputs["one"] == outputs["all"]
 
 
 def test_sweep_json_format(hotelling_file, tmp_path, capsys):

@@ -1,10 +1,16 @@
 """Numeric kernels: tallies, tie-breaking, and the chunked logit curve."""
 
+import sys
+import threading
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from choicewelfare import ActionSet, UtilityType, build_population, sweep_logit
 from choicewelfare import _kernels as kernels
 
 
@@ -157,3 +163,224 @@ def test_logit_welfare_curve_overflow_safe():
     curve = kernels.logit_welfare_curve(weights, utilities, np.array([1e6]))
     assert np.isfinite(curve[0])
     assert abs(curve[0] - 1000.0) < 1e-9
+
+
+# --- the curve split across worker threads ---
+
+
+def _threshold_q(workers, per_q):
+    """The fewest q values with which a call of per_q = T x k elements per q
+    starts threads on `workers` CPUs."""
+    return -(-workers * kernels.CURVE_CHUNK_ELEMENTS // per_q)
+
+
+def test_workers_is_the_usable_cpu_count():
+    assert kernels.WORKERS == kernels._usable_cpus() >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workers=st.sampled_from([1, 2, 3]),
+    n_types=st.integers(30, 150),
+    k=st.integers(1, 20),
+    extra_q=st.integers(0, 300),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(workers=2, n_types=40, k=8, extra_q=0, tied=False, seed=0)
+@example(workers=3, n_types=33, k=9, extra_q=17, tied=True, seed=1)
+@example(workers=3, n_types=30, k=16, extra_q=1, tied=False, seed=2)
+def test_curve_is_bitwise_the_one_q_loop_on_any_worker_count(
+    workers, n_types, k, extra_q, tied, seed
+):
+    # Every shape is at or above the threshold at which `workers` CPUs split
+    # the call, so for 2 and 3 the chunks run on helper threads. Each q must
+    # keep the bits it has alone: from k = 8 on the 8-partial sum order,
+    # q = 0 entries and tied utilities included.
+    n_q = _threshold_q(workers, n_types * k) + extra_q
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_types))
+    if tied:
+        utilities = rng.integers(-2, 3, size=(n_types, k)).astype(np.float64)
+    else:
+        utilities = rng.normal(scale=2.0, size=(n_types, k))
+    q_values = 10.0 ** rng.uniform(-3.0, 3.0, n_q)
+    q_values[rng.random(n_q) < 0.1] = 0.0
+    with mock.patch.object(kernels, "WORKERS", workers):
+        curve = kernels.logit_welfare_curve(weights, utilities, q_values)
+    assert curve.tobytes() == _curve_one_q_at_a_time(weights, utilities, q_values).tobytes()
+
+
+def test_more_workers_than_cpus_with_frequent_switches_keep_every_bit(monkeypatch):
+    # Eight threads claim the chunks of one output array while the
+    # interpreter switches threads every microsecond; a chunk no thread
+    # claimed, or one written to the wrong slice, would change the curve.
+    rng = np.random.default_rng(8)
+    weights = rng.dirichlet(np.ones(100))
+    utilities = rng.normal(scale=2.0, size=(100, 6))
+    q_values = np.linspace(0.0, 50.0, _threshold_q(8, utilities.size) + 5)
+    monkeypatch.setattr(kernels, "WORKERS", 1)
+    expected = kernels.logit_welfare_curve(weights, utilities, q_values)
+    monkeypatch.setattr(kernels, "WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            curve = kernels.logit_welfare_curve(weights, utilities, q_values)
+            assert curve.tobytes() == expected.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _count_thread_starts(monkeypatch):
+    starts = []
+    start_new_thread = kernels._thread.start_new_thread
+
+    def counting(*args):
+        starts.append(args)
+        return start_new_thread(*args)
+
+    monkeypatch.setattr(kernels._thread, "start_new_thread", counting)
+    return starts
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_call_at_the_threshold_starts_one_helper_per_other_worker(workers, monkeypatch):
+    rng = np.random.default_rng(workers)
+    weights = rng.dirichlet(np.ones(50))
+    utilities = rng.normal(size=(50, 4))
+    n_q = _threshold_q(workers, utilities.size)
+    q_values = np.linspace(0.0, 10.0, n_q)
+    monkeypatch.setattr(kernels, "WORKERS", workers)
+    starts = _count_thread_starts(monkeypatch)
+    split = kernels.logit_welfare_curve(weights, utilities, q_values)
+    assert len(starts) == workers - 1
+    kernels.logit_welfare_curve(weights, utilities, q_values[1:])
+    assert len(starts) == workers - 1  # one q below: no thread
+    monkeypatch.setattr(kernels, "WORKERS", 1)
+    assert split.tobytes() == kernels.logit_welfare_curve(weights, utilities, q_values).tobytes()
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("the call started a thread")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+def test_refinement_and_sweep_crossings_sized_calls_start_no_thread(workers, monkeypatch):
+    # sweep_crossings' largest grid call is 50 types x 5 actions x 201 q
+    # (50,250 elements), below one full chunk per worker; a refinement call
+    # has one q, which never splits, however large T x k is.
+    monkeypatch.setattr(kernels, "WORKERS", workers)
+    monkeypatch.setattr(kernels._thread, "start_new_thread", _no_thread)
+    rng = np.random.default_rng(5)
+    utilities = rng.normal(size=(50, 5))
+    weights = np.full(50, 1.0 / 50)
+    grid = np.linspace(0.0, 10.0, 201)
+    kernels.logit_welfare_curve(weights, utilities, grid)
+    kernels.logit_welfare_curve(weights, utilities, grid[7:8])
+    wide = rng.normal(size=(4 * kernels.CURVE_CHUNK_ELEMENTS // 7, 7))
+    kernels.logit_welfare_curve(np.full(wide.shape[0], 1.0 / wide.shape[0]), wide, [1.5])
+    actions = ActionSet(labels=tuple(f"a{i}" for i in range(5)))
+    pop = build_population(actions, [UtilityType(utilities=u, weight=1.0) for u in utilities])
+    assert sweep_logit(pop).crossings
+
+
+def _split_call(workers, q):
+    """Weights, utilities and a grid of q values just long enough to split
+    on `workers` CPUs."""
+    rng = np.random.default_rng(11)
+    weights = rng.dirichlet(np.ones(64))
+    utilities = rng.normal(scale=2.0, size=(64, 4))
+    return weights, utilities, np.full(_threshold_q(workers, utilities.size), q)
+
+
+def _leave_every_chunk_to_the_helper(monkeypatch):
+    """Make the calling thread claim chunks only once the helper of the
+    same call has finished, so the helper computes every chunk."""
+    caller = threading.get_ident()
+    helper_done = threading.Event()
+    curve_chunks = kernels._curve_chunks
+
+    def ordered(starts, *args):
+        if threading.get_ident() == caller:
+            assert helper_done.wait(timeout=30)
+            helper_done.clear()
+            return curve_chunks(starts, *args)
+        try:
+            return curve_chunks(starts, *args)
+        finally:
+            helper_done.set()
+
+    monkeypatch.setattr(kernels, "WORKERS", 2)
+    monkeypatch.setattr(kernels, "_curve_chunks", ordered)
+    return caller
+
+
+def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
+    caller = _leave_every_chunk_to_the_helper(monkeypatch)
+    sum_actions = kernels._sum_actions
+
+    def failing_in_helpers(z):
+        if threading.get_ident() != caller:
+            raise RuntimeError("helper chunk failed")
+        return sum_actions(z)
+
+    monkeypatch.setattr(kernels, "_sum_actions", failing_in_helpers)
+    with pytest.raises(RuntimeError, match="helper chunk failed"):
+        kernels.logit_welfare_curve(*_split_call(2, 1.0))
+
+
+def test_errstate_of_the_caller_holds_in_the_helpers(monkeypatch):
+    # numpy 2 keeps np.errstate in a contextvar, which a new thread does not
+    # inherit. Every chunk here is the helper's, and at q = 1e3 exp
+    # underflows.
+    _leave_every_chunk_to_the_helper(monkeypatch)
+    with np.errstate(under="raise"):
+        kernels.logit_welfare_curve(*_split_call(2, 0.0))
+        with pytest.raises(FloatingPointError):
+            kernels.logit_welfare_curve(*_split_call(2, 1e3))
+
+
+def test_a_caller_error_waits_for_every_helper_chunk(monkeypatch):
+    # The caller fails while each of two helpers is inside a slow chunk. The
+    # error reaches the caller only once no chunk is running any more, and
+    # no thread claims a chunk after it.
+    monkeypatch.setattr(kernels, "WORKERS", 3)
+    caller = threading.get_ident()
+    both_inside = threading.Barrier(2, timeout=30)
+    lock = threading.Lock()
+    active = [0]
+    entered = []
+    sum_actions = kernels._sum_actions
+
+    def slow_helpers_failing_caller(z):
+        if threading.get_ident() == caller:
+            raise RuntimeError("caller chunk failed")
+        with lock:
+            active[0] += 1
+            entered.append(threading.get_ident())
+            first_two = len(entered) <= 2
+        try:
+            if first_two:
+                both_inside.wait()
+                time.sleep(0.2)
+            return sum_actions(z)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    def curve_chunks_after_helpers_start(starts, *args, _chunks=kernels._curve_chunks):
+        if threading.get_ident() == caller:
+            deadline = time.monotonic() + 30
+            while active[0] < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+        return _chunks(starts, *args)
+
+    monkeypatch.setattr(kernels, "_sum_actions", slow_helpers_failing_caller)
+    monkeypatch.setattr(kernels, "_curve_chunks", curve_chunks_after_helpers_start)
+    with pytest.raises(RuntimeError, match="caller chunk failed"):
+        kernels.logit_welfare_curve(*_split_call(3, 1.0))
+    assert active[0] == 0
+    # Each helper finishes the chunk it was in (two sums over actions) and
+    # claims no other.
+    assert len(entered) == 4 and len(set(entered)) == 2
