@@ -13,15 +13,18 @@ a contiguous axis (`_sum_actions`), so the curve is bit for bit what a
 per-q softmax over (T, k) rows gives, for any chunking of the q values.
 
 A large curve call splits its chunks across the CPUs the process may use
-(`WORKERS`): the calling thread and WORKERS - 1 helper threads each claim
-the next chunk whenever they are free, and numpy releases the GIL inside
-every ufunc a chunk runs. Threads start only when the call holds at least
-one full chunk per worker (Q x T x k >= WORKERS x CURVE_CHUNK_ELEMENTS) and
-one q fits in a WORKERS-th of a chunk; the chunks then shrink to a
-WORKERS-th of the budget, so the memory in flight stays what one thread
-uses. Every other call, such as a one-q refinement call, runs the same chunk
-function on the calling thread alone. Since the bits of each q do not
-depend on the chunking, the curve is the same on any number of CPUs.
+(`WORKERS`): the calling thread and up to WORKERS - 1 helper threads each
+claim the next chunk whenever they are free, and numpy releases the GIL
+inside every ufunc a chunk runs. A call of at least two full chunks
+(Q x T x k >= 2 x CURVE_CHUNK_ELEMENTS) in which one q fits in half a chunk
+runs on one thread per full chunk it holds, at most WORKERS, in chunks of
+half the budget: the size measured with two threads, and no smaller on more
+CPUs, so the number of chunks, and with it the interpreter-held work of the
+call, does not grow with the CPU count. Two threads then hold the memory one
+serial chunk holds, and each further thread half a chunk more. Every other
+call, such as a one-q refinement call, runs the same chunk function on the
+calling thread alone. Since the bits of each q do not depend on the
+chunking, the curve is the same on any number of CPUs.
 """
 
 import _thread
@@ -53,7 +56,9 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-# CPUs this process may run on, read once at import; `taskset` lowers it.
+# CPUs this process may run on, read once at import; `taskset` lowers it. A
+# CPU-time quota (a cgroup's cpu.max) does not: threads beyond the CPUs the
+# quota pays for share them and run the curves slower than fewer threads.
 WORKERS = _usable_cpus()
 
 
@@ -95,16 +100,18 @@ def logit_welfare_curve(weights, utilities, q_values):
     chunks of q values of at most CURVE_CHUNK_ELEMENTS (k x q x T) elements,
     so memory stays bounded for any grid.
 
-    When Q x T x k >= WORKERS x CURVE_CHUNK_ELEMENTS and one q fits in a
-    WORKERS-th of the budget (T x k <= CURVE_CHUNK_ELEMENTS // WORKERS), the
-    chunks hold CURVE_CHUNK_ELEMENTS // WORKERS // (T x k) q values each,
-    and the calling thread and WORKERS - 1 helper threads share them out
-    (`_split_across_threads`); the helpers run under a copy of the caller's
-    context, so ``np.errstate`` holds in them too. WORKERS chunks in flight
-    then take the memory one full chunk takes. Every helper has finished its
-    last chunk before the call returns or raises, and an error in a helper
-    is raised in the caller. A smaller call, and every call when WORKERS is
-    1, runs the chunks on the calling thread and starts no thread.
+    When the call holds n = Q x T x k // CURVE_CHUNK_ELEMENTS >= 2 full
+    chunks, WORKERS >= 2 and one q fits in half a chunk (T x k <=
+    CURVE_CHUNK_ELEMENTS // 2), the chunks hold CURVE_CHUNK_ELEMENTS // 2 //
+    (T x k) q values each, and min(WORKERS, n) threads share them out: the
+    calling thread and helper threads (`_split_across_threads`), which run
+    under a copy of the caller's context, so ``np.errstate`` holds in them
+    too. The call holds at least two half chunks per thread. Two threads hold
+    the memory of one full chunk in flight, as the serial loop does; each
+    further thread adds half a chunk. Every helper has finished its last
+    chunk before the call returns or raises, and an error in a helper is
+    raised in the caller. A smaller call, and every call when WORKERS is 1,
+    runs full chunks on the calling thread and starts no thread.
 
     Each chunk is action-major, (k, q, T), against ``utilities`` transposed
     once per call. The row max is a running np.maximum over the k (q, T)
@@ -125,19 +132,14 @@ def logit_welfare_curve(weights, utilities, q_values):
     out = np.empty(q_values.shape[0], dtype=np.float64)
     by_action = np.ascontiguousarray(utilities.T)[:, np.newaxis, :]
     per_q = utilities.size
-    workers = WORKERS
-    if (workers > 1 and q_values.shape[0] * per_q >= workers * CURVE_CHUNK_ELEMENTS
-            and per_q <= CURVE_CHUNK_ELEMENTS // workers):
-        chunk = CURVE_CHUNK_ELEMENTS // workers // per_q
+    full_chunks = q_values.shape[0] * per_q // CURVE_CHUNK_ELEMENTS
+    if WORKERS > 1 and full_chunks > 1 and per_q <= CURVE_CHUNK_ELEMENTS // 2:
+        chunk = CURVE_CHUNK_ELEMENTS // 2 // per_q
+        _split_across_threads(range(0, q_values.shape[0], chunk), min(WORKERS, full_chunks),
+                              (weights, by_action, q_values, chunk, out))
     else:
-        workers = 1
         chunk = max(1, CURVE_CHUNK_ELEMENTS // per_q)
-    starts = range(0, q_values.shape[0], chunk)
-    args = (weights, by_action, q_values, chunk, out)
-    if workers == 1:
-        _curve_chunks(starts, *args)
-    else:
-        _split_across_threads(starts, workers, args)
+        _curve_chunks(range(0, q_values.shape[0], chunk), weights, by_action, q_values, chunk, out)
     return out
 
 
@@ -158,25 +160,36 @@ def _curve_chunks(starts, weights, by_action, q_values, chunk, out):
         out[start:start + chunk] = per_type.sum(axis=1)
 
 
-def _split_across_threads(starts, workers, args):
+def _split_across_threads(starts, threads, args):
     """Run `_curve_chunks` over ``starts`` on the calling thread and
-    ``workers - 1`` helper threads, each under a copy of the caller's context.
+    ``threads - 1`` helper threads, each under a copy of the caller's context.
 
     Each thread claims the next chunk whenever it is free, so a helper that
     starts late, or shares its CPU with another process, leaves its chunks
     to the others instead of holding the caller up; and the caller does not
-    wait for a helper to start. The first error on any thread stops further
-    claims. The caller waits until every helper has finished its last chunk,
-    then raises its own error or else the first helper error.
+    wait for a helper to start. The first error on any thread, or the caller
+    leaving for any reason (a KeyboardInterrupt while it waits included),
+    stops further claims. The caller waits until every helper has finished
+    its last chunk, then raises its own error or else the first helper error.
+
+    The helpers come from `_thread.start_new_thread`, not `threading`:
+    `threading.Thread.start()` waits until the new thread runs, and with the
+    other CPU of a two-CPU host kept busy by another process that wait made
+    a split sweep's curves 1.17x the one-thread time, against 0.95x without
+    it (one measurement). The cost is that tools built on `threading` do not
+    see the helpers: `threading.settrace` and `threading.setprofile` hooks,
+    so coverage.py and profilers miss the chunks they run, and
+    `threading.enumerate` does not list them.
     """
     pending = iter(starts)
     claim_lock = _thread.allocate_lock()
+    stop = []  # non-empty: claim no further chunk
     failed = []
 
     def claims():
         while True:
             with claim_lock:
-                start = None if failed else next(pending, None)
+                start = None if stop else next(pending, None)
             if start is None:
                 return
             yield start
@@ -186,21 +199,20 @@ def _split_across_threads(starts, workers, args):
             _curve_chunks(claims(), *args)
         except BaseException as exc:  # raised in the caller
             failed.append(exc)
+            stop.append(True)
         finally:
             finished.release()
 
     running = []
     try:
-        for _ in range(workers - 1):
+        for _ in range(threads - 1):
             finished = _thread.allocate_lock()
             finished.acquire()
             _thread.start_new_thread(contextvars.copy_context().run, (helper, finished))
             running.append(finished)
         _curve_chunks(claims(), *args)
-    except BaseException as exc:
-        failed.append(exc)
-        raise
     finally:
+        stop.append(True)
         for finished in running:
             finished.acquire()
     if failed:

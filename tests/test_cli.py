@@ -404,25 +404,35 @@ def test_sweep_csv_quotes_labels_as_csv_writer_does(tmp_path, capsys):
 
 
 # Runs `cli.main` on each argv in a fresh interpreter, first pinned to one
-# CPU when a CPU is given, and prints the kernel's worker count.
+# CPU when a CPU is given, and prints the kernel's worker count and the
+# number of threads started.
 _SWEEP_ON_CPUS = """
-import json, os, sys
+import _thread, json, os, sys
 cpu = json.loads(sys.argv[1])
 if cpu is not None:
     os.sched_setaffinity(0, {cpu})
+started = []
+start_new_thread = _thread.start_new_thread
+def counting(*args):
+    started.append(args)
+    return start_new_thread(*args)
+_thread.start_new_thread = counting
 from choicewelfare import _kernels, cli
 for argv in json.loads(sys.argv[2]):
     if cli.main(argv) != 0:
         sys.exit(1)
-print(_kernels.WORKERS)
+print(_kernels.WORKERS, len(started))
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
+                    reason="one usable CPU: the unpinned run would not split either")
 def test_sweep_outputs_are_the_same_on_one_cpu(tmp_path):
     # 100 types x 3 actions on a 1,001-point grid: the two- and three-action
-    # curve calls are large enough to split across every usable CPU. The
-    # JSON output holds every bit of each welfare value; the CSV 12 digits.
+    # curve calls hold 3 and 4 full chunks, so on two or more CPUs they
+    # split. The JSON output holds every bit of each welfare value; the CSV
+    # 12 digits.
     rng = np.random.default_rng(18)
     scenario = _write(tmp_path, "wide.scn", {
         "schema_version": 1,
@@ -445,8 +455,9 @@ def test_sweep_outputs_are_the_same_on_one_cpu(tmp_path):
             cwd=run_dir, env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        workers = int(done.stdout.splitlines()[-1])
+        workers, started = map(int, done.stdout.splitlines()[-1].split())
         assert workers == (1 if cpu is not None else len(os.sched_getaffinity(0)))
+        assert (started > 0) == (cpu is None)
         outputs[name] = {f.name: f.read_bytes() for f in sorted(run_dir.iterdir())}
     assert sorted(outputs["one"]) == [
         "rows.crossings.csv", "rows.crossings.json", "rows.csv", "rows.json"]

@@ -168,10 +168,11 @@ def test_logit_welfare_curve_overflow_safe():
 # --- the curve split across worker threads ---
 
 
-def _threshold_q(workers, per_q):
+def _q_for_chunks(full_chunks, per_q):
     """The fewest q values with which a call of per_q = T x k elements per q
-    starts threads on `workers` CPUs."""
-    return -(-workers * kernels.CURVE_CHUNK_ELEMENTS // per_q)
+    holds `full_chunks` full chunks, and so runs on min(WORKERS,
+    full_chunks) threads once that is 2 or more."""
+    return -(-full_chunks * kernels.CURVE_CHUNK_ELEMENTS // per_q)
 
 
 def test_workers_is_the_usable_cpu_count():
@@ -183,21 +184,22 @@ def test_workers_is_the_usable_cpu_count():
     workers=st.sampled_from([1, 2, 3]),
     n_types=st.integers(30, 150),
     k=st.integers(1, 20),
+    full_chunks=st.integers(2, 4),
     extra_q=st.integers(0, 300),
     tied=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(workers=2, n_types=40, k=8, extra_q=0, tied=False, seed=0)
-@example(workers=3, n_types=33, k=9, extra_q=17, tied=True, seed=1)
-@example(workers=3, n_types=30, k=16, extra_q=1, tied=False, seed=2)
+@example(workers=2, n_types=40, k=8, full_chunks=2, extra_q=0, tied=False, seed=0)
+@example(workers=3, n_types=33, k=9, full_chunks=3, extra_q=17, tied=True, seed=1)
+@example(workers=3, n_types=30, k=16, full_chunks=4, extra_q=1, tied=False, seed=2)
 def test_curve_is_bitwise_the_one_q_loop_on_any_worker_count(
-    workers, n_types, k, extra_q, tied, seed
+    workers, n_types, k, full_chunks, extra_q, tied, seed
 ):
-    # Every shape is at or above the threshold at which `workers` CPUs split
-    # the call, so for 2 and 3 the chunks run on helper threads. Each q must
-    # keep the bits it has alone: from k = 8 on the 8-partial sum order,
-    # q = 0 entries and tied utilities included.
-    n_q = _threshold_q(workers, n_types * k) + extra_q
+    # Every shape is at or above the two full chunks from which a call
+    # splits, so for 2 and 3 workers the chunks run on helper threads. Each
+    # q must keep the bits it has alone: from k = 8 on the 8-partial sum
+    # order, q = 0 entries and tied utilities included.
+    n_q = _q_for_chunks(full_chunks, n_types * k) + extra_q
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n_types))
     if tied:
@@ -218,7 +220,7 @@ def test_more_workers_than_cpus_with_frequent_switches_keep_every_bit(monkeypatc
     rng = np.random.default_rng(8)
     weights = rng.dirichlet(np.ones(100))
     utilities = rng.normal(scale=2.0, size=(100, 6))
-    q_values = np.linspace(0.0, 50.0, _threshold_q(8, utilities.size) + 5)
+    q_values = np.linspace(0.0, 50.0, _q_for_chunks(8, utilities.size) + 5)
     monkeypatch.setattr(kernels, "WORKERS", 1)
     expected = kernels.logit_welfare_curve(weights, utilities, q_values)
     monkeypatch.setattr(kernels, "WORKERS", 8)
@@ -244,19 +246,36 @@ def _count_thread_starts(monkeypatch):
     return starts
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_a_call_at_the_threshold_starts_one_helper_per_other_worker(workers, monkeypatch):
+@pytest.mark.parametrize(
+    "workers, full_chunks", [(2, 2), (2, 5), (3, 2), (3, 3), (64, 3), (64, 18)])
+def test_a_split_call_runs_one_thread_per_full_chunk_in_half_chunks(
+    workers, full_chunks, monkeypatch
+):
+    # Whatever the CPU count, a split call's chunks hold half the budget,
+    # the size measured with two threads, and it runs on no more threads
+    # than it holds full chunks, so each thread has two half chunks or more
+    # (64 workers on a 150 x 4 x 2,001 sweep_fine_grid call: 18 threads).
     rng = np.random.default_rng(workers)
     weights = rng.dirichlet(np.ones(50))
     utilities = rng.normal(size=(50, 4))
-    n_q = _threshold_q(workers, utilities.size)
-    q_values = np.linspace(0.0, 10.0, n_q)
+    q_values = np.linspace(0.0, 10.0, _q_for_chunks(full_chunks, utilities.size))
     monkeypatch.setattr(kernels, "WORKERS", workers)
     starts = _count_thread_starts(monkeypatch)
+    chunk_sizes = []
+    curve_chunks = kernels._curve_chunks
+
+    def recording(starts, weights, by_action, q_values, chunk, out):
+        chunk_sizes.append(chunk)
+        return curve_chunks(starts, weights, by_action, q_values, chunk, out)
+
+    monkeypatch.setattr(kernels, "_curve_chunks", recording)
     split = kernels.logit_welfare_curve(weights, utilities, q_values)
-    assert len(starts) == workers - 1
-    kernels.logit_welfare_curve(weights, utilities, q_values[1:])
-    assert len(starts) == workers - 1  # one q below: no thread
+    assert len(starts) == min(workers, full_chunks) - 1
+    assert chunk_sizes == [kernels.CURVE_CHUNK_ELEMENTS // 2 // utilities.size] * (
+        min(workers, full_chunks))
+    below = np.linspace(0.0, 10.0, _q_for_chunks(2, utilities.size) - 1)
+    kernels.logit_welfare_curve(weights, utilities, below)
+    assert len(starts) == min(workers, full_chunks) - 1  # one q below two chunks: no thread
     monkeypatch.setattr(kernels, "WORKERS", 1)
     assert split.tobytes() == kernels.logit_welfare_curve(weights, utilities, q_values).tobytes()
 
@@ -268,10 +287,11 @@ def _no_thread(*args, **kwargs):
 @pytest.mark.parametrize("workers", [1, 2, 3, 64])
 def test_refinement_and_sweep_crossings_sized_calls_start_no_thread(workers, monkeypatch):
     # sweep_crossings' largest grid call is 50 types x 5 actions x 201 q
-    # (50,250 elements), below one full chunk per worker; a refinement call
-    # has one q, which never splits, however large T x k is.
+    # (50,250 elements), below two full chunks; a refinement call has one
+    # q, which never splits, however large T x k is.
     monkeypatch.setattr(kernels, "WORKERS", workers)
     monkeypatch.setattr(kernels._thread, "start_new_thread", _no_thread)
+    monkeypatch.setattr(threading, "Thread", _no_thread)
     rng = np.random.default_rng(5)
     utilities = rng.normal(size=(50, 5))
     weights = np.full(50, 1.0 / 50)
@@ -286,12 +306,12 @@ def test_refinement_and_sweep_crossings_sized_calls_start_no_thread(workers, mon
 
 
 def _split_call(workers, q):
-    """Weights, utilities and a grid of q values just long enough to split
-    on `workers` CPUs."""
+    """Weights, utilities and a grid of q values just long enough to run
+    on `workers` threads."""
     rng = np.random.default_rng(11)
     weights = rng.dirichlet(np.ones(64))
     utilities = rng.normal(scale=2.0, size=(64, 4))
-    return weights, utilities, np.full(_threshold_q(workers, utilities.size), q)
+    return weights, utilities, np.full(_q_for_chunks(workers, utilities.size), q)
 
 
 def _leave_every_chunk_to_the_helper(monkeypatch):
