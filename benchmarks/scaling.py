@@ -1,4 +1,4 @@
-"""Start-up of the choicewelfare CLI, measured across source trees.
+"""Cost of the choicewelfare CLI's commands, measured across source trees.
 
 Run from the repository root:
 
@@ -13,12 +13,16 @@ trees are interleaved: every repeat runs each command on every tree, odd
 repeats in reverse tree order. As perfbench/run.py does, it runs
 perfbench/reference.py before the first command and after each one, and
 divides set-up time by the import factor and wall time by the host factor
-of the two runs around the command. Nothing under perfbench/ is changed.
+of the two runs around the command. The command's CPU time (user + system,
+of the whole child process, interpreter start-up included, as perfbench/run.py
+takes it from os.wait4) is the change in this process's RUSAGE_CHILDREN
+around the child, divided by the host factor too. Nothing under perfbench/ is
+changed.
 
 `--label L` writes BENCH_L.json at the repository root (or --out). It holds
 the environment, numpy's SIMD dispatch included; per tree, its git commit
 and a digest of its package sources; and per command and tree:
-the median and quartiles of scaled `setup_s` and `wall_s` and of
+the median and quartiles of scaled `setup_s`, `wall_s` and `cpu_s` and of
 `peak_rss_mb`, with every sample in repeat order and, for every tree after
 the first, the number of repeats in which it read below the first tree; the
 `choicewelfare` modules loaded after `import choicewelfare.cli` and after
@@ -32,6 +36,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -51,7 +56,8 @@ from reference import host_factor, import_factor  # noqa: E402
 CHILD = os.path.join(ROOT, "perfbench", "child.py")
 TIMEOUT_S = 120
 # Each time is divided by the reference factor that tracks it; memory is not.
-SCALED_BY = {"setup_s": import_factor, "wall_s": host_factor, "peak_rss_mb": None}
+SCALED_BY = {"setup_s": import_factor, "wall_s": host_factor, "cpu_s": host_factor,
+             "peak_rss_mb": None}
 TINY_SIZES = {
     "sweep_crossings": {"types": 4, "actions": 3, "q_step": 0.5},
     "sweep_fine_grid": {"types": 4, "actions": 3, "q_step": 0.25},
@@ -103,6 +109,12 @@ def _python(tree_root, args, cwd):
     if done.returncode != 0:
         raise RuntimeError(f"{args[0]} in {cwd} failed: {done.stderr.strip()[-500:]}")
     return done.stdout
+
+
+def _children_cpu_s():
+    """User + system CPU seconds of this process's reaped children so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def _digests(run_dir, outputs):
@@ -171,9 +183,11 @@ def measure(trees, commands, seed, repeats, work):
                 spec = {"argv": entry["argv"], "result": "child-result.json", "spans": None}
                 with open(os.path.join(run_dir, "child-spec.json"), "w") as fh:
                     json.dump(spec, fh)
+                cpu_before = _children_cpu_s()
                 _python(root, [CHILD, "child-spec.json"], run_dir)
+                cpu_s = _children_cpu_s() - cpu_before
                 with open(os.path.join(run_dir, "child-result.json")) as fh:
-                    sample = json.load(fh)
+                    sample = dict(json.load(fh), cpu_s=cpu_s)
                 if sample["rc"] != 0:
                     raise RuntimeError(f"{wname} on {tname}: exit status {sample['rc']}")
                 after = run.reference_times()

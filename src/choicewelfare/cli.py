@@ -33,6 +33,14 @@ import sys
 import tempfile
 from typing import Optional
 
+# numpy's bundled OpenBLAS starts a worker thread per extra CPU when it
+# loads, and the worker spins for about 0.1 s of CPU before it sleeps. No
+# command makes a BLAS call that could run on threads (the only ones are
+# np.dot over one type's actions), so the CLI asks for one BLAS thread before
+# its first import loads numpy. A value the user set wins; the library
+# modules leave the environment alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .document import (
     PopulationSection,
     ScenarioDocument,

@@ -33,7 +33,7 @@ def test_scaling_script_writes_a_record_of_the_documented_shape(tmp_path):
         assert cell["correct"] is True and cell["outputs_stable"] is True
         assert cell["outputs_sha256"]
         assert all(re.fullmatch("[0-9a-f]{64}", d) for d in cell["outputs_sha256"].values())
-        for metric in ("setup_s", "wall_s", "peak_rss_mb"):
+        for metric in ("setup_s", "wall_s", "cpu_s", "peak_rss_mb"):
             summary = cell[metric]
             assert set(summary) == {"median", "q1", "q3", "samples"}
             assert len(summary["samples"]) == 1 and summary["median"] > 0

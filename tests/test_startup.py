@@ -7,16 +7,28 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from typing import Optional
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_json(code: str, *args: str):
-    """Run `code` in a fresh interpreter and return the JSON it prints."""
+def _run_json(code: str, *args: str, openblas_threads: Optional[str] = None):
+    """Run `code` in a fresh interpreter and return the JSON it prints.
+
+    The child gets OPENBLAS_NUM_THREADS=`openblas_threads`, or no such
+    variable when it is None: this process has imported the CLI, which sets
+    it, and would otherwise pass it on.
+    """
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code), *args],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=env,
         capture_output=True,
         text=True,
         timeout=60,
@@ -83,6 +95,52 @@ def test_the_cli_loads_the_treatment_module_only_for_treatment_scenarios():
         "hotelling": False,
         "treatment": True,
     }
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+)
+def test_importing_the_cli_starts_no_blas_thread():
+    # numpy's bundled OpenBLAS starts a spinning worker per extra CPU unless
+    # the CLI asks for one thread before numpy loads.
+    found = _run_json(
+        """
+        import json, os, sys
+        import choicewelfare.cli
+        print(json.dumps({
+            "numpy": "numpy" in sys.modules,
+            "threads": len(os.listdir("/proc/self/task")),
+            "setting": os.environ.get("OPENBLAS_NUM_THREADS"),
+        }))
+        """
+    )
+    assert found == {"numpy": True, "threads": 1, "setting": "1"}
+
+
+def test_a_blas_thread_count_the_user_set_wins():
+    found = _run_json(
+        """
+        import json, os
+        import choicewelfare.cli
+        print(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))
+        """,
+        openblas_threads="2",
+    )
+    assert found == "2"
+
+
+def test_the_library_leaves_the_blas_thread_setting_alone():
+    found = _run_json(
+        """
+        import json, os, sys
+        import choicewelfare.search
+        print(json.dumps({
+            "numpy": "numpy" in sys.modules,
+            "set": "OPENBLAS_NUM_THREADS" in os.environ,
+        }))
+        """
+    )
+    assert found == {"numpy": True, "set": False}
 
 
 def test_exports_resolve_on_first_use_to_their_modules():
