@@ -12,17 +12,16 @@ Its two sums over actions add in the order numpy's ``add.reduce`` uses along
 a contiguous axis (`_sum_actions`), so the curve is bit for bit what a
 per-q softmax over (T, k) rows gives, for any chunking of the q values.
 
-A large curve call splits its chunks across the CPUs the process may use
-(`WORKERS`): the calling thread and up to WORKERS - 1 helper threads each
-claim the next chunk whenever they are free, and numpy releases the GIL
-inside every ufunc a chunk runs. A call of at least two full chunks
-(Q x T x k >= 2 x CURVE_CHUNK_ELEMENTS) in which one q fits in half a chunk
-runs on one thread per full chunk it holds, at most WORKERS, in chunks of
-half the budget: the size measured with two threads, and no smaller on more
-CPUs, so the number of chunks, and with it the interpreter-held work of the
-call, does not grow with the CPU count. Two threads then hold the memory one
-serial chunk holds, and each further thread half a chunk more. Every other
-call, such as a one-q refinement call, runs the same chunk function on the
+Every call runs chunks of at most CURVE_CHUNK_ELEMENTS elements, or of one q
+where one q holds more. A large call splits its chunks across the CPUs the process
+may use (`WORKERS`): the calling thread and up to WORKERS - 1 helper threads
+each claim the next chunk whenever they are free, and numpy releases the GIL
+inside every ufunc a chunk runs. A call of at least four chunks (Q x T x k
+>= 4 x CURVE_CHUNK_ELEMENTS) in which one q fits in a chunk runs on one
+thread per two chunks it holds, at most WORKERS; the chunks stay the same
+size on more CPUs, so the number of chunks, and with it the
+interpreter-held work of the call, does not grow with the CPU count. Every
+other call, such as a one-q refinement call, runs the same chunks on the
 calling thread alone. Since the bits of each q do not depend on the
 chunking, the curve is the same on any number of CPUs.
 """
@@ -46,8 +45,8 @@ def argmax_tally(utilities, errors):
 
 
 # Elements (q values x types x actions) per chunk of the curve kernel: bounds
-# its temporaries to a few 512 KiB arrays whatever the grid length.
-CURVE_CHUNK_ELEMENTS = 65536
+# its temporaries to a few 256 KiB arrays whatever the grid length.
+CURVE_CHUNK_ELEMENTS = 32768
 
 
 def _usable_cpus():
@@ -97,21 +96,19 @@ def logit_welfare_curve(weights, utilities, q_values):
 
     ``weights``: (T,) summing to 1; ``utilities``: (T, k); ``q_values``: (Q,).
     welfare(q) = sum_t w_t * sum_i u_ti * softmax_i(q * u_ti). Evaluated over
-    chunks of q values of at most CURVE_CHUNK_ELEMENTS (k x q x T) elements,
-    so memory stays bounded for any grid.
+    chunks of max(1, CURVE_CHUNK_ELEMENTS // (T x k)) q values, so memory
+    stays bounded for any grid.
 
-    When the call holds n = Q x T x k // CURVE_CHUNK_ELEMENTS >= 2 full
-    chunks, WORKERS >= 2 and one q fits in half a chunk (T x k <=
-    CURVE_CHUNK_ELEMENTS // 2), the chunks hold CURVE_CHUNK_ELEMENTS // 2 //
-    (T x k) q values each, and min(WORKERS, n) threads share them out: the
+    When the call holds n = Q x T x k // (2 x CURVE_CHUNK_ELEMENTS) >= 2
+    pairs of chunks, WORKERS >= 2 and one q fits in a chunk (T x k <=
+    CURVE_CHUNK_ELEMENTS), min(WORKERS, n) threads share the chunks out: the
     calling thread and helper threads (`_split_across_threads`), which run
     under a copy of the caller's context, so ``np.errstate`` holds in them
-    too. The call holds at least two half chunks per thread. Two threads hold
-    the memory of one full chunk in flight, as the serial loop does; each
-    further thread adds half a chunk. Every helper has finished its last
-    chunk before the call returns or raises, and an error in a helper is
-    raised in the caller. A smaller call, and every call when WORKERS is 1,
-    runs full chunks on the calling thread and starts no thread.
+    too. The call holds at least two chunks per thread, and each thread has
+    one chunk in flight. Every helper has finished its last chunk before the
+    call returns or raises, and an error in a helper is raised in the
+    caller. A smaller call, and every call when WORKERS is 1, runs the same
+    chunks on the calling thread and starts no thread.
 
     Each chunk is action-major, (k, q, T), against ``utilities`` transposed
     once per call. The row max is a running np.maximum over the k (q, T)
@@ -132,14 +129,14 @@ def logit_welfare_curve(weights, utilities, q_values):
     out = np.empty(q_values.shape[0], dtype=np.float64)
     by_action = np.ascontiguousarray(utilities.T)[:, np.newaxis, :]
     per_q = utilities.size
-    full_chunks = q_values.shape[0] * per_q // CURVE_CHUNK_ELEMENTS
-    if WORKERS > 1 and full_chunks > 1 and per_q <= CURVE_CHUNK_ELEMENTS // 2:
-        chunk = CURVE_CHUNK_ELEMENTS // 2 // per_q
-        _split_across_threads(range(0, q_values.shape[0], chunk), min(WORKERS, full_chunks),
+    chunk = max(1, CURVE_CHUNK_ELEMENTS // per_q)
+    starts = range(0, q_values.shape[0], chunk)
+    pairs = q_values.shape[0] * per_q // (2 * CURVE_CHUNK_ELEMENTS)
+    if WORKERS > 1 and pairs > 1 and per_q <= CURVE_CHUNK_ELEMENTS:
+        _split_across_threads(starts, min(WORKERS, pairs),
                               (weights, by_action, q_values, chunk, out))
     else:
-        chunk = max(1, CURVE_CHUNK_ELEMENTS // per_q)
-        _curve_chunks(range(0, q_values.shape[0], chunk), weights, by_action, q_values, chunk, out)
+        _curve_chunks(starts, weights, by_action, q_values, chunk, out)
     return out
 
 

@@ -30,7 +30,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from typing import Optional
 
 # numpy's bundled OpenBLAS starts a worker thread per extra CPU when it
@@ -159,18 +158,24 @@ def _fmt(value: float) -> str:
 
 
 def _write_text_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".choicewelfare-", suffix=".part")
+    """Write ``text`` beside ``path`` and rename it over ``path``, with the
+    mode ``open(path, "w")`` gives a new file; an error names ``path``."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".choicewelfare-{os.urandom(6).hex()}.part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:

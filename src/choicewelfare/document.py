@@ -556,7 +556,7 @@ def parse_scenario(path) -> ScenarioDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read scenario file: {exc}") from None
     return parse_scenario_text(text, source=str(path))
 

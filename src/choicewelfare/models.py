@@ -25,7 +25,7 @@ count table per type give every subset's choices.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Union, get_args
 
 import numpy as np
 from numpy.typing import NDArray
@@ -182,7 +182,7 @@ class RandomUtilityMC:
     seed: int = MCConfig.seed
 
     def __post_init__(self):
-        if not isinstance(self.error, (GumbelIID, UniformBoundedIID, NormalIID)):
+        if not isinstance(self.error, get_args(ErrorSpec)):
             raise ValueError("error must be an ErrorSpec instance")
         config = MCConfig(self.samples, self.seed)
         object.__setattr__(self, "samples", config.samples)
@@ -206,10 +206,7 @@ class DefaultNudge:
             raise ValueError("gamma must be finite and >= 0")
         if isinstance(self.base, DefaultNudge):
             raise ValueError("nudge base must not itself be a DefaultNudge")
-        if not isinstance(
-            self.base,
-            (RationalMax, IndependentTable, AlphaRational, Logit, RandomUtilityMC),
-        ):
+        if not isinstance(self.base, get_args(ChoiceModel)):
             raise ValueError("base must be a ChoiceModel")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "default_action", int(self.default_action))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -430,7 +431,7 @@ print(_kernels.WORKERS, len(started))
                     reason="one usable CPU: the unpinned run would not split either")
 def test_sweep_outputs_are_the_same_on_one_cpu(tmp_path):
     # 100 types x 3 actions on a 1,001-point grid: the two- and three-action
-    # curve calls hold 3 and 4 full chunks, so on two or more CPUs they
+    # curve calls hold 6 and 9 chunks, so on two or more CPUs they
     # split. The JSON output holds every bit of each welfare value; the CSV
     # 12 digits.
     rng = np.random.default_rng(18)
@@ -564,6 +565,14 @@ def test_unknown_model_is_scenario_error(population_file, capsys):
 def test_missing_scenario_file_is_scenario_error(tmp_path, capsys):
     assert main(["evaluate", "--scenario", str(tmp_path / "gone.scn"), "--model", "m"]) == 2
     assert "cannot read scenario file" in capsys.readouterr().err
+
+
+def test_a_scenario_file_that_is_not_utf8_is_scenario_error(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b'{"schema_version": 1, "population": {"actions": ["caf\xe9"]}}')
+    assert main(["evaluate", "--scenario", str(path), "--model", "m"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: cannot read scenario file: 'utf-8' codec can't decode")
 
 
 def test_syntax_error_reports_position(tmp_path, capsys):
@@ -722,6 +731,33 @@ def test_unwritable_out_is_runtime_error(population_file, tmp_path, capsys):
         == 3
     )
     assert "error:" in capsys.readouterr().err
+
+
+def test_out_files_get_the_mode_of_a_new_file(population_file, hotelling_file, tmp_path, capsys):
+    # A new file gets 0o666 less the umask, as open(path, "w") would give it.
+    rows, report = tmp_path / "rows.csv", tmp_path / "report.json"
+    old_umask = os.umask(0o027)
+    try:
+        assert main(["sweep", "--scenario", hotelling_file, "--out", str(rows)]) == 0
+        argv = ["evaluate", "--scenario", population_file, "--model", "soft", "--out", str(report)]
+        assert main(argv) == 0
+    finally:
+        os.umask(old_umask)
+    capsys.readouterr()
+    files = (rows, tmp_path / "rows.crossings.csv", report)
+    assert [stat.S_IMODE(os.stat(p).st_mode) for p in files] == [0o640] * 3
+
+
+@pytest.mark.parametrize("where", ["missing-dir/rows.csv", "a-dir"])
+def test_a_write_error_names_the_out_path_and_leaves_no_temp_file(
+    hotelling_file, tmp_path, capsys, where
+):
+    (tmp_path / "a-dir").mkdir()
+    out = str(tmp_path / where)
+    assert main(["sweep", "--scenario", hotelling_file, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": {out!r}\n")
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
 
 
 @pytest.mark.parametrize(

@@ -104,7 +104,7 @@ def test_logit_welfare_curve_chunks_match_loop(n_types, k, n_q, tied):
     # and 16 exactly, 9 and 20 with a tail), which the kernel repeats. Tied
     # utilities are small integers, so many (q, type) rows have several
     # maximal scores.
-    assert n_types * k * n_q > 2 * kernels.CURVE_CHUNK_ELEMENTS
+    assert n_types * k * n_q > 4 * kernels.CURVE_CHUNK_ELEMENTS
     rng = np.random.default_rng(n_types * k)
     weights = rng.dirichlet(np.ones(n_types))
     if tied:
@@ -168,11 +168,11 @@ def test_logit_welfare_curve_overflow_safe():
 # --- the curve split across worker threads ---
 
 
-def _q_for_chunks(full_chunks, per_q):
+def _q_for_chunks(pairs, per_q):
     """The fewest q values with which a call of per_q = T x k elements per q
-    holds `full_chunks` full chunks, and so runs on min(WORKERS,
-    full_chunks) threads once that is 2 or more."""
-    return -(-full_chunks * kernels.CURVE_CHUNK_ELEMENTS // per_q)
+    holds `pairs` pairs of chunks, and so runs on min(WORKERS, pairs)
+    threads once that is 2 or more."""
+    return -(-pairs * 2 * kernels.CURVE_CHUNK_ELEMENTS // per_q)
 
 
 def test_workers_is_the_usable_cpu_count():
@@ -184,22 +184,22 @@ def test_workers_is_the_usable_cpu_count():
     workers=st.sampled_from([1, 2, 3]),
     n_types=st.integers(30, 150),
     k=st.integers(1, 20),
-    full_chunks=st.integers(2, 4),
+    pairs=st.integers(2, 4),
     extra_q=st.integers(0, 300),
     tied=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(workers=2, n_types=40, k=8, full_chunks=2, extra_q=0, tied=False, seed=0)
-@example(workers=3, n_types=33, k=9, full_chunks=3, extra_q=17, tied=True, seed=1)
-@example(workers=3, n_types=30, k=16, full_chunks=4, extra_q=1, tied=False, seed=2)
+@example(workers=2, n_types=40, k=8, pairs=2, extra_q=0, tied=False, seed=0)
+@example(workers=3, n_types=33, k=9, pairs=3, extra_q=17, tied=True, seed=1)
+@example(workers=3, n_types=30, k=16, pairs=4, extra_q=1, tied=False, seed=2)
 def test_curve_is_bitwise_the_one_q_loop_on_any_worker_count(
-    workers, n_types, k, full_chunks, extra_q, tied, seed
+    workers, n_types, k, pairs, extra_q, tied, seed
 ):
-    # Every shape is at or above the two full chunks from which a call
+    # Every shape is at or above the two pairs of chunks from which a call
     # splits, so for 2 and 3 workers the chunks run on helper threads. Each
     # q must keep the bits it has alone: from k = 8 on the 8-partial sum
     # order, q = 0 entries and tied utilities included.
-    n_q = _q_for_chunks(full_chunks, n_types * k) + extra_q
+    n_q = _q_for_chunks(pairs, n_types * k) + extra_q
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n_types))
     if tied:
@@ -246,38 +246,64 @@ def _count_thread_starts(monkeypatch):
     return starts
 
 
-@pytest.mark.parametrize(
-    "workers, full_chunks", [(2, 2), (2, 5), (3, 2), (3, 3), (64, 3), (64, 18)])
-def test_a_split_call_runs_one_thread_per_full_chunk_in_half_chunks(
-    workers, full_chunks, monkeypatch
-):
-    # Whatever the CPU count, a split call's chunks hold half the budget,
-    # the size measured with two threads, and it runs on no more threads
-    # than it holds full chunks, so each thread has two half chunks or more
-    # (64 workers on a 150 x 4 x 2,001 sweep_fine_grid call: 18 threads).
-    rng = np.random.default_rng(workers)
-    weights = rng.dirichlet(np.ones(50))
-    utilities = rng.normal(size=(50, 4))
-    q_values = np.linspace(0.0, 10.0, _q_for_chunks(full_chunks, utilities.size))
-    monkeypatch.setattr(kernels, "WORKERS", workers)
-    starts = _count_thread_starts(monkeypatch)
-    chunk_sizes = []
+def _curve_and_chunk_sizes(monkeypatch, weights, utilities, q_values):
+    """The curve, and the chunk size of each `_curve_chunks` call that
+    computed it (one per thread)."""
+    sizes = []
     curve_chunks = kernels._curve_chunks
 
     def recording(starts, weights, by_action, q_values, chunk, out):
-        chunk_sizes.append(chunk)
+        sizes.append(chunk)
         return curve_chunks(starts, weights, by_action, q_values, chunk, out)
 
     monkeypatch.setattr(kernels, "_curve_chunks", recording)
-    split = kernels.logit_welfare_curve(weights, utilities, q_values)
-    assert len(starts) == min(workers, full_chunks) - 1
-    assert chunk_sizes == [kernels.CURVE_CHUNK_ELEMENTS // 2 // utilities.size] * (
-        min(workers, full_chunks))
+    curve = kernels.logit_welfare_curve(weights, utilities, q_values)
+    monkeypatch.setattr(kernels, "_curve_chunks", curve_chunks)
+    return curve, sizes
+
+
+@pytest.mark.parametrize(
+    "workers, pairs", [(2, 2), (2, 5), (3, 2), (3, 3), (64, 3), (64, 18)])
+def test_a_split_call_runs_one_thread_per_full_chunk_in_half_chunks(
+    workers, pairs, monkeypatch
+):
+    # Whatever the CPU count, a split call runs chunks of
+    # CURVE_CHUNK_ELEMENTS on no more threads than it holds pairs of chunks,
+    # so each thread has two chunks or more (64 workers on a 150 x 4 x 2,001
+    # sweep_fine_grid call: 18 threads).
+    rng = np.random.default_rng(workers)
+    weights = rng.dirichlet(np.ones(50))
+    utilities = rng.normal(size=(50, 4))
+    q_values = np.linspace(0.0, 10.0, _q_for_chunks(pairs, utilities.size))
+    monkeypatch.setattr(kernels, "WORKERS", workers)
+    starts = _count_thread_starts(monkeypatch)
+    split, chunk_sizes = _curve_and_chunk_sizes(monkeypatch, weights, utilities, q_values)
+    assert len(starts) == min(workers, pairs) - 1
+    assert chunk_sizes == [kernels.CURVE_CHUNK_ELEMENTS // utilities.size] * min(workers, pairs)
     below = np.linspace(0.0, 10.0, _q_for_chunks(2, utilities.size) - 1)
     kernels.logit_welfare_curve(weights, utilities, below)
-    assert len(starts) == min(workers, full_chunks) - 1  # one q below two chunks: no thread
+    assert len(starts) == min(workers, pairs) - 1  # one q below two pairs: no thread
     monkeypatch.setattr(kernels, "WORKERS", 1)
     assert split.tobytes() == kernels.logit_welfare_curve(weights, utilities, q_values).tobytes()
+
+
+@pytest.mark.parametrize("workers, n_q", [(1, 2001), (2, 201)])
+def test_a_call_on_the_calling_thread_runs_the_chunks_a_split_call_runs(
+    workers, n_q, monkeypatch
+):
+    # 50 types x 4 actions: 2,001 q values split on two workers; on one
+    # worker they do not, and neither do 201 q values on two.
+    rng = np.random.default_rng(20)
+    weights = rng.dirichlet(np.ones(50))
+    utilities = rng.normal(size=(50, 4))
+    grid = np.linspace(0.0, 10.0, 2001)
+    monkeypatch.setattr(kernels, "WORKERS", 2)
+    _, split = _curve_and_chunk_sizes(monkeypatch, weights, utilities, grid)
+    assert len(split) == 2
+    monkeypatch.setattr(kernels, "WORKERS", workers)
+    monkeypatch.setattr(kernels._thread, "start_new_thread", _no_thread)
+    _, serial = _curve_and_chunk_sizes(monkeypatch, weights, utilities, grid[:n_q])
+    assert serial == split[:1]
 
 
 def _no_thread(*args, **kwargs):
@@ -287,7 +313,7 @@ def _no_thread(*args, **kwargs):
 @pytest.mark.parametrize("workers", [1, 2, 3, 64])
 def test_refinement_and_sweep_crossings_sized_calls_start_no_thread(workers, monkeypatch):
     # sweep_crossings' largest grid call is 50 types x 5 actions x 201 q
-    # (50,250 elements), below two full chunks; a refinement call has one
+    # (50,250 elements), below two pairs of chunks; a refinement call has one
     # q, which never splits, however large T x k is.
     monkeypatch.setattr(kernels, "WORKERS", workers)
     monkeypatch.setattr(kernels._thread, "start_new_thread", _no_thread)
@@ -298,7 +324,7 @@ def test_refinement_and_sweep_crossings_sized_calls_start_no_thread(workers, mon
     grid = np.linspace(0.0, 10.0, 201)
     kernels.logit_welfare_curve(weights, utilities, grid)
     kernels.logit_welfare_curve(weights, utilities, grid[7:8])
-    wide = rng.normal(size=(4 * kernels.CURVE_CHUNK_ELEMENTS // 7, 7))
+    wide = rng.normal(size=(8 * kernels.CURVE_CHUNK_ELEMENTS // 7, 7))
     kernels.logit_welfare_curve(np.full(wide.shape[0], 1.0 / wide.shape[0]), wide, [1.5])
     actions = ActionSet(labels=tuple(f"a{i}" for i in range(5)))
     pop = build_population(actions, [UtilityType(utilities=u, weight=1.0) for u in utilities])

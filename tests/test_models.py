@@ -458,6 +458,10 @@ def test_nudge_validation():
             gamma=0.1,
             base=DefaultNudge(default_action=1, gamma=0.1, base=RationalMax()),
         )
+    with pytest.raises(ValueError, match="^base must be a ChoiceModel$"):
+        DefaultNudge(default_action=0, gamma=0.1, base=NormalIID(sigma=1.0))
+    with pytest.raises(ValueError, match="^error must be an ErrorSpec instance$"):
+        RandomUtilityMC(error=Logit(q=1.0))
 
 
 @pytest.mark.parametrize("default_action", [2, -1])
