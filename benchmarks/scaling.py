@@ -6,11 +6,17 @@ Run from the repository root:
         --src parent=/path/to/parent-checkout --src change=.
 
 Each --src is NAME=ROOT, ROOT a checkout with `src/choicewelfare` (default:
-this checkout, named "this"). For each workload of perfbench/workloads.py it
-writes the scenario for --seed once, then runs the workload's command in a
-fresh interpreter through perfbench/child.py, once per tree and repeat. The
-trees are interleaved: every repeat runs each command on every tree, odd
-repeats in reverse tree order. As perfbench/run.py does, it runs
+this checkout, named "this"). The commands are the four workloads of
+perfbench/workloads.py and two size axes of `optimize` on 100 types of
+standard normal utilities, at k = 6...14 actions: `optimize --model mc`
+(normal errors, sigma 1, 1,200 samples), named optimize_mc_k6 ...
+optimize_mc_k14, and `optimize` under Logit(q=2), named optimize_logit_k6
+... optimize_logit_k14. For each command it writes the scenario for --seed
+once, then runs the command in a fresh interpreter through
+perfbench/child.py. The trees are interleaved: every repeat runs each
+command RUNS_PER_REPEAT times on every tree, one round of trees after the
+other, odd repeats in reverse tree order, and keeps each metric's median of
+those runs as the repeat's sample. As perfbench/run.py does, it runs
 perfbench/reference.py before the first command and after each one, and
 divides set-up time by the import factor and wall time by the host factor
 of the two runs around the command. The command's CPU time (user + system,
@@ -21,14 +27,15 @@ changed.
 
 `--label L` writes BENCH_L.json at the repository root (or --out). It holds
 the environment, numpy's SIMD dispatch included; per tree, its git commit
-and a digest of its package sources; and per command and tree:
-the median and quartiles of scaled `setup_s`, `wall_s` and `cpu_s` and of
+and a digest of its package sources; and per command: its argv, its sizes
+and, where it has actions, its number of subsets; and per tree: the median
+and quartiles of scaled `setup_s`, `wall_s` and `cpu_s` and of
 `peak_rss_mb`, with every sample in repeat order and, for every tree after
 the first, the number of repeats in which it read below the first tree; the
 `choicewelfare` modules loaded after `import choicewelfare.cli` and after
 the command; whether the first output passed the workload's oracle; and each
-output's sha256. --tiny shrinks every scenario, for a quick check of the
-script itself.
+output's sha256. --tiny shrinks every scenario and keeps only the two ends
+of each axis, for a quick check of the script itself.
 """
 
 import argparse
@@ -64,6 +71,12 @@ TINY_SIZES = {
     "optimize_mc": {"types": 4, "actions": 3, "samples": 50},
     "treatment_cohort": {"x_cells": 2, "z_cells": 4, "empirical_samples": 10},
 }
+# Runs of each command and tree per repeat; a repeat keeps their median.
+RUNS_PER_REPEAT = 3
+AXIS_ACTIONS = range(6, 15)
+AXIS_SIZES = {"types": 100, "samples": 1200}
+TINY_AXIS_ACTIONS = (AXIS_ACTIONS[0], AXIS_ACTIONS[-1])
+TINY_AXIS_SIZES = {"types": 4, "samples": 50}
 # Runs `cli.main(argv)` with its stdout discarded and prints the package's
 # modules loaded after importing the CLI and after the command.
 PROBE = """
@@ -76,6 +89,39 @@ with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"rc": rc, "after_import": after_import, "after_command": loaded()}))
 """
+
+
+@dataclasses.dataclass(frozen=True)
+class OptimizeLogitWorkload(workloads.OptimizeMCWorkload):
+    """`optimize` under Logit(q=2), on a population drawn as the Monte Carlo
+    workload draws its own (seeded by the seed and the command's name)."""
+
+    def scenario(self, seed):
+        doc = super().scenario(seed)
+        doc["population"]["models"] = {"logit": {"kind": "logit", "q": 2.0}}
+        return doc
+
+    def argv(self, scenario_path, out_path):
+        return ["optimize", "--scenario", scenario_path, "--model", "logit",
+                "--out", out_path]
+
+    def check(self, scenario_path, out_path):
+        oracle.check_optimize(scenario_path, out_path, "logit")
+
+
+def all_commands(tiny=False):
+    """Every command to measure, by name: the perfbench workloads, then the
+    `optimize` axes."""
+    found = dict(workloads.WORKLOADS)
+    if tiny:
+        found = {name: dataclasses.replace(w, sizes=TINY_SIZES[name])
+                 for name, w in found.items()}
+    sizes = TINY_AXIS_SIZES if tiny else AXIS_SIZES
+    for kind, cls in (("mc", workloads.OptimizeMCWorkload), ("logit", OptimizeLogitWorkload)):
+        for k in TINY_AXIS_ACTIONS if tiny else AXIS_ACTIONS:
+            name = f"optimize_{kind}_k{k}"
+            found[name] = cls(name, f"optimize axis, {kind}", {**sizes, "actions": k})
+    return found
 
 
 def _tree(text):
@@ -142,6 +188,25 @@ def _summary(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "samples": values}
 
 
+def _run_child(wname, entry, tname, root, work):
+    """One run of the command on one tree; its measurements, with cpu_s."""
+    cell = entry["trees"][tname]
+    run_dir = os.path.join(work, wname, tname)
+    spec = {"argv": entry["argv"], "result": "child-result.json", "spans": None}
+    with open(os.path.join(run_dir, "child-spec.json"), "w") as fh:
+        json.dump(spec, fh)
+    cpu_before = _children_cpu_s()
+    _python(root, [CHILD, "child-spec.json"], run_dir)
+    cpu_s = _children_cpu_s() - cpu_before
+    with open(os.path.join(run_dir, "child-result.json")) as fh:
+        sample = dict(json.load(fh), cpu_s=cpu_s)
+    if sample["rc"] != 0:
+        raise RuntimeError(f"{wname} on {tname}: exit status {sample['rc']}")
+    if _digests(run_dir, cell["outputs_sha256"]) != cell["outputs_sha256"]:
+        cell["outputs_stable"] = False
+    return sample
+
+
 def measure(trees, commands, seed, repeats, work):
     """Run every command on every tree `repeats` times, interleaved."""
     results = {}
@@ -153,6 +218,8 @@ def measure(trees, commands, seed, repeats, work):
         argv = workload.argv(os.path.join("..", f"{wname}.scn"), out)
         outputs = [os.path.normpath(p) for p in workload.outputs(out)]
         entry = results[wname] = {"argv": argv, "sizes": workload.sizes, "trees": {}}
+        if "actions" in workload.sizes:
+            entry["subsets"] = 2 ** workload.sizes["actions"] - 1
         for tname, root in trees:
             run_dir = os.path.join(work, wname, tname)
             os.makedirs(run_dir)
@@ -177,26 +244,18 @@ def measure(trees, commands, seed, repeats, work):
     for repeat in range(repeats):
         order = trees if repeat % 2 == 0 else trees[::-1]
         for wname, entry in results.items():
-            for tname, root in order:
-                cell = entry["trees"][tname]
-                run_dir = os.path.join(work, wname, tname)
-                spec = {"argv": entry["argv"], "result": "child-result.json", "spans": None}
-                with open(os.path.join(run_dir, "child-spec.json"), "w") as fh:
-                    json.dump(spec, fh)
-                cpu_before = _children_cpu_s()
-                _python(root, [CHILD, "child-spec.json"], run_dir)
-                cpu_s = _children_cpu_s() - cpu_before
-                with open(os.path.join(run_dir, "child-result.json")) as fh:
-                    sample = dict(json.load(fh), cpu_s=cpu_s)
-                if sample["rc"] != 0:
-                    raise RuntimeError(f"{wname} on {tname}: exit status {sample['rc']}")
-                after = run.reference_times()
-                for name, factor in SCALED_BY.items():
-                    scale = (factor(before) * factor(after)) ** 0.5 if factor else 1.0
-                    cell["raw"][name].append(sample[name] / scale)
-                before = after
-                if _digests(run_dir, cell["outputs_sha256"]) != cell["outputs_sha256"]:
-                    cell["outputs_stable"] = False
+            runs = {tname: {name: [] for name in SCALED_BY} for tname, _ in trees}
+            for _ in range(RUNS_PER_REPEAT):
+                for tname, root in order:
+                    sample = _run_child(wname, entry, tname, root, work)
+                    after = run.reference_times()
+                    for name, factor in SCALED_BY.items():
+                        scale = (factor(before) * factor(after)) ** 0.5 if factor else 1.0
+                        runs[tname][name].append(sample[name] / scale)
+                    before = after
+            for tname, _ in trees:
+                for name, values in runs[tname].items():
+                    entry["trees"][tname]["raw"][name].append(statistics.median(values))
 
     first = trees[0][0]
     for entry in results.values():
@@ -226,17 +285,14 @@ def main(argv=None):
     if len({name for name, _ in trees}) != len(trees):
         parser.error("tree names must differ")
 
-    commands = dict(workloads.WORKLOADS)
-    if args.tiny:
-        commands = {name: dataclasses.replace(w, sizes=TINY_SIZES[name])
-                    for name, w in commands.items()}
     with tempfile.TemporaryDirectory(prefix="choicewelfare-scaling-") as work:
-        results = measure(trees, commands, args.seed, args.repeats, work)
+        results = measure(trees, all_commands(args.tiny), args.seed, args.repeats, work)
 
     record = {
         "label": args.label,
         "seed": args.seed,
         "repeats": args.repeats,
+        "runs_per_repeat": RUNS_PER_REPEAT,
         "tiny": args.tiny,
         "environment": {**envinfo.environment(ROOT, "numpy"), "numpy_simd": numpy_simd()},
         "trees": {name: {"git_commit": envinfo._git_commit(root),

@@ -24,6 +24,10 @@ interpreter-held work of the call, does not grow with the CPU count. Every
 other call, such as a one-q refinement call, runs the same chunks on the
 calling thread alone. Since the bits of each q do not depend on the
 chunking, the curve is the same on any number of CPUs.
+
+`_split_across_threads` is the one thread helper: it runs any work over
+claimed items on the calling thread and helpers. The curve kernel's chunks
+are its items, and so are `search.optimize_choice_set`'s blocks of types.
 """
 
 import _thread
@@ -133,8 +137,9 @@ def logit_welfare_curve(weights, utilities, q_values):
     starts = range(0, q_values.shape[0], chunk)
     pairs = q_values.shape[0] * per_q // (2 * CURVE_CHUNK_ELEMENTS)
     if WORKERS > 1 and pairs > 1 and per_q <= CURVE_CHUNK_ELEMENTS:
-        _split_across_threads(starts, min(WORKERS, pairs),
-                              (weights, by_action, q_values, chunk, out))
+        _split_across_threads(
+            starts, min(WORKERS, pairs),
+            lambda claims: _curve_chunks(claims, weights, by_action, q_values, chunk, out))
     else:
         _curve_chunks(starts, weights, by_action, q_values, chunk, out)
     return out
@@ -157,17 +162,21 @@ def _curve_chunks(starts, weights, by_action, q_values, chunk, out):
         out[start:start + chunk] = per_type.sum(axis=1)
 
 
-def _split_across_threads(starts, threads, args):
-    """Run `_curve_chunks` over ``starts`` on the calling thread and
-    ``threads - 1`` helper threads, each under a copy of the caller's context.
+def _split_across_threads(items, threads, work):
+    """Run ``work(claims)`` on the calling thread and ``threads - 1`` helper
+    threads, each under a copy of the caller's context; ``claims`` yields
+    the next of ``items`` no thread has claimed yet.
 
-    Each thread claims the next chunk whenever it is free, so a helper that
-    starts late, or shares its CPU with another process, leaves its chunks
+    Each thread claims the next item whenever it is free, so a helper that
+    starts late, or shares its CPU with another process, leaves its items
     to the others instead of holding the caller up; and the caller does not
     wait for a helper to start. The first error on any thread, or the caller
     leaving for any reason (a KeyboardInterrupt while it waits included),
     stops further claims. The caller waits until every helper has finished
-    its last chunk, then raises its own error or else the first helper error.
+    its last item, then raises its own error or else the first helper error.
+    ``work`` must write its results only where no other item's go. Since
+    each thread runs it under a copy of the caller's context, ``np.errstate``
+    holds in the helpers too.
 
     The helpers come from `_thread.start_new_thread`, not `threading`:
     `threading.Thread.start()` waits until the new thread runs, and with the
@@ -175,25 +184,26 @@ def _split_across_threads(starts, threads, args):
     a split sweep's curves 1.17x the one-thread time, against 0.95x without
     it (one measurement). The cost is that tools built on `threading` do not
     see the helpers: `threading.settrace` and `threading.setprofile` hooks,
-    so coverage.py and profilers miss the chunks they run, and
+    so coverage.py and profilers miss the items they run, and
     `threading.enumerate` does not list them.
     """
-    pending = iter(starts)
+    pending = iter(items)
     claim_lock = _thread.allocate_lock()
-    stop = []  # non-empty: claim no further chunk
+    stop = []  # non-empty: claim no further item
     failed = []
+    missing = object()
 
     def claims():
         while True:
             with claim_lock:
-                start = None if stop else next(pending, None)
-            if start is None:
+                item = missing if stop else next(pending, missing)
+            if item is missing:
                 return
-            yield start
+            yield item
 
     def helper(finished):
         try:
-            _curve_chunks(claims(), *args)
+            work(claims())
         except BaseException as exc:  # raised in the caller
             failed.append(exc)
             stop.append(True)
@@ -207,7 +217,7 @@ def _split_across_threads(starts, threads, args):
             finished.acquire()
             _thread.start_new_thread(contextvars.copy_context().run, (helper, finished))
             running.append(finished)
-        _curve_chunks(claims(), *args)
+        work(claims())
     finally:
         stop.append(True)
         for finished in running:

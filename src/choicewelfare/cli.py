@@ -26,6 +26,7 @@ Exit codes: 0 success, 1 usage error, 2 scenario validation error,
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -157,32 +158,44 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    """Write ``text`` beside ``path`` and rename it over ``path``, with the
-    mode ``open(path, "w")`` gives a new file; an error names ``path``."""
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
-                       f".choicewelfare-{os.urandom(6).hex()}.part")
+def _write_files_atomic(texts) -> None:
+    """Write each text of the ``{path: text}`` mapping beside its path, then
+    rename every one over its path, with the mode ``open(path, "w")`` gives
+    a new file.
+
+    No path is replaced until every text is written and no path is a
+    directory, so such a failure leaves every path as it was. A failure
+    removes every temp file, and its error names the path being written."""
+    temps = {}
+    path = None
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
+        for path, text in texts.items():
+            temps[path] = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                       f".choicewelfare-{os.urandom(6).hex()}.part")
+            fd = os.open(temps[path], os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
+        for path in texts:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, tmp in temps.items():
             os.replace(tmp, path)
-        except BaseException:
+    except BaseException as exc:
+        for tmp in temps.values():
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-            raise
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_text_atomic(out, text)
+        _write_files_atomic({out: text})
 
 
 def _json_text(payload) -> str:
@@ -387,8 +400,7 @@ def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
             }
         )
 
-    _write_text_atomic(args.out, main_text)
-    _write_text_atomic(crossings_out, crossings_text)
+    _write_files_atomic({args.out: main_text, crossings_out: crossings_text})
     n_rows = len(labels) * len(q_list)
     print(f"wrote {n_rows} sweep rows to {args.out}")
     print(f"wrote {len(crossings)} crossings to {crossings_out}")

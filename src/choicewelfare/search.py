@@ -23,8 +23,15 @@ from typing import Iterable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from ._kernels import logit_welfare_curve
-from .models import ChoiceModel, _validate_available, block_choice_probabilities
+from . import _kernels
+from ._kernels import CURVE_CHUNK_ELEMENTS, _split_across_threads, logit_welfare_curve
+from .models import (
+    ChoiceModel,
+    DefaultNudge,
+    RandomUtilityMC,
+    _validate_available,
+    block_choice_probabilities,
+)
 from .scenario import ActionSet, Population, _fields_equal, _frozen_array
 # policy_welfare is not called here: optimize_choice_set reproduces its welfare
 # bit for bit, and perfbench/spans.py wraps the name as search.policy_welfare.
@@ -44,6 +51,9 @@ REFINE_MAX_ITERATIONS = 100
 PAIR_CHUNK_ELEMENTS = 8192
 # Counts (types x n x 2^n) in one block of the optimizer's types: 512 KiB.
 TALLY_CHUNK_ELEMENTS = 65536
+# Work (types x n x max(Monte Carlo samples, 2^n)) from which the optimizer
+# splits its type blocks across threads.
+TYPE_SPLIT_ELEMENTS = 4 * CURVE_CHUNK_ELEMENTS
 
 
 class RefinementError(ArithmeticError):
@@ -325,10 +335,34 @@ def optimize_choice_set(pop: Population, model: ChoiceModel) -> OptimizeResult:
     TALLY_CHUNK_ELEMENTS // (n x 2^n) types (n actions) gets the
     probabilities of every subset, grouped by size, from one
     block_choice_probabilities call (a Monte Carlo model's n x 2^n count
-    table per type)."""
+    table per type).
+
+    A large population splits its blocks across the CPUs the process may use
+    (`_type_threads` holds the rule): the calling thread and helper threads
+    each claim the next block, blocks hold at most types // (2 x threads)
+    types so that there are two blocks or more per thread, and each thread
+    has one block in flight. Every type's probabilities come from its
+    own Monte Carlo stream or from arithmetic along its own rows, so the
+    subset and the welfare bits are the same on any number of CPUs."""
     subsets, welfare = _subset_welfare(pop, model)
     best = int(np.argmax(np.where(np.isnan(welfare), -np.inf, welfare)))
     return OptimizeResult(subset=subsets[best], welfare=float(welfare[best]))
+
+
+def _type_threads(pop: Population, model: ChoiceModel) -> int:
+    """Threads `_subset_welfare` splits the type blocks across: 1 unless
+    WORKERS > 1, there are two actions or more and the work, types x n x
+    max(Monte Carlo samples, 2^n), is at least TYPE_SPLIT_ELEMENTS; then
+    WORKERS, but no more than half the types. One action takes
+    `models.argmax_tally`, which perfbench's tracer wraps with a single span
+    stack, so it stays on the calling thread."""
+    base = model.base if isinstance(model, DefaultNudge) else model
+    samples = base.samples if isinstance(base, RandomUtilityMC) else 0
+    n = pop.n_actions
+    work = pop.n_types * n * max(samples, 1 << n)
+    if _kernels.WORKERS < 2 or n < 2 or work < TYPE_SPLIT_ELEMENTS:
+        return 1
+    return max(1, min(_kernels.WORKERS, pop.n_types // 2))
 
 
 def _subset_welfare(pop: Population, model: ChoiceModel):
@@ -336,15 +370,28 @@ def _subset_welfare(pop: Population, model: ChoiceModel):
     subsets = enumerate_choice_sets(pop.actions)
     groups = [np.array(list(group)) for _, group in itertools.groupby(subsets, len)]
     matrix = pop.utility_matrix
-    values = np.empty((len(subsets), pop.n_types))
+    n_types = pop.n_types
+    values = np.empty((len(subsets), n_types))
     block = max(1, TALLY_CHUNK_ELEMENTS // (pop.n_actions << pop.n_actions))
-    for start in range(0, pop.n_types, block):
-        streams = range(start, min(start + block, pop.n_types))
-        utilities = matrix[streams.start:streams.stop]
-        blocks = block_choice_probabilities(utilities, groups, model, streams)
-        rows = np.concatenate([expected_value(probs, utilities[:, cols])
-                               for cols, probs in zip(groups, blocks)], axis=1)
-        values[:, streams.start:streams.stop] = rows.T
+    threads = _type_threads(pop, model)
+    if threads > 1:
+        block = min(block, n_types // (2 * threads))
+
+    def fill(starts):
+        # Each block writes only its own columns of values.
+        for start in starts:
+            streams = range(start, min(start + block, n_types))
+            utilities = matrix[streams.start:streams.stop]
+            blocks = block_choice_probabilities(utilities, groups, model, streams)
+            rows = np.concatenate([expected_value(probs, utilities[:, cols])
+                                   for cols, probs in zip(groups, blocks)], axis=1)
+            values[:, streams.start:streams.stop] = rows.T
+
+    starts = range(0, n_types, block)
+    if threads > 1:
+        _split_across_threads(starts, threads, fill)
+    else:
+        fill(starts)
     # Valued and summed as policy_welfare does, so each welfare is its value:
     # a C-ordered row sums as the 1-d weighted vector does.
     values *= pop.weights

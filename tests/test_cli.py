@@ -407,7 +407,7 @@ def test_sweep_csv_quotes_labels_as_csv_writer_does(tmp_path, capsys):
 # Runs `cli.main` on each argv in a fresh interpreter, first pinned to one
 # CPU when a CPU is given, and prints the kernel's worker count and the
 # number of threads started.
-_SWEEP_ON_CPUS = """
+_CLI_ON_CPUS = """
 import _thread, json, os, sys
 cpu = json.loads(sys.argv[1])
 if cpu is not None:
@@ -425,10 +425,36 @@ for argv in json.loads(sys.argv[2]):
 print(_kernels.WORKERS, len(started))
 """
 
+_needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and two usable CPUs, or the unpinned run "
+           "would not split either",
+)
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
-@pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
-                    reason="one usable CPU: the unpinned run would not split either")
+
+def _outputs_on_one_and_all_cpus(tmp_path, argvs):
+    """The files the argvs write in a fresh interpreter pinned to one CPU
+    and in one on every usable CPU, after checking that only the second
+    started threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outputs = {}
+    for name, cpu in (("one", min(os.sched_getaffinity(0))), ("all", None)):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", _CLI_ON_CPUS, json.dumps(cpu), json.dumps(argvs)],
+            cwd=run_dir, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        workers, started = map(int, done.stdout.splitlines()[-1].split())
+        assert workers == (1 if cpu is not None else len(os.sched_getaffinity(0)))
+        assert (started > 0) == (cpu is None)
+        outputs[name] = {f.name: f.read_bytes() for f in sorted(run_dir.iterdir())}
+    return outputs
+
+
+@_needs_two_cpus
 def test_sweep_outputs_are_the_same_on_one_cpu(tmp_path):
     # 100 types x 3 actions on a 1,001-point grid: the two- and three-action
     # curve calls hold 6 and 9 chunks, so on two or more CPUs they
@@ -445,24 +471,33 @@ def test_sweep_outputs_are_the_same_on_one_cpu(tmp_path):
     })
     argvs = [["sweep", "--scenario", scenario, "--out", f"rows.{fmt}", "--q-step", "0.01",
               "--format", fmt] for fmt in ("csv", "json")]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    outputs = {}
-    for name, cpu in (("one", min(os.sched_getaffinity(0))), ("all", None)):
-        run_dir = tmp_path / name
-        run_dir.mkdir()
-        done = subprocess.run(
-            [sys.executable, "-c", _SWEEP_ON_CPUS, json.dumps(cpu), json.dumps(argvs)],
-            cwd=run_dir, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        workers, started = map(int, done.stdout.splitlines()[-1].split())
-        assert workers == (1 if cpu is not None else len(os.sched_getaffinity(0)))
-        assert (started > 0) == (cpu is None)
-        outputs[name] = {f.name: f.read_bytes() for f in sorted(run_dir.iterdir())}
+    outputs = _outputs_on_one_and_all_cpus(tmp_path, argvs)
     assert sorted(outputs["one"]) == [
         "rows.crossings.csv", "rows.crossings.json", "rows.csv", "rows.json"]
     assert len(json.loads(outputs["one"]["rows.json"])["rows"]) == 7 * 1001
+    assert outputs["one"] == outputs["all"]
+
+
+@_needs_two_cpus
+def test_optimize_outputs_are_the_same_on_one_cpu(tmp_path):
+    # 100 types x 6 actions with 1,200 normal-error draws each, the
+    # optimize_mc benchmark's size: on two or more CPUs the type blocks
+    # split. The JSON report holds every bit of the welfare.
+    rng = np.random.default_rng(21)
+    scenario = _write(tmp_path, "mc.scn", {
+        "schema_version": 1,
+        "population": {
+            "actions": list("abcdef"),
+            "types": [{"utilities": [float(u) for u in row], "weight": 0.01}
+                      for row in rng.normal(size=(100, 6))],
+            "models": {"mc": {"kind": "random_utility_mc", "error": {"kind": "normal", "sigma": 1.0},
+                              "samples": 1200, "seed": 0}},
+        },
+    })
+    argvs = [["optimize", "--scenario", scenario, "--model", "mc", "--out", "best.json"]]
+    outputs = _outputs_on_one_and_all_cpus(tmp_path, argvs)
+    assert sorted(outputs["one"]) == ["best.json"]
+    assert json.loads(outputs["one"]["best.json"])["welfare"] > 0.0
     assert outputs["one"] == outputs["all"]
 
 
@@ -757,6 +792,20 @@ def test_a_write_error_names_the_out_path_and_leaves_no_temp_file(
     assert main(["sweep", "--scenario", hotelling_file, "--out", out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno ") and err.endswith(f": {out!r}\n")
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
+
+
+def test_a_failed_sweep_write_leaves_both_files_as_they_were(hotelling_file, tmp_path, capsys):
+    # The crossings path is a directory: the rows file must not be replaced
+    # either, and neither temp file may stay behind.
+    rows = tmp_path / "rows.csv"
+    rows.write_text("old rows\n", encoding="utf-8")
+    (tmp_path / "rows.crossings.csv").mkdir()
+    assert main(["hotelling", "--out", str(rows)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ")
+    assert err.endswith(f": {str(tmp_path / 'rows.crossings.csv')!r}\n")
+    assert rows.read_text(encoding="utf-8") == "old rows\n"
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
 
 

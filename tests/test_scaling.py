@@ -22,12 +22,22 @@ def test_scaling_script_writes_a_record_of_the_documented_shape(tmp_path):
     record = json.loads(out.read_text(encoding="utf-8"))
 
     assert (record["label"], record["repeats"], record["tiny"]) == ("smoke", 1, True)
+    assert record["runs_per_repeat"] == 3
     assert set(record["environment"]["numpy_simd"]) == {"baseline", "dispatch"}
     assert list(record["trees"]) == ["this"]
     assert re.fullmatch("[0-9a-f]{64}", record["trees"]["this"]["source_sha256"])
+    # --tiny keeps the ends of the k = 6...14 axes.
+    axes = {f"optimize_{kind}_k{k}" for kind in ("mc", "logit") for k in (6, 14)}
     assert set(record["commands"]) == {
         "sweep_crossings", "sweep_fine_grid", "optimize_mc", "treatment_cohort"
-    }
+    } | axes
+    for name in axes:
+        command = record["commands"][name]
+        k = command["sizes"]["actions"]
+        assert name.endswith(f"_k{k}") and command["subsets"] == 2**k - 1
+        assert command["argv"][:4] == [
+            "optimize", "--scenario", f"../{name}.scn", "--model"]
+        assert command["argv"][4] == name.split("_")[1]
     for name, command in record["commands"].items():
         cell = command["trees"]["this"]
         assert cell["correct"] is True and cell["outputs_stable"] is True

@@ -3,7 +3,10 @@
 import gc
 import itertools
 import math
+import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,14 +40,17 @@ from choicewelfare import (
     policy_welfare,
     sweep_logit,
 )
+from choicewelfare import _kernels, search
 from choicewelfare.models import _beaten_tally, _subset_sums
 from choicewelfare.search import (
     BISECT_VALUE_TOL,
     TALLY_CHUNK_ELEMENTS,
     TOUCH_TOL,
+    TYPE_SPLIT_ELEMENTS,
     _illinois,
     _sign_change_brackets,
     _subset_welfare,
+    _type_threads,
 )
 
 # Roots frozen from an independent bracketing root finder (xtol 1e-13) on the
@@ -647,7 +653,7 @@ def test_count_table_matches_argmax_of_every_subset(k, rows, seed):
         assert np.array_equal(table[cols, full ^ sum(1 << i for i in cols)], expected)
 
 
-def _optimize_mc_peak_bytes(n_types):
+def _optimize_mc_peak_bytes(n_types, workers):
     rng = np.random.default_rng(3)
     pop = build_population(
         ActionSet(labels=tuple("abcd")),
@@ -656,7 +662,8 @@ def _optimize_mc_peak_bytes(n_types):
     model = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=4000, seed=1)
     tracemalloc.start()
     try:
-        optimize_choice_set(pop, model)
+        with mock.patch.object(_kernels, "WORKERS", workers):
+            optimize_choice_set(pop, model)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -666,15 +673,20 @@ def test_optimize_mc_memory_does_not_grow_with_the_types():
     # One type's draws (4000 x 4 doubles, 125 KiB) are released before the
     # next type's are made; with the cyclic collector off, anything kept
     # alive by a reference cycle would pile up with the number of types.
+    # Each thread has one type's draws in flight, so the peaks compared are
+    # taken on one thread count: 4 and 40 types on one thread, and 40 and
+    # 400 types split across two.
     gc.disable()
     try:
-        few, many = _optimize_mc_peak_bytes(4), _optimize_mc_peak_bytes(40)
+        few, many = _optimize_mc_peak_bytes(4, 1), _optimize_mc_peak_bytes(40, 1)
+        split_few, split_many = _optimize_mc_peak_bytes(40, 2), _optimize_mc_peak_bytes(400, 2)
     finally:
         gc.enable()
     assert many < 1.5 * few
+    assert split_many < 1.5 * split_few
 
 
-def _optimize_mc_table_peak_bytes(n_types):
+def _optimize_mc_table_peak_bytes(n_types, workers):
     rng = np.random.default_rng(4)
     actions = ActionSet(labels=tuple(f"a{i}" for i in range(10)))
     pop = build_population(
@@ -684,7 +696,8 @@ def _optimize_mc_table_peak_bytes(n_types):
     model = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=50, seed=2)
     tracemalloc.start()
     try:
-        optimize_choice_set(pop, model)
+        with mock.patch.object(_kernels, "WORKERS", workers):
+            optimize_choice_set(pop, model)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -693,7 +706,138 @@ def _optimize_mc_table_peak_bytes(n_types):
 def test_optimize_mc_count_tables_stay_bounded():
     # At 10 actions each type's count table is 10 x 1024 float64 (80 KiB):
     # unblocked, 180 more types would add about 14.7 MB, against 1.47 MB for
-    # the 1,023 x 180 welfare values the optimizer must hold.
-    values_growth = 1023 * (200 - 20) * 8
-    growth = _optimize_mc_table_peak_bytes(200) - _optimize_mc_table_peak_bytes(20)
-    assert growth <= 1.25 * values_growth
+    # the 1,023 x 180 welfare values the optimizer must hold. Each thread
+    # has one block in flight, so the peaks compared are taken on one thread
+    # count: 20 and 200 types on one thread, and 40 and 400 types (blocks of
+    # the same size) split across two.
+    def growth(few, many, workers):
+        return (_optimize_mc_table_peak_bytes(many, workers)
+                - _optimize_mc_table_peak_bytes(few, workers))
+
+    assert growth(20, 200, 1) <= 1.25 * 1023 * (200 - 20) * 8
+    assert growth(40, 400, 2) <= 1.25 * 1023 * (400 - 40) * 8
+
+
+# --- optimize's type blocks split across threads ---
+
+
+def _normal_population(n_types, k, seed=21):
+    rng = np.random.default_rng(seed)
+    return build_population(
+        ActionSet(labels=tuple(f"a{i}" for i in range(k))),
+        [UtilityType(utilities=u, weight=float(w))
+         for u, w in zip(rng.normal(size=(n_types, k)), rng.uniform(0.1, 1.0, n_types))],
+    )
+
+
+def _count_thread_starts(monkeypatch):
+    starts = []
+    start_new_thread = _kernels._thread.start_new_thread
+
+    def counting(*args):
+        starts.append(args)
+        return start_new_thread(*args)
+
+    monkeypatch.setattr(_kernels._thread, "start_new_thread", counting)
+    return starts
+
+
+_MC_500 = dict(samples=500, seed=9)
+
+
+@pytest.mark.parametrize(
+    "model, n_types, k",
+    [
+        (RandomUtilityMC(error=GumbelIID(scale=0.7), **_MC_500), 53, 5),
+        (RandomUtilityMC(error=NormalIID(sigma=1.0), **_MC_500), 53, 5),
+        (RandomUtilityMC(error=UniformBoundedIID(delta=0.8), **_MC_500), 53, 5),
+        (DefaultNudge(default_action=2, gamma=0.3,
+                      base=RandomUtilityMC(error=NormalIID(sigma=0.5), **_MC_500)), 53, 5),
+        (Logit(q=2.0), 53, 10),
+        (AlphaRational(alpha=0.6, background=np.full(10, 0.1)), 53, 10),
+    ],
+    ids=["mc-gumbel", "mc-normal", "mc-uniform", "nudge-mc", "logit", "alpha"],
+)
+def test_optimize_is_the_same_on_any_worker_count(model, n_types, k, monkeypatch):
+    # 53 types split into blocks of 13 on two workers and of 8 on three, so
+    # the last block is partial; one worker keeps today's single-thread
+    # blocks. Every subset's welfare must keep its bits.
+    pop = _normal_population(n_types, k)
+    starts = _count_thread_starts(monkeypatch)
+    results = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_kernels, "WORKERS", workers)
+        assert _type_threads(pop, model) == workers
+        before = len(starts)
+        subsets, welfare = _subset_welfare(pop, model)
+        assert len(starts) - before == workers - 1
+        results[workers] = (optimize_choice_set(pop, model), welfare.tobytes())
+    assert results[1] == results[2] == results[3]
+    assert not np.isnan(np.frombuffer(results[1][1])).all()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 64])
+def test_small_optimizer_problems_stay_on_the_calling_thread(workers, monkeypatch):
+    # Hypothesis-sized problems and one action (whose tally perfbench traces
+    # on the calling thread) start no thread, however many CPUs there are.
+    monkeypatch.setattr(_kernels, "WORKERS", workers)
+    monkeypatch.setattr(_kernels._thread, "start_new_thread", _no_thread)
+    mc = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=200, seed=0)
+    small = _normal_population(6, 4)
+    assert 6 * 4 * 200 < TYPE_SPLIT_ELEMENTS
+    one_action = _normal_population(2000, 1)
+    big_mc = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=2000, seed=0)
+    assert 2000 * 2000 >= TYPE_SPLIT_ELEMENTS
+    for pop, model in ((small, mc), (small, Logit(q=1.0)), (one_action, big_mc),
+                       (_normal_population(3, 14), Logit(q=1.0))):
+        assert _type_threads(pop, model) == 1
+        optimize_choice_set(pop, model)
+    large = _normal_population(100, 6)
+    assert _type_threads(large, big_mc) == min(workers, 50)
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("the call started a thread")
+
+
+def test_a_block_error_on_a_helper_reaches_the_caller_after_every_helper_ends(monkeypatch):
+    # Three workers: the first helper to enter a block fails while the other
+    # is inside a slow block, and the caller holds its block until the
+    # failure. The error reaches the caller only once no block is running,
+    # and no thread starts a block after it.
+    monkeypatch.setattr(_kernels, "WORKERS", 3)
+    pop = _normal_population(60, 10)
+    caller = threading.get_ident()
+    both_inside = threading.Barrier(2, timeout=30)
+    failed = threading.Event()
+    lock = threading.Lock()
+    active = [0]
+    entered = []
+    probabilities = search.block_choice_probabilities
+
+    def failing_or_slow(utilities, groups, model, streams):
+        if threading.get_ident() == caller:
+            assert failed.wait(timeout=30)
+            return probabilities(utilities, groups, model, streams)
+        with lock:
+            active[0] += 1
+            entered.append(threading.get_ident())
+            first = len(entered) == 1
+        try:
+            if len(entered) <= 2:
+                both_inside.wait()
+            if first:
+                failed.set()
+                raise RuntimeError("helper block failed")
+            time.sleep(0.2)
+            return probabilities(utilities, groups, model, streams)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(search, "block_choice_probabilities", failing_or_slow)
+    with pytest.raises(RuntimeError, match="helper block failed"):
+        optimize_choice_set(pop, Logit(q=1.0))
+    assert active[0] == 0
+    assert len(entered) == 2 and len(set(entered)) == 2
+
