@@ -7,16 +7,20 @@ Run from the repository root:
 
 Each --src is NAME=ROOT, ROOT a checkout with `src/choicewelfare` (default:
 this checkout, named "this"). The commands are the four workloads of
-perfbench/workloads.py and two size axes of `optimize` on 100 types of
-standard normal utilities, at k = 6...14 actions: `optimize --model mc`
-(normal errors, sigma 1, 1,200 samples), named optimize_mc_k6 ...
-optimize_mc_k14, and `optimize` under Logit(q=2), named optimize_logit_k6
-... optimize_logit_k14. For each command it writes the scenario for --seed
-once, then runs the command in a fresh interpreter through
-perfbench/child.py. The trees are interleaved: every repeat runs each
-command RUNS_PER_REPEAT times on every tree, one round of trees after the
-other, odd repeats in reverse tree order, and keeps each metric's median of
-those runs as the repeat's sample. As perfbench/run.py does, it runs
+perfbench/workloads.py and three size axes on standard normal utilities:
+`sweep` on 50 types over the default grid (q = 0...10, step 0.05) at k =
+3...9 actions, named sweep_k3 ... sweep_k9; and `optimize` on 100 types at k
+= 6...14, with `--model mc` (normal errors, sigma 1, 1,200 samples), named
+optimize_mc_k6 ... optimize_mc_k14, and under Logit(q=2), named
+optimize_logit_k6 ... optimize_logit_k14. For each command it writes the
+scenario for --seed once, then runs the command in a fresh interpreter
+through perfbench/child.py. The trees are interleaved: every repeat runs
+each command RUNS_PER_REPEAT times on every tree, one round of trees after
+the other, odd repeats in reverse tree order, and keeps each metric's median
+of those runs as the repeat's sample. A command whose runs have taken
+COMMAND_TIME_CAP_S seconds in all is not repeated further (sweep_k9 takes
+about 11 s a run), so a command can have fewer repeats than --repeats. As
+perfbench/run.py does, it runs
 perfbench/reference.py before the first command and after each one, and
 divides set-up time by the import factor and wall time by the host factor
 of the two runs around the command. The command's CPU time (user + system,
@@ -27,8 +31,10 @@ changed.
 
 `--label L` writes BENCH_L.json at the repository root (or --out). It holds
 the environment, numpy's SIMD dispatch included; per tree, its git commit
-and a digest of its package sources; and per command: its argv, its sizes
-and, where it has actions, its number of subsets; and per tree: the median
+and a digest of its package sources; and per command: its argv, its sizes,
+the number of repeats it ran, where it has actions its number of subsets,
+and for a sweep its number of subset pairs; and per tree: for a sweep the
+number of crossings it wrote, the median
 and quartiles of scaled `setup_s`, `wall_s` and `cpu_s` and of
 `peak_rss_mb`, with every sample in repeat order and, for every tree after
 the first, the number of repeats in which it read below the first tree; the
@@ -39,6 +45,7 @@ of each axis, for a quick check of the script itself.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -48,6 +55,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -73,10 +81,18 @@ TINY_SIZES = {
 }
 # Runs of each command and tree per repeat; a repeat keeps their median.
 RUNS_PER_REPEAT = 3
+# Seconds of runs, over every tree, after which a command is not repeated.
+COMMAND_TIME_CAP_S = 180
 AXIS_ACTIONS = range(6, 15)
 AXIS_SIZES = {"types": 100, "samples": 1200}
 TINY_AXIS_ACTIONS = (AXIS_ACTIONS[0], AXIS_ACTIONS[-1])
 TINY_AXIS_SIZES = {"types": 4, "samples": 50}
+SWEEP_ACTIONS = range(3, 10)
+SWEEP_SIZES = {"types": 50, "q_step": 0.05}
+TINY_SWEEP_ACTIONS = (SWEEP_ACTIONS[0], SWEEP_ACTIONS[-1])
+# One grid point, q = 0: with any bracket on its grid, a k = 9 sweep refines
+# tens of thousands of crossings, whatever its size.
+TINY_SWEEP_SIZES = {"types": 4, "q_step": 20.0}
 # Runs `cli.main(argv)` with its stdout discarded and prints the package's
 # modules loaded after importing the CLI and after the command.
 PROBE = """
@@ -111,11 +127,15 @@ class OptimizeLogitWorkload(workloads.OptimizeMCWorkload):
 
 def all_commands(tiny=False):
     """Every command to measure, by name: the perfbench workloads, then the
-    `optimize` axes."""
+    `sweep` axis, then the `optimize` axes."""
     found = dict(workloads.WORKLOADS)
     if tiny:
         found = {name: dataclasses.replace(w, sizes=TINY_SIZES[name])
                  for name, w in found.items()}
+    sizes = TINY_SWEEP_SIZES if tiny else SWEEP_SIZES
+    for k in TINY_SWEEP_ACTIONS if tiny else SWEEP_ACTIONS:
+        name = f"sweep_k{k}"
+        found[name] = workloads.SweepWorkload(name, "sweep axis", {**sizes, "actions": k})
     sizes = TINY_AXIS_SIZES if tiny else AXIS_SIZES
     for kind, cls in (("mc", workloads.OptimizeMCWorkload), ("logit", OptimizeLogitWorkload)):
         for k in TINY_AXIS_ACTIONS if tiny else AXIS_ACTIONS:
@@ -171,6 +191,12 @@ def _digests(run_dir, outputs):
     return digests
 
 
+def _crossing_count(path):
+    """Rows of a sweep's crossings CSV file, its header not counted."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return sum(1 for _ in csv.reader(fh)) - 1
+
+
 def _source_sha256(root):
     """One digest of the package's source files, so a record names exactly
     the code it measured, committed or not."""
@@ -217,9 +243,13 @@ def measure(trees, commands, seed, repeats, work):
         out = workload.output_path(".")
         argv = workload.argv(os.path.join("..", f"{wname}.scn"), out)
         outputs = [os.path.normpath(p) for p in workload.outputs(out)]
-        entry = results[wname] = {"argv": argv, "sizes": workload.sizes, "trees": {}}
+        entry = results[wname] = {"argv": argv, "sizes": workload.sizes, "repeats": 0,
+                                  "trees": {}}
         if "actions" in workload.sizes:
             entry["subsets"] = 2 ** workload.sizes["actions"] - 1
+        sweep = isinstance(workload, workloads.SweepWorkload)
+        if sweep:
+            entry["pairs"] = entry["subsets"] * (entry["subsets"] - 1) // 2
         for tname, root in trees:
             run_dir = os.path.join(work, wname, tname)
             os.makedirs(run_dir)
@@ -239,15 +269,24 @@ def measure(trees, commands, seed, repeats, work):
                 "outputs_stable": True,
                 "raw": {name: [] for name in SCALED_BY},
             }
+            if sweep:
+                entry["trees"][tname]["crossings"] = _crossing_count(
+                    os.path.join(run_dir, outputs[1]))
 
     before = run.reference_times()
+    spent = {wname: 0.0 for wname in results}
     for repeat in range(repeats):
         order = trees if repeat % 2 == 0 else trees[::-1]
         for wname, entry in results.items():
+            if spent[wname] >= COMMAND_TIME_CAP_S:
+                continue
+            entry["repeats"] += 1
             runs = {tname: {name: [] for name in SCALED_BY} for tname, _ in trees}
             for _ in range(RUNS_PER_REPEAT):
                 for tname, root in order:
+                    started = time.monotonic()
                     sample = _run_child(wname, entry, tname, root, work)
+                    spent[wname] += time.monotonic() - started
                     after = run.reference_times()
                     for name, factor in SCALED_BY.items():
                         scale = (factor(before) * factor(after)) ** 0.5 if factor else 1.0

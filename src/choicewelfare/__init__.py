@@ -64,6 +64,7 @@ _EXPORTS = {
         "SweepConfig",
         "SweepGrid",
         "SweepResult",
+        "UtilitySpreadError",
         "enumerate_choice_sets",
         "find_crossings",
         "optimize_choice_set",

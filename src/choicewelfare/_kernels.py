@@ -5,12 +5,17 @@ Carlo model; `logit_welfare_curve` evaluates population logit welfare on a
 whole grid of q values at once. Tie-breaking is by the lowest index among
 maximal scores.
 
-The curve kernel works action-major: a chunk of q values is laid out as
-(k, q, T), so each step over the k actions is one elementwise operation on
-a contiguous (q, T) slice, not a reduction along a last axis only k long.
-Its two sums over actions add in the order numpy's ``add.reduce`` uses along
-a contiguous axis (`_sum_actions`), so the curve is bit for bit what a
-per-q softmax over (T, k) rows gives, for any chunking of the q values.
+The curve kernel shifts each type's utilities by their maximum once per
+call, gaps = u - max u, so a chunk of q values only multiplies the gaps by q
+before exponentiating: every exponent is at most 0 and nothing overflows
+toward +inf. The Logit model (`models.block_choice_probabilities`) shifts
+the same way, so both give the same bits. The kernel works action-major: a
+chunk is laid out as (k, q, T), so each step over the k actions is one
+elementwise operation on a contiguous (q, T) slice, not a reduction along a
+last axis only k long. Its two sums over actions add in the order numpy's
+``add.reduce`` uses along a contiguous axis (`_sum_actions`), so the curve
+is bit for bit what a per-q softmax of q * (u - max u) over (T, k) rows
+gives, for any chunking of the q values.
 
 Every call runs chunks of at most CURVE_CHUNK_ELEMENTS elements, or of one q
 where one q holds more. A large call splits its chunks across the CPUs the process
@@ -114,24 +119,33 @@ def logit_welfare_curve(weights, utilities, q_values):
     caller. A smaller call, and every call when WORKERS is 1, runs the same
     chunks on the calling thread and starts no thread.
 
-    Each chunk is action-major, (k, q, T), against ``utilities`` transposed
-    once per call. The row max is a running np.maximum over the k (q, T)
-    slices; each (q, type) row subtracts it before exponentiating. The two
-    sums over actions (the softmax denominator and sum_i u_ti p_ti) follow
-    numpy's ``add.reduce`` order (`_sum_actions`), and the type reduction is
-    numpy's pairwise sum over the contiguous T axis, to keep large-T
-    accumulation accurate. A max is exact in any order, and every other step
-    is elementwise, so a q value's welfare does not depend on the chunk, on
-    the other q values or on the thread or number of threads: it is bit for
-    bit the per-q softmax ``z = q * utilities; z -= z.max(axis=1,
-    keepdims=True); ...`` over (T, k), and a single q alone gives the same
-    bits as inside a vector.
+    Once per call, ``utilities`` is transposed to (k, 1, T) and each type
+    is shifted by its maximum over the k actions: gaps = u - max u, all at
+    most 0. Precondition: every gap is finite, that is, no two of a type's
+    utilities are further apart than the largest float; otherwise q = 0
+    gives 0 x -inf = NaN. The kernel does not check it, since a check would
+    slow every one-q refinement call; `search` checks it once per sweep, and
+    the Logit model sets q = 0 apart as uniform choice. A chunk of q values
+    multiplies the gaps into one (k, q, T) array and exponentiates it in
+    place; q x gap may round to -inf, whose exponential is 0. The two sums over actions (the softmax denominator and sum_i u_ti
+    p_ti) follow numpy's ``add.reduce`` order (`_sum_actions`), and the type
+    reduction is numpy's pairwise sum over the contiguous T axis, to keep
+    large-T accumulation accurate. A max is exact in any order, and every
+    other step is elementwise, so a q value's welfare does not depend on the
+    chunk, on the other q values or on the thread or number of threads: it
+    is bit for bit the per-q softmax ``z = q * (utilities -
+    utilities.max(axis=1, keepdims=True)); ...`` over (T, k), and a single
+    q alone gives the same bits as inside a vector.
     """
     weights = np.asarray(weights, dtype=np.float64)
     utilities = np.asarray(utilities, dtype=np.float64)
     q_values = np.asarray(q_values, dtype=np.float64)
     out = np.empty(q_values.shape[0], dtype=np.float64)
     by_action = np.ascontiguousarray(utilities.T)[:, np.newaxis, :]
+    # One action is its own maximum; a one-q call of a singleton subset would
+    # notice the set-up of a reduction.
+    top = by_action[0] if by_action.shape[0] == 1 else np.maximum.reduce(by_action)
+    gaps = by_action - top
     per_q = utilities.size
     chunk = max(1, CURVE_CHUNK_ELEMENTS // per_q)
     starts = range(0, q_values.shape[0], chunk)
@@ -139,27 +153,23 @@ def logit_welfare_curve(weights, utilities, q_values):
     if WORKERS > 1 and pairs > 1 and per_q <= CURVE_CHUNK_ELEMENTS:
         _split_across_threads(
             starts, min(WORKERS, pairs),
-            lambda claims: _curve_chunks(claims, weights, by_action, q_values, chunk, out))
+            lambda claims: _curve_chunks(claims, weights, by_action, gaps, q_values, chunk, out))
     else:
-        _curve_chunks(starts, weights, by_action, q_values, chunk, out)
+        _curve_chunks(starts, weights, by_action, gaps, q_values, chunk, out)
     return out
 
 
-def _curve_chunks(starts, weights, by_action, q_values, chunk, out):
+def _curve_chunks(starts, weights, by_action, gaps, q_values, chunk, out):
     """Fill ``out`` with the welfare of the chunks of q values that begin at
     ``starts``; the one body of `logit_welfare_curve`'s arithmetic."""
     for start in starts:
-        z = q_values[start:start + chunk, np.newaxis] * by_action
-        row_max = z[0].copy()
-        for i in range(1, z.shape[0]):
-            np.maximum(row_max, z[i], out=row_max)
-        z -= row_max
+        z = q_values[start:start + chunk, np.newaxis] * gaps
         np.exp(z, out=z)
         z /= _sum_actions(z)
         z *= by_action
         per_type = _sum_actions(z)
         per_type *= weights
-        out[start:start + chunk] = per_type.sum(axis=1)
+        np.add.reduce(per_type, axis=1, out=out[start:start + chunk])
 
 
 def _split_across_threads(items, threads, work):

@@ -50,7 +50,13 @@ from .document import (
 )
 from .models import ChoiceModel, DefaultNudge, MCConfig, RandomUtilityMC
 from .scenario import ActionSet, Population, hotelling_population
-from .search import SweepConfig, SweepResult, sweep_logit, optimize_choice_set
+from .search import (
+    SweepConfig,
+    SweepResult,
+    UtilitySpreadError,
+    optimize_choice_set,
+    sweep_logit,
+)
 from .welfare import policy_welfare
 
 
@@ -412,7 +418,10 @@ def _run_sweep(doc: ScenarioDocument, section, args) -> int:
         pop = section.population
     else:
         pop = hotelling_population(section)
-    result = sweep_logit(pop, _sweep_config(doc, args).grid())
+    try:
+        result = sweep_logit(pop, _sweep_config(doc, args).grid())
+    except UtilitySpreadError as exc:
+        raise ScenarioError(str(exc)) from None
     return _emit_sweep_files(result, pop.actions, args)
 
 

@@ -350,9 +350,15 @@ def block_choice_probabilities(utilities, groups, model: ChoiceModel, streams):
         elif isinstance(model, AlphaRational):
             table = _renormalized_table(model.background, cols, utilities.shape[-1])
             probs = model.alpha * _first_max(u) + (1.0 - model.alpha) * table
+        elif isinstance(model, Logit) and model.q == 0.0:
+            # exp(0 * gap) = 1 for every action, even where u - max u
+            # overflows to -inf (0 * -inf would be NaN): the kernel's bits.
+            probs = np.full(u.shape, 1.0 / u.shape[-1])
         elif isinstance(model, Logit):
-            z = model.q * u
-            z -= z.max(axis=-1, keepdims=True)  # no overflow even at q = 1e6
+            # The curve kernel's shift, q * (u - max u): its exponent is at
+            # most 0 at any q, and each row has the kernel's bits.
+            z = u - u.max(axis=-1, keepdims=True)
+            z *= model.q
             np.exp(z, out=z)
             probs = z / z.sum(axis=-1, keepdims=True)
         else:

@@ -60,6 +60,11 @@ class RefinementError(ArithmeticError):
     """A crossing's refinement met neither tolerance within its iteration cap."""
 
 
+class UtilitySpreadError(ValueError):
+    """Two of a type's utilities on a swept subset are further apart than the
+    largest float, so the logit curve cannot shift them by their maximum."""
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """An inclusive arithmetic q range: the one rule for the bounds and step
@@ -224,6 +229,7 @@ def _sweep(pop: Population, subsets, qs) -> tuple[NDArray[np.float64], list[Cros
     """Each subset's welfare curve on the grid qs, and the refined crossings
     of every subset pair in itertools.combinations order."""
     weights, matrix = pop.weights, pop.utility_matrix
+    _require_finite_gaps(pop, subsets)
     matrices = [np.ascontiguousarray(matrix[:, list(subset)]) for subset in subsets]
     welfare = np.empty((len(subsets), qs.shape[0]))
     for si, sub_matrix in enumerate(matrices):
@@ -256,6 +262,30 @@ def _sweep(pop: Population, subsets, qs) -> tuple[NDArray[np.float64], list[Cros
             )
             crossings.append(Crossing(subsets[ia], subsets[ib], q_star))
     return welfare, crossings
+
+
+def _require_finite_gaps(pop: Population, subsets) -> None:
+    """The curve kernel's precondition, checked once per sweep: on every
+    subset, each type's utility gaps u - max u are finite. Otherwise raise
+    UtilitySpreadError naming the first type and pair of actions too far
+    apart (a gap of -inf would give NaN welfare at q = 0)."""
+    matrix = pop.utility_matrix
+    with np.errstate(over="ignore"):
+        if np.isfinite(np.ptp(matrix, axis=1)).all():
+            return
+        for subset in subsets:
+            cols = matrix[:, list(subset)]
+            far = np.flatnonzero(~np.isfinite(np.ptp(cols, axis=1)))
+            if far.size:
+                t = int(far[0])
+                hi, lo = subset[int(np.argmax(cols[t]))], subset[int(np.argmin(cols[t]))]
+                labels = pop.actions.labels
+                raise UtilitySpreadError(
+                    f"type {t}: utilities {float(matrix[t, hi])!r} (action "
+                    f"{labels[hi]!r}) and {float(matrix[t, lo])!r} (action "
+                    f"{labels[lo]!r}) are further apart than the largest float; "
+                    "a logit sweep needs every utility gap finite"
+                )
 
 
 def _sign_change_brackets(diff):

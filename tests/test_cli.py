@@ -318,12 +318,12 @@ _SWEEP_SHA256 = {
     },
     ("hotelling", "json"): {
         (  # AVX-512
-            "1ba7f13b0cf7c2b72b355392be206a4b2281a03ad570f80118d7b82aafd4a17d",
-            "f6f822c7bae678dad96890ece6d65b85a94ca39585ee9678a411f86baea2eb85",
+            "e9253cacf3b0af598ace56d3d1924607ff7f1be0e91e02f4ffd4db0214395446",
+            "80484045d8eb39d119d2ae71c5237a4ef0fd224f10dbe70233be07fa05b2193b",
         ),
         (  # AVX2 or baseline
-            "a58c16d4f38c20a4fff90b954cc9e98eb39783e83337ed07ac86c293db889780",
-            "426569d2b6dc2c9e90ec9a0b3483165b41ecc83ef9430c76e02aa071b169a3f5",
+            "54528c2226bbd5dcd881ece7693be16dc27d7f86fc7e01ca4ece9df7239dd463",
+            "00a348c2cbfe694be450e142b9ba5a4fcc5f7b0f03bddcbf53a09248a53b95c2",
         ),
     },
 }
@@ -624,6 +624,18 @@ def test_kind_mismatch_is_scenario_error(treatment_file, population_file, capsys
     capsys.readouterr()
     assert main(["sweep", "--scenario", treatment_file, "--out", "x.csv"]) == 2
     assert "'population' or 'hotelling'" in capsys.readouterr().err
+
+
+def test_a_sweep_over_utilities_further_apart_than_floats_is_scenario_error(tmp_path, capsys):
+    path = tmp_path / "wide.scn"
+    path.write_text(json.dumps({"schema_version": 1, "population": {
+        "actions": ["a", "b"],
+        "types": [{"utilities": [1e308, -1e308], "weight": 1.0}]}}), encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: type 0: utilities 1e+308 (action 'a') and -1e+308")
+    assert not out.exists()
 
 
 def test_unknown_available_label_is_scenario_error(population_file, capsys):

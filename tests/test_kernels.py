@@ -58,8 +58,7 @@ def test_logit_welfare_curve_matches_direct_softmax():
     q_values = np.array([0.0, 0.3, 1.7, 9.0])
     curve = kernels.logit_welfare_curve(weights, utilities, q_values)
     for qi, q in enumerate(q_values):
-        z = q * utilities
-        z = z - z.max(axis=1, keepdims=True)
+        z = q * (utilities - utilities.max(axis=1, keepdims=True))
         e = np.exp(z)
         p = e / e.sum(axis=1, keepdims=True)
         direct = float(np.sum(weights * np.sum(utilities * p, axis=1)))
@@ -67,11 +66,12 @@ def test_logit_welfare_curve_matches_direct_softmax():
 
 
 def _curve_one_q_at_a_time(weights, utilities, q_values):
+    # Each type is shifted by its own maximum before the q multiply, as the
+    # kernel and the Logit model shift it.
+    gaps = utilities - utilities.max(axis=1, keepdims=True)
     out = np.empty(q_values.shape[0])
     for qi, q in enumerate(q_values):
-        z = q * utilities
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
+        e = np.exp(q * gaps)
         p = e / e.sum(axis=1, keepdims=True)
         out[qi] = np.sum(weights * np.sum(utilities * p, axis=1))
     return out
@@ -165,6 +165,53 @@ def test_logit_welfare_curve_overflow_safe():
     assert abs(curve[0] - 1000.0) < 1e-9
 
 
+@st.composite
+def _populations(draw, utility=st.floats(-10.0, 10.0) | st.sampled_from([-1.0, 0.0, 2.0])):
+    """(weights summing to 1, (T, k) utilities); coarse values tie often."""
+    n_types = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 9))
+    rows = st.lists(st.lists(utility, min_size=k, max_size=k),
+                    min_size=n_types, max_size=n_types)
+    mass = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_types,
+                                  max_size=n_types)))
+    return mass / mass.sum(), np.array(draw(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_populations())
+def test_curve_at_q_zero_is_the_weighted_uniform_mean(population):
+    weights, utilities = population
+    curve = kernels.logit_welfare_curve(weights, utilities, np.array([0.0]))
+    assert abs(curve[0] - np.sum(weights * utilities.mean(axis=1))) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(_populations(), st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20))
+def test_curve_lies_between_the_worst_and_the_best_choices(population, q_values):
+    # Each type's welfare is a convex combination of its utilities, so the
+    # population's lies between the weighted minima and maxima, up to rounding.
+    weights, utilities = population
+    curve = kernels.logit_welfare_curve(weights, utilities, np.array(q_values))
+    low = np.sum(weights * utilities.min(axis=1))
+    high = np.sum(weights * utilities.max(axis=1))
+    assert np.all(curve >= low - 1e-12) and np.all(curve <= high + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_populations(utility=st.integers(-50, 50).map(float)))
+def test_curve_at_large_q_is_the_rational_limit(population):
+    # Integer utilities differ by 1 or more, so at q = 1e6 every action
+    # below a type's maximum has exp(-1e6 * gap) = 0 exactly. A type with
+    # one maximum then has exactly its best utility; tied maxima share
+    # 1/m each, which can leave the sum an ulp off.
+    weights, utilities = population
+    curve = kernels.logit_welfare_curve(weights, utilities, np.array([1e6]))
+    rational = np.sum(weights * utilities.max(axis=1))
+    assert abs(curve[0] - rational) <= 1e-12 * max(1.0, abs(rational))
+    if np.all((utilities == utilities.max(axis=1, keepdims=True)).sum(axis=1) == 1):
+        assert curve[0] == rational
+
+
 # --- the curve split across worker threads ---
 
 
@@ -252,9 +299,9 @@ def _curve_and_chunk_sizes(monkeypatch, weights, utilities, q_values):
     sizes = []
     curve_chunks = kernels._curve_chunks
 
-    def recording(starts, weights, by_action, q_values, chunk, out):
+    def recording(starts, weights, by_action, gaps, q_values, chunk, out):
         sizes.append(chunk)
-        return curve_chunks(starts, weights, by_action, q_values, chunk, out)
+        return curve_chunks(starts, weights, by_action, gaps, q_values, chunk, out)
 
     monkeypatch.setattr(kernels, "_curve_chunks", recording)
     curve = kernels.logit_welfare_curve(weights, utilities, q_values)

@@ -126,6 +126,7 @@ def _utilities_and_subset(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_utilities_and_subset())
+@example((np.array([1e308, -1e308]), (0, 1)))  # u - max u overflows to -inf
 def test_logit_zero_q_is_uniform_property(case):
     utilities, available = case
     cp = choice_probabilities(utilities, available, Logit(q=0.0))

@@ -26,11 +26,25 @@ def test_scaling_script_writes_a_record_of_the_documented_shape(tmp_path):
     assert set(record["environment"]["numpy_simd"]) == {"baseline", "dispatch"}
     assert list(record["trees"]) == ["this"]
     assert re.fullmatch("[0-9a-f]{64}", record["trees"]["this"]["source_sha256"])
-    # --tiny keeps the ends of the k = 6...14 axes.
+    # --tiny keeps the ends of the k = 3...9 sweep axis and the k = 6...14
+    # optimize axes.
+    sweeps = {"sweep_k3", "sweep_k9"}
     axes = {f"optimize_{kind}_k{k}" for kind in ("mc", "logit") for k in (6, 14)}
     assert set(record["commands"]) == {
         "sweep_crossings", "sweep_fine_grid", "optimize_mc", "treatment_cohort"
-    } | axes
+    } | sweeps | axes
+    for name in sweeps | {"sweep_crossings", "sweep_fine_grid"}:
+        command = record["commands"][name]
+        subsets = 2 ** command["sizes"]["actions"] - 1
+        assert command["subsets"] == subsets
+        assert command["pairs"] == subsets * (subsets - 1) // 2
+        assert command["trees"]["this"]["crossings"] >= 0
+    for name in sweeps:
+        command = record["commands"][name]
+        k = command["sizes"]["actions"]
+        assert name.endswith(f"_k{k}") and command["sizes"]["types"] == 4
+        assert command["argv"][:3] == ["sweep", "--scenario", f"../{name}.scn"]
+    assert record["commands"]["sweep_k9"]["pairs"] == 130_305
     for name in axes:
         command = record["commands"][name]
         k = command["sizes"]["actions"]
@@ -39,6 +53,7 @@ def test_scaling_script_writes_a_record_of_the_documented_shape(tmp_path):
             "optimize", "--scenario", f"../{name}.scn", "--model"]
         assert command["argv"][4] == name.split("_")[1]
     for name, command in record["commands"].items():
+        assert command["repeats"] == 1
         cell = command["trees"]["this"]
         assert cell["correct"] is True and cell["outputs_stable"] is True
         assert cell["outputs_sha256"]

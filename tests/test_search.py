@@ -29,6 +29,7 @@ from choicewelfare import (
     SweepConfig,
     SweepGrid,
     UniformBoundedIID,
+    UtilitySpreadError,
     UtilityType,
     build_population,
     choice_probabilities,
@@ -402,6 +403,23 @@ def test_refinement_that_cannot_converge_names_its_bracket():
 
     with pytest.raises(RefinementError, match=r"\[0\.25, 0\.35\]"):
         _illinois(noisy_gap, 0.25, 0.35, noisy_gap(0.25), noisy_gap(0.35))
+
+
+def test_a_sweep_refuses_utility_gaps_beyond_the_float_range():
+    # u - max u of type 1 is 1e308 - (-1e308), which overflows to -inf; at
+    # q = 0 that would be 0 * -inf = NaN welfare.
+    actions = ActionSet(labels=("a", "b", "c"))
+    pop = build_population(actions, [
+        UtilityType(utilities=np.array([0.0, 1.0, 2.0]), weight=1.0),
+        UtilityType(utilities=np.array([1e308, 0.0, -1e308]), weight=1.0),
+    ])
+    message = r"type 1: utilities 1e\+308 \(action 'a'\) and -1e\+308 \(action 'c'\)"
+    with pytest.raises(UtilitySpreadError, match=message):
+        sweep_logit(pop)
+    with pytest.raises(UtilitySpreadError, match=message):
+        find_crossings(pop, (0, 2), (1,))
+    # The check is per subset: single actions have no gap, wherever they lie.
+    assert find_crossings(pop, (0,), (2,)) == []
 
 
 # --- discrete optimization ---

@@ -174,7 +174,7 @@ def test_exports_resolve_on_first_use_to_their_modules():
     )
     assert found["loaded_by_import"] == []
     names = found["all"]
-    assert len(names) == len(set(names)) == 86
+    assert len(names) == len(set(names)) == 87
     assert {"build_report", "sweep_logit", "warm_up", "TreatmentScenario"} <= set(names)
     assert found["listed_by_dir"] == sorted(names)
     assert found["not_the_module_attribute"] == []
