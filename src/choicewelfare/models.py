@@ -339,31 +339,36 @@ def block_choice_probabilities(utilities, groups, model: ChoiceModel, streams):
     if isinstance(model, RandomUtilityMC):
         return _mc_block(utilities, groups, model, streams)
     out = []
-    for cols in groups:
-        # C order, unlike utilities[:, cols]: each row sums as a 1-D row does.
-        u = np.take(utilities, cols, axis=-1)
-        if isinstance(model, RationalMax):
-            probs = _first_max(u)
-        elif isinstance(model, IndependentTable):
-            table = _renormalized_table(model.probs, cols, utilities.shape[-1])
-            probs = np.broadcast_to(table, u.shape)
-        elif isinstance(model, AlphaRational):
-            table = _renormalized_table(model.background, cols, utilities.shape[-1])
-            probs = model.alpha * _first_max(u) + (1.0 - model.alpha) * table
-        elif isinstance(model, Logit) and model.q == 0.0:
-            # exp(0 * gap) = 1 for every action, even where u - max u
-            # overflows to -inf (0 * -inf would be NaN): the kernel's bits.
-            probs = np.full(u.shape, 1.0 / u.shape[-1])
-        elif isinstance(model, Logit):
-            # The curve kernel's shift, q * (u - max u): its exponent is at
-            # most 0 at any q, and each row has the kernel's bits.
-            z = u - u.max(axis=-1, keepdims=True)
-            z *= model.q
-            np.exp(z, out=z)
-            probs = z / z.sum(axis=-1, keepdims=True)
-        else:
-            raise ValueError(f"unknown choice model {model!r}")
-        out.append(probs)
+    # Under Logit a gap u - max u past the float range rounds to -inf, whose
+    # exponential is the 0 it stands for, so that overflow is no error. The
+    # errstate is entered once per call, not per size group: optimize calls
+    # this once per block of a few types.
+    with np.errstate(over="ignore"):
+        for cols in groups:
+            # C order, unlike utilities[:, cols]: each row sums as a 1-D row does.
+            u = np.take(utilities, cols, axis=-1)
+            if isinstance(model, RationalMax):
+                probs = _first_max(u)
+            elif isinstance(model, IndependentTable):
+                table = _renormalized_table(model.probs, cols, utilities.shape[-1])
+                probs = np.broadcast_to(table, u.shape)
+            elif isinstance(model, AlphaRational):
+                table = _renormalized_table(model.background, cols, utilities.shape[-1])
+                probs = model.alpha * _first_max(u) + (1.0 - model.alpha) * table
+            elif isinstance(model, Logit) and model.q == 0.0:
+                # exp(0 * gap) = 1 for every action, even where u - max u
+                # overflows to -inf (0 * -inf would be NaN): the kernel's bits.
+                probs = np.full(u.shape, 1.0 / u.shape[-1])
+            elif isinstance(model, Logit):
+                # The curve kernel's shift, q * (u - max u): its exponent is
+                # at most 0 at any q, and each row has the kernel's bits.
+                z = u - u.max(axis=-1, keepdims=True)
+                z *= model.q
+                np.exp(z, out=z)
+                probs = z / z.sum(axis=-1, keepdims=True)
+            else:
+                raise ValueError(f"unknown choice model {model!r}")
+            out.append(probs)
     return out
 
 

@@ -1,6 +1,7 @@
 """Choice models: probabilities, validation, and Monte Carlo reproducibility."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,17 @@ def test_logit_overflow_safe_at_extreme_q():
     cp = choice_probabilities(np.array([0.0, 1000.0]), (0, 1), Logit(q=1e6))
     assert np.all(np.isfinite(cp.probs))
     assert cp.probs[1] == 1.0
+
+
+@pytest.mark.parametrize("utilities, q", [
+    ([1e308, -1e308], 0.5),  # u - max u overflows to -inf
+    ([1e308, -7e307], 2.0),  # u - max u is finite, q * (u - max u) is not
+])
+def test_logit_gap_past_float_range_warns_nothing(utilities, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cp = choice_probabilities(np.array(utilities), (0, 1), Logit(q=q))
+    assert cp.probs.tolist() == [1.0, 0.0]
 
 
 def test_logit_rejects_negative_q():
