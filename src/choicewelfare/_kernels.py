@@ -18,21 +18,12 @@ is bit for bit what a per-q softmax of q * (u - max u) over (T, k) rows
 gives, for any chunking of the q values.
 
 Every call runs chunks of at most CURVE_CHUNK_ELEMENTS elements, or of one q
-where one q holds more. A large call splits its chunks across the CPUs the process
-may use (`WORKERS`): the calling thread and up to WORKERS - 1 helper threads
-each claim the next chunk whenever they are free, and numpy releases the GIL
-inside every ufunc a chunk runs. A call of at least four chunks (Q x T x k
->= 4 x CURVE_CHUNK_ELEMENTS) in which one q fits in a chunk runs on one
-thread per two chunks it holds, at most WORKERS; the chunks stay the same
-size on more CPUs, so the number of chunks, and with it the
-interpreter-held work of the call, does not grow with the CPU count. Every
-other call, such as a one-q refinement call, runs the same chunks on the
-calling thread alone. Since the bits of each q do not depend on the
-chunking, the curve is the same on any number of CPUs.
-
-`_split_across_threads` is the one thread helper: it runs any work over
-claimed items on the calling thread and helpers. The curve kernel's chunks
-are its items, and so are `search.optimize_choice_set`'s blocks of types.
+where one q holds more. `_split_threads` is the one rule for how many threads
+a call runs on, and `_split_across_threads` the one helper that runs any work
+over items claimed by the calling thread and helper threads: the curve
+kernel's chunks, and `search.optimize_choice_set`'s blocks of types. numpy
+releases the GIL inside every ufunc a chunk runs, and the bits of each q do
+not depend on the chunking, so the curve is the same on any number of CPUs.
 """
 
 import _thread
@@ -68,6 +59,22 @@ def _usable_cpus():
 # CPU-time quota (a cgroup's cpu.max) does not: threads beyond the CPUs the
 # quota pays for share them and run the curves slower than fewer threads.
 WORKERS = _usable_cpus()
+
+# Work, in elements, from which a call may split: four curve chunks.
+SPLIT_ELEMENTS = 4 * CURVE_CHUNK_ELEMENTS
+
+
+def _split_threads(elements, items):
+    """Threads for a call of ``elements`` of work over ``items`` claimable
+    items, the one split rule: 1 unless WORKERS > 1 and the work is at least
+    SPLIT_ELEMENTS; then min(WORKERS, items // 2), at least 1, so that each
+    thread has two items or more. A one-q refinement call holds one item and
+    never splits. Items keep their size on more CPUs, so the interpreter-held
+    work of a call does not grow with the CPU count.
+    """
+    if WORKERS < 2 or elements < SPLIT_ELEMENTS:
+        return 1
+    return max(1, min(WORKERS, items // 2))
 
 
 def _sum_actions(z):
@@ -108,16 +115,8 @@ def logit_welfare_curve(weights, utilities, q_values):
     chunks of max(1, CURVE_CHUNK_ELEMENTS // (T x k)) q values, so memory
     stays bounded for any grid.
 
-    When the call holds n = Q x T x k // (2 x CURVE_CHUNK_ELEMENTS) >= 2
-    pairs of chunks, WORKERS >= 2 and one q fits in a chunk (T x k <=
-    CURVE_CHUNK_ELEMENTS), min(WORKERS, n) threads share the chunks out: the
-    calling thread and helper threads (`_split_across_threads`), which run
-    under a copy of the caller's context, so ``np.errstate`` holds in them
-    too. The call holds at least two chunks per thread, and each thread has
-    one chunk in flight. Every helper has finished its last chunk before the
-    call returns or raises, and an error in a helper is raised in the
-    caller. A smaller call, and every call when WORKERS is 1, runs the same
-    chunks on the calling thread and starts no thread.
+    A call splits its chunks across threads as `_split_threads` decides;
+    otherwise it runs them on the calling thread and starts no thread.
 
     Once per call, ``utilities`` is transposed to (k, 1, T) and each type
     is shifted by its maximum over the k actions: gaps = u - max u, all at
@@ -127,10 +126,12 @@ def logit_welfare_curve(weights, utilities, q_values):
     slow every one-q refinement call; `search` checks it once per sweep, and
     the Logit model sets q = 0 apart as uniform choice. A chunk of q values
     multiplies the gaps into one (k, q, T) array and exponentiates it in
-    place; q x gap may round to -inf, whose exponential is 0. The two sums over actions (the softmax denominator and sum_i u_ti
-    p_ti) follow numpy's ``add.reduce`` order (`_sum_actions`), and the type
-    reduction is numpy's pairwise sum over the contiguous T axis, to keep
-    large-T accumulation accurate. A max is exact in any order, and every
+    place; q x gap may round to -inf, whose exponential is 0 (numpy warns of
+    that overflow unless the caller's ``np.errstate`` ignores it). The two
+    sums over actions (the softmax denominator and sum_i u_ti p_ti) follow
+    numpy's ``add.reduce`` order (`_sum_actions`), and the type reduction is
+    numpy's pairwise sum over the contiguous T axis, to keep large-T
+    accumulation accurate. A max is exact in any order, and every
     other step is elementwise, so a q value's welfare does not depend on the
     chunk, on the other q values or on the thread or number of threads: it
     is bit for bit the per-q softmax ``z = q * (utilities -
@@ -140,7 +141,8 @@ def logit_welfare_curve(weights, utilities, q_values):
     weights = np.asarray(weights, dtype=np.float64)
     utilities = np.asarray(utilities, dtype=np.float64)
     q_values = np.asarray(q_values, dtype=np.float64)
-    out = np.empty(q_values.shape[0], dtype=np.float64)
+    n_q = q_values.shape[0]
+    out = np.empty(n_q, dtype=np.float64)
     by_action = np.ascontiguousarray(utilities.T)[:, np.newaxis, :]
     # One action is its own maximum. Crossing refinement makes hundreds of
     # one-q calls of one action per sweep, and a reduction's set-up is about
@@ -149,11 +151,11 @@ def logit_welfare_curve(weights, utilities, q_values):
     gaps = by_action - top
     per_q = utilities.size
     chunk = max(1, CURVE_CHUNK_ELEMENTS // per_q)
-    starts = range(0, q_values.shape[0], chunk)
-    pairs = q_values.shape[0] * per_q // (2 * CURVE_CHUNK_ELEMENTS)
-    if WORKERS > 1 and pairs > 1 and per_q <= CURVE_CHUNK_ELEMENTS:
+    starts = range(0, n_q, chunk)
+    threads = _split_threads(n_q * per_q, len(starts))
+    if threads > 1:
         _split_across_threads(
-            starts, min(WORKERS, pairs),
+            starts, threads,
             lambda claims: _curve_chunks(claims, weights, by_action, gaps, q_values, chunk, out))
     else:
         _curve_chunks(starts, weights, by_action, gaps, q_values, chunk, out)
@@ -176,7 +178,9 @@ def _curve_chunks(starts, weights, by_action, gaps, q_values, chunk, out):
 def _split_across_threads(items, threads, work):
     """Run ``work(claims)`` on the calling thread and ``threads - 1`` helper
     threads, each under a copy of the caller's context; ``claims`` yields
-    the next of ``items`` no thread has claimed yet.
+    the next of ``items`` no thread has claimed yet. With fewer than two
+    threads, ``work`` runs over every item on the calling thread, which
+    takes no lock and starts no thread.
 
     Each thread claims the next item whenever it is free, so a helper that
     starts late, or shares its CPU with another process, leaves its items
@@ -199,6 +203,9 @@ def _split_across_threads(items, threads, work):
     `threading.enumerate` does not list them.
     """
     pending = iter(items)
+    if threads < 2:
+        work(pending)
+        return
     claim_lock = _thread.allocate_lock()
     stop = []  # non-empty: claim no further item
     failed = []

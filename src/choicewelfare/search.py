@@ -23,8 +23,7 @@ from typing import Iterable, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels
-from ._kernels import CURVE_CHUNK_ELEMENTS, _split_across_threads, logit_welfare_curve
+from ._kernels import _split_across_threads, _split_threads, logit_welfare_curve
 from .models import (
     ChoiceModel,
     DefaultNudge,
@@ -51,9 +50,6 @@ REFINE_MAX_ITERATIONS = 100
 PAIR_CHUNK_ELEMENTS = 8192
 # Counts (types x n x 2^n) in one block of the optimizer's types: 512 KiB.
 TALLY_CHUNK_ELEMENTS = 65536
-# Work (types x n x max(Monte Carlo samples, 2^n)) from which the optimizer
-# splits its type blocks across threads.
-TYPE_SPLIT_ELEMENTS = 4 * CURVE_CHUNK_ELEMENTS
 
 
 class RefinementError(ArithmeticError):
@@ -229,50 +225,57 @@ def _sweep(pop: Population, subsets, qs) -> tuple[NDArray[np.float64], list[Cros
     """Each subset's welfare curve on the grid qs, and the refined crossings
     of every subset pair in itertools.combinations order."""
     weights, matrix = pop.weights, pop.utility_matrix
-    _require_finite_gaps(pop, subsets)
-    matrices = [np.ascontiguousarray(matrix[:, list(subset)]) for subset in subsets]
-    welfare = np.empty((len(subsets), qs.shape[0]))
-    for si, sub_matrix in enumerate(matrices):
-        welfare[si] = logit_welfare_curve(weights, sub_matrix, qs)
-    crossings = []
-    # Row-major upper-triangle order is itertools.combinations order.
-    pair_a, pair_b = np.triu_indices(len(subsets), k=1)
-    chunk = max(1, PAIR_CHUNK_ELEMENTS // qs.shape[0])
-    for start in range(0, pair_a.shape[0], chunk):
-        rows_a = pair_a[start:start + chunk]
-        rows_b = pair_b[start:start + chunk]
-        diff = welfare[rows_a] - welfare[rows_b]
-        for row, left, right in zip(*_sign_change_brackets(diff)):
-            ia, ib = rows_a[row], rows_b[row]
+    # q x gap past the float range rounds to -inf, whose exp is the right 0.
+    # Refinement stays in the grid's q range, so only a sweep whose last q x
+    # widest spread overflows sets the warning aside (None leaves it as is).
+    overflows = float(qs[-1]) * _require_finite_gaps(pop, subsets) > np.finfo(float).max
+    with np.errstate(over="ignore" if overflows else None):
+        matrices = [np.ascontiguousarray(matrix[:, list(subset)]) for subset in subsets]
+        welfare = np.empty((len(subsets), qs.shape[0]))
+        for si, sub_matrix in enumerate(matrices):
+            welfare[si] = logit_welfare_curve(weights, sub_matrix, qs)
+        crossings = []
+        # Row-major upper-triangle order is itertools.combinations order.
+        pair_a, pair_b = np.triu_indices(len(subsets), k=1)
+        chunk = max(1, PAIR_CHUNK_ELEMENTS // qs.shape[0])
+        for start in range(0, pair_a.shape[0], chunk):
+            rows_a = pair_a[start:start + chunk]
+            rows_b = pair_b[start:start + chunk]
+            diff = welfare[rows_a] - welfare[rows_b]
+            for row, left, right in zip(*_sign_change_brackets(diff)):
+                ia, ib = rows_a[row], rows_b[row]
 
-            # The welfare gap at one q; refinement calls the kernel per q.
-            def gap(q, matrix_a=matrices[ia], matrix_b=matrices[ib]) -> float:
-                qarr = np.array([q])
-                return float(
-                    logit_welfare_curve(weights, matrix_a, qarr)[0]
-                    - logit_welfare_curve(weights, matrix_b, qarr)[0]
+                # The welfare gap at one q; refinement calls the kernel per q.
+                def gap(q, matrix_a=matrices[ia], matrix_b=matrices[ib]) -> float:
+                    qarr = np.array([q])
+                    return float(
+                        logit_welfare_curve(weights, matrix_a, qarr)[0]
+                        - logit_welfare_curve(weights, matrix_b, qarr)[0]
+                    )
+
+                q_star = _illinois(
+                    gap,
+                    float(qs[left]),
+                    float(qs[right]),
+                    float(diff[row, left]),
+                    float(diff[row, right]),
                 )
-
-            q_star = _illinois(
-                gap,
-                float(qs[left]),
-                float(qs[right]),
-                float(diff[row, left]),
-                float(diff[row, right]),
-            )
-            crossings.append(Crossing(subsets[ia], subsets[ib], q_star))
+                crossings.append(Crossing(subsets[ia], subsets[ib], q_star))
     return welfare, crossings
 
 
-def _require_finite_gaps(pop: Population, subsets) -> None:
+def _require_finite_gaps(pop: Population, subsets) -> float:
     """The curve kernel's precondition, checked once per sweep: on every
     subset, each type's utility gaps u - max u are finite. Otherwise raise
     UtilitySpreadError naming the first type and pair of actions too far
-    apart (a gap of -inf would give NaN welfare at q = 0)."""
+    apart (a gap of -inf would give NaN welfare at q = 0). Returns the
+    widest spread, max u - min u, of a type over all its actions: a bound on
+    every |gap| of the sweep."""
     matrix = pop.utility_matrix
     with np.errstate(over="ignore"):
-        if np.isfinite(np.ptp(matrix, axis=1)).all():
-            return
+        widest = float(np.ptp(matrix, axis=1).max())
+        if math.isfinite(widest):
+            return widest
         for subset in subsets:
             cols = matrix[:, list(subset)]
             far = np.flatnonzero(~np.isfinite(np.ptp(cols, axis=1)))
@@ -286,6 +289,7 @@ def _require_finite_gaps(pop: Population, subsets) -> None:
                     f"{labels[lo]!r}) are further apart than the largest float; "
                     "a logit sweep needs every utility gap finite"
                 )
+    return widest
 
 
 def _sign_change_brackets(diff):
@@ -367,32 +371,17 @@ def optimize_choice_set(pop: Population, model: ChoiceModel) -> OptimizeResult:
     block_choice_probabilities call (a Monte Carlo model's n x 2^n count
     table per type).
 
-    A large population splits its blocks across the CPUs the process may use
-    (`_type_threads` holds the rule): the calling thread and helper threads
-    each claim the next block, blocks hold at most types // (2 x threads)
-    types so that there are two blocks or more per thread, and each thread
-    has one block in flight. Every type's probabilities come from its
-    own Monte Carlo stream or from arithmetic along its own rows, so the
-    subset and the welfare bits are the same on any number of CPUs."""
+    With two actions or more, the blocks split across the CPUs the process
+    may use as `_kernels._split_threads` decides, for work types x n x
+    max(Monte Carlo samples, 2^n) over the types: the calling thread and
+    helper threads each claim the next block of at most
+    types // (2 x threads) types, one block in flight each. Every type's
+    probabilities come from its own Monte Carlo stream or from arithmetic
+    along its own rows, so the subset and the welfare bits are the same on
+    any number of CPUs."""
     subsets, welfare = _subset_welfare(pop, model)
     best = int(np.argmax(np.where(np.isnan(welfare), -np.inf, welfare)))
     return OptimizeResult(subset=subsets[best], welfare=float(welfare[best]))
-
-
-def _type_threads(pop: Population, model: ChoiceModel) -> int:
-    """Threads `_subset_welfare` splits the type blocks across: 1 unless
-    WORKERS > 1, there are two actions or more and the work, types x n x
-    max(Monte Carlo samples, 2^n), is at least TYPE_SPLIT_ELEMENTS; then
-    WORKERS, but no more than half the types. One action takes
-    `models.argmax_tally`, which perfbench's tracer wraps with a single span
-    stack, so it stays on the calling thread."""
-    base = model.base if isinstance(model, DefaultNudge) else model
-    samples = base.samples if isinstance(base, RandomUtilityMC) else 0
-    n = pop.n_actions
-    work = pop.n_types * n * max(samples, 1 << n)
-    if _kernels.WORKERS < 2 or n < 2 or work < TYPE_SPLIT_ELEMENTS:
-        return 1
-    return max(1, min(_kernels.WORKERS, pop.n_types // 2))
 
 
 def _subset_welfare(pop: Population, model: ChoiceModel):
@@ -402,8 +391,13 @@ def _subset_welfare(pop: Population, model: ChoiceModel):
     matrix = pop.utility_matrix
     n_types = pop.n_types
     values = np.empty((len(subsets), n_types))
-    block = max(1, TALLY_CHUNK_ELEMENTS // (pop.n_actions << pop.n_actions))
-    threads = _type_threads(pop, model)
+    n = pop.n_actions
+    block = max(1, TALLY_CHUNK_ELEMENTS // (n << n))
+    base = model.base if isinstance(model, DefaultNudge) else model
+    samples = base.samples if isinstance(base, RandomUtilityMC) else 0
+    # One action takes `models.argmax_tally`, which perfbench's tracer wraps
+    # with a single span stack, so it stays on the calling thread.
+    threads = _split_threads(n_types * n * max(samples, 1 << n), n_types) if n > 1 else 1
     if threads > 1:
         block = min(block, n_types // (2 * threads))
 
@@ -417,11 +411,7 @@ def _subset_welfare(pop: Population, model: ChoiceModel):
                                    for cols, probs in zip(groups, blocks)], axis=1)
             values[:, streams.start:streams.stop] = rows.T
 
-    starts = range(0, n_types, block)
-    if threads > 1:
-        _split_across_threads(starts, threads, fill)
-    else:
-        fill(starts)
+    _split_across_threads(range(0, n_types, block), threads, fill)
     # Valued and summed as policy_welfare does, so each welfare is its value:
     # a C-ordered row sums as the 1-d weighted vector does.
     values *= pop.weights

@@ -457,7 +457,7 @@ def _outputs_on_one_and_all_cpus(tmp_path, argvs):
 @_needs_two_cpus
 def test_sweep_outputs_are_the_same_on_one_cpu(tmp_path):
     # 100 types x 3 actions on a 1,001-point grid: the two- and three-action
-    # curve calls hold 6 and 9 chunks, so on two or more CPUs they
+    # curve calls hold 7 and 10 chunks, so on two or more CPUs they
     # split. The JSON output holds every bit of each welfare value; the CSV
     # 12 digits.
     rng = np.random.default_rng(18)
@@ -636,6 +636,24 @@ def test_a_sweep_over_utilities_further_apart_than_floats_is_scenario_error(tmp_
     err = capsys.readouterr().err
     assert err.startswith("error: type 0: utilities 1e+308 (action 'a') and -1e+308")
     assert not out.exists()
+
+
+def test_a_sweep_whose_q_times_a_gap_overflows_prints_nothing_to_stderr(tmp_path):
+    # Run as a user runs it, under Python's default warning filters: numpy's
+    # overflow warning would be printed to stderr.
+    path = _write(tmp_path, "wide.scn", {"schema_version": 1, "population": {
+        "actions": ["a", "b", "c"],
+        "types": [{"utilities": [1e308, 0.0, 5e307], "weight": 0.5},
+                  {"utilities": [0.0, 1e308, 0.2], "weight": 0.5}]}})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "choicewelfare.cli", "sweep", "--scenario", path, "--out", "rows.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert (tmp_path / "rows.crossings.csv").read_text(encoding="utf-8").count("\n") > 1
 
 
 def test_unknown_available_label_is_scenario_error(population_file, capsys):

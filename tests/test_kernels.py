@@ -212,18 +212,43 @@ def test_curve_at_large_q_is_the_rational_limit(population):
         assert curve[0] == rational
 
 
-# --- the curve split across worker threads ---
+# --- threads: the one split rule, the curve's split and the thread helper ---
 
 
-def _q_for_chunks(pairs, per_q):
+def _q_for_chunks(chunks, per_q):
     """The fewest q values with which a call of per_q = T x k elements per q
-    holds `pairs` pairs of chunks, and so runs on min(WORKERS, pairs)
-    threads once that is 2 or more."""
-    return -(-pairs * 2 * kernels.CURVE_CHUNK_ELEMENTS // per_q)
+    holds `chunks` chunks' worth of elements; from four on, it splits."""
+    return -(-chunks * kernels.CURVE_CHUNK_ELEMENTS // per_q)
 
 
 def test_workers_is_the_usable_cpu_count():
     assert kernels.WORKERS == kernels._usable_cpus() >= 1
+
+
+@pytest.mark.parametrize(
+    "elements, items, workers, threads",
+    [
+        (4 * kernels.CURVE_CHUNK_ELEMENTS - 1, 100, 8, 1),
+        (4 * kernels.CURVE_CHUNK_ELEMENTS, 100, 1, 1),
+        (4 * kernels.CURVE_CHUNK_ELEMENTS, 4, 8, 2),
+        (4 * kernels.CURVE_CHUNK_ELEMENTS, 5, 8, 2),
+        (10**9, 1, 8, 1),
+        (10**9, 3, 8, 1),
+        (10**9, 6, 2, 2),
+        (150 * 4 * 2001, 38, 64, 19),
+        (100 * 6 * 1200, 100, 3, 3),
+        (100 * 6 * 1200, 100, 64, 50),
+    ],
+    ids=["below-the-work", "one-cpu", "four-items", "five-items", "one-item",
+         "three-items", "cpu-bound", "sweep-fine-grid-curve-64", "optimize-mc-3",
+         "optimize-mc-64"],
+)
+def test_split_threads_rule(elements, items, workers, threads, monkeypatch):
+    # One thread below SPLIT_ELEMENTS of work or on one CPU; otherwise one
+    # per two items, at most one per CPU, and at least one.
+    assert kernels.SPLIT_ELEMENTS == 4 * kernels.CURVE_CHUNK_ELEMENTS
+    monkeypatch.setattr(kernels, "WORKERS", workers)
+    assert kernels._split_threads(elements, items) == threads
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,22 +256,22 @@ def test_workers_is_the_usable_cpu_count():
     workers=st.sampled_from([1, 2, 3]),
     n_types=st.integers(30, 150),
     k=st.integers(1, 20),
-    pairs=st.integers(2, 4),
+    chunks=st.integers(4, 8),
     extra_q=st.integers(0, 300),
     tied=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(workers=2, n_types=40, k=8, pairs=2, extra_q=0, tied=False, seed=0)
-@example(workers=3, n_types=33, k=9, pairs=3, extra_q=17, tied=True, seed=1)
-@example(workers=3, n_types=30, k=16, pairs=4, extra_q=1, tied=False, seed=2)
+@example(workers=2, n_types=40, k=8, chunks=4, extra_q=0, tied=False, seed=0)
+@example(workers=3, n_types=33, k=9, chunks=6, extra_q=17, tied=True, seed=1)
+@example(workers=3, n_types=30, k=16, chunks=8, extra_q=1, tied=False, seed=2)
 def test_curve_is_bitwise_the_one_q_loop_on_any_worker_count(
-    workers, n_types, k, pairs, extra_q, tied, seed
+    workers, n_types, k, chunks, extra_q, tied, seed
 ):
-    # Every shape is at or above the two pairs of chunks from which a call
+    # Every shape is at or above the four chunks' work from which a call
     # splits, so for 2 and 3 workers the chunks run on helper threads. Each
     # q must keep the bits it has alone: from k = 8 on the 8-partial sum
     # order, q = 0 entries and tied utilities included.
-    n_q = _q_for_chunks(pairs, n_types * k) + extra_q
+    n_q = _q_for_chunks(chunks, n_types * k) + extra_q
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n_types))
     if tied:
@@ -267,7 +292,7 @@ def test_more_workers_than_cpus_with_frequent_switches_keep_every_bit(monkeypatc
     rng = np.random.default_rng(8)
     weights = rng.dirichlet(np.ones(100))
     utilities = rng.normal(scale=2.0, size=(100, 6))
-    q_values = np.linspace(0.0, 50.0, _q_for_chunks(8, utilities.size) + 5)
+    q_values = np.linspace(0.0, 50.0, _q_for_chunks(16, utilities.size) + 5)
     monkeypatch.setattr(kernels, "WORKERS", 1)
     expected = kernels.logit_welfare_curve(weights, utilities, q_values)
     monkeypatch.setattr(kernels, "WORKERS", 8)
@@ -310,28 +335,48 @@ def _curve_and_chunk_sizes(monkeypatch, weights, utilities, q_values):
 
 
 @pytest.mark.parametrize(
-    "workers, pairs", [(2, 2), (2, 5), (3, 2), (3, 3), (64, 3), (64, 18)])
-def test_a_split_call_runs_one_thread_per_full_chunk_in_half_chunks(
-    workers, pairs, monkeypatch
-):
+    "workers, chunks", [(2, 5), (2, 10), (3, 5), (3, 7), (64, 7), (64, 38)])
+def test_a_split_call_runs_one_thread_per_two_chunks(workers, chunks, monkeypatch):
     # Whatever the CPU count, a split call runs chunks of
-    # CURVE_CHUNK_ELEMENTS on no more threads than it holds pairs of chunks,
-    # so each thread has two chunks or more (64 workers on a 150 x 4 x 2,001
-    # sweep_fine_grid call: 18 threads).
+    # CURVE_CHUNK_ELEMENTS on no more threads than half its chunks, so each
+    # thread has two chunks or more (64 workers on a 150 x 4 x 2,001
+    # sweep_fine_grid call, 38 chunks: 19 threads).
     rng = np.random.default_rng(workers)
     weights = rng.dirichlet(np.ones(50))
     utilities = rng.normal(size=(50, 4))
-    q_values = np.linspace(0.0, 10.0, _q_for_chunks(pairs, utilities.size))
+    chunk = kernels.CURVE_CHUNK_ELEMENTS // utilities.size
+    q_values = np.linspace(0.0, 10.0, chunks * chunk)
+    threads = min(workers, chunks // 2)
     monkeypatch.setattr(kernels, "WORKERS", workers)
     starts = _count_thread_starts(monkeypatch)
     split, chunk_sizes = _curve_and_chunk_sizes(monkeypatch, weights, utilities, q_values)
-    assert len(starts) == min(workers, pairs) - 1
-    assert chunk_sizes == [kernels.CURVE_CHUNK_ELEMENTS // utilities.size] * min(workers, pairs)
-    below = np.linspace(0.0, 10.0, _q_for_chunks(2, utilities.size) - 1)
+    assert len(starts) == threads - 1
+    assert chunk_sizes == [chunk] * threads
+    below = np.linspace(0.0, 10.0, _q_for_chunks(4, utilities.size) - 1)
     kernels.logit_welfare_curve(weights, utilities, below)
-    assert len(starts) == min(workers, pairs) - 1  # one q below two pairs: no thread
+    assert len(starts) == threads - 1  # one q below four chunks' work: no thread
     monkeypatch.setattr(kernels, "WORKERS", 1)
     assert split.tobytes() == kernels.logit_welfare_curve(weights, utilities, q_values).tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_call_whose_one_q_exceeds_a_chunk_splits_one_q_per_claim(workers, monkeypatch):
+    # One q of 4,700 types x 7 actions holds more than a chunk, so each q is
+    # a chunk of its own, and six q values run on min(workers, 3) threads.
+    # q = 0, moderate q and q = 1e3 (where exp underflows) keep the bits
+    # they have alone.
+    rng = np.random.default_rng(workers)
+    n_types = kernels.CURVE_CHUNK_ELEMENTS // 7 + 19
+    weights = rng.dirichlet(np.ones(n_types))
+    utilities = rng.normal(scale=2.0, size=(n_types, 7))
+    assert utilities.size > kernels.CURVE_CHUNK_ELEMENTS
+    q_values = np.array([0.0, 0.4, 1.7, 9.0, 60.0, 1e3])
+    monkeypatch.setattr(kernels, "WORKERS", workers)
+    starts = _count_thread_starts(monkeypatch)
+    curve, chunk_sizes = _curve_and_chunk_sizes(monkeypatch, weights, utilities, q_values)
+    assert len(starts) == min(workers, 3) - 1
+    assert chunk_sizes == [1] * min(workers, 3)
+    assert curve.tobytes() == _curve_one_q_at_a_time(weights, utilities, q_values).tobytes()
 
 
 @pytest.mark.parametrize("workers, n_q", [(1, 2001), (2, 201)])
@@ -360,7 +405,7 @@ def _no_thread(*args, **kwargs):
 @pytest.mark.parametrize("workers", [1, 2, 3, 64])
 def test_refinement_and_sweep_crossings_sized_calls_start_no_thread(workers, monkeypatch):
     # sweep_crossings' largest grid call is 50 types x 5 actions x 201 q
-    # (50,250 elements), below two pairs of chunks; a refinement call has one
+    # (50,250 elements), below four chunks' work; a refinement call has one
     # q, which never splits, however large T x k is.
     monkeypatch.setattr(kernels, "WORKERS", workers)
     monkeypatch.setattr(kernels._thread, "start_new_thread", _no_thread)
@@ -378,102 +423,127 @@ def test_refinement_and_sweep_crossings_sized_calls_start_no_thread(workers, mon
     assert sweep_logit(pop).crossings
 
 
-def _split_call(workers, q):
-    """Weights, utilities and a grid of q values just long enough to run
-    on `workers` threads."""
-    rng = np.random.default_rng(11)
-    weights = rng.dirichlet(np.ones(64))
-    utilities = rng.normal(scale=2.0, size=(64, 4))
-    return weights, utilities, np.full(_q_for_chunks(workers, utilities.size), q)
-
-
-def _leave_every_chunk_to_the_helper(monkeypatch):
-    """Make the calling thread claim chunks only once the helper of the
-    same call has finished, so the helper computes every chunk."""
+@pytest.mark.parametrize("threads", [0, 1])
+def test_fewer_than_two_threads_run_every_item_on_the_calling_thread(threads, monkeypatch):
     caller = threading.get_ident()
-    helper_done = threading.Event()
-    curve_chunks = kernels._curve_chunks
+    done = []
 
-    def ordered(starts, *args):
+    def work(claims):
+        assert threading.get_ident() == caller
+        done.extend(claims)
+
+    monkeypatch.setattr(kernels._thread, "start_new_thread", _no_thread)
+    monkeypatch.setattr(kernels._thread, "allocate_lock", _no_thread)
+    kernels._split_across_threads(range(5), threads, work)
+    assert done == [0, 1, 2, 3, 4]
+
+
+def test_a_helper_error_is_raised_in_the_caller():
+    # The caller holds its first item until the helper has failed; after
+    # that no thread claims an item, and the caller raises the helper's
+    # error once its own work returns.
+    caller = threading.get_ident()
+    helper_failed = threading.Event()
+    late_claims = []
+
+    def work(claims):
         if threading.get_ident() == caller:
-            assert helper_done.wait(timeout=30)
-            helper_done.clear()
-            return curve_chunks(starts, *args)
+            next(claims)
+            assert helper_failed.wait(timeout=30)
+            late_claims.extend(claims)
+            return
         try:
-            return curve_chunks(starts, *args)
+            next(claims)
+            raise RuntimeError("helper item failed")
         finally:
-            helper_done.set()
+            helper_failed.set()
 
-    monkeypatch.setattr(kernels, "WORKERS", 2)
-    monkeypatch.setattr(kernels, "_curve_chunks", ordered)
-    return caller
-
-
-def test_a_helper_error_is_raised_in_the_caller(monkeypatch):
-    caller = _leave_every_chunk_to_the_helper(monkeypatch)
-    sum_actions = kernels._sum_actions
-
-    def failing_in_helpers(z):
-        if threading.get_ident() != caller:
-            raise RuntimeError("helper chunk failed")
-        return sum_actions(z)
-
-    monkeypatch.setattr(kernels, "_sum_actions", failing_in_helpers)
-    with pytest.raises(RuntimeError, match="helper chunk failed"):
-        kernels.logit_welfare_curve(*_split_call(2, 1.0))
+    with pytest.raises(RuntimeError, match="helper item failed"):
+        kernels._split_across_threads(range(10), 2, work)
+    assert late_claims == []
 
 
-def test_errstate_of_the_caller_holds_in_the_helpers(monkeypatch):
+def test_errstate_of_the_caller_holds_in_the_helpers():
     # numpy 2 keeps np.errstate in a contextvar, which a new thread does not
-    # inherit. Every chunk here is the helper's, and at q = 1e3 exp
-    # underflows.
-    _leave_every_chunk_to_the_helper(monkeypatch)
-    with np.errstate(under="raise"):
-        kernels.logit_welfare_curve(*_split_call(2, 0.0))
-        with pytest.raises(FloatingPointError):
-            kernels.logit_welfare_curve(*_split_call(2, 1e3))
-
-
-def test_a_caller_error_waits_for_every_helper_chunk(monkeypatch):
-    # The caller fails while each of two helpers is inside a slow chunk. The
-    # error reaches the caller only once no chunk is running any more, and
-    # no thread claims a chunk after it.
-    monkeypatch.setattr(kernels, "WORKERS", 3)
+    # inherit; exp(-1e3) underflows.
     caller = threading.get_ident()
-    both_inside = threading.Barrier(2, timeout=30)
+
+    def underflow_on_the_helper(claims):
+        if threading.get_ident() != caller:
+            np.exp(np.array([-1e3]))
+
+    kernels._split_across_threads(range(2), 2, underflow_on_the_helper)
+    with np.errstate(under="raise"):
+        with pytest.raises(FloatingPointError):
+            kernels._split_across_threads(range(2), 2, underflow_on_the_helper)
+
+
+def test_a_caller_error_waits_for_every_helper_chunk():
+    # The caller fails while each of two helpers is inside a slow item. The
+    # error reaches the caller only once no item is running any more, and
+    # no thread claims an item after it.
+    caller = threading.get_ident()
+    all_inside = threading.Barrier(3, timeout=30)
     lock = threading.Lock()
     active = [0]
     entered = []
-    sum_actions = kernels._sum_actions
 
-    def slow_helpers_failing_caller(z):
+    def work(claims):
         if threading.get_ident() == caller:
-            raise RuntimeError("caller chunk failed")
-        with lock:
-            active[0] += 1
-            entered.append(threading.get_ident())
-            first_two = len(entered) <= 2
-        try:
-            if first_two:
-                both_inside.wait()
-                time.sleep(0.2)
-            return sum_actions(z)
-        finally:
+            all_inside.wait()
+            raise RuntimeError("caller item failed")
+        for item in claims:
             with lock:
-                active[0] -= 1
+                active[0] += 1
+                entered.append(threading.get_ident())
+                first_two = len(entered) <= 2
+            try:
+                if first_two:
+                    all_inside.wait()
+                    time.sleep(0.2)
+            finally:
+                with lock:
+                    active[0] -= 1
 
-    def curve_chunks_after_helpers_start(starts, *args, _chunks=kernels._curve_chunks):
-        if threading.get_ident() == caller:
-            deadline = time.monotonic() + 30
-            while active[0] < 2 and time.monotonic() < deadline:
-                time.sleep(0.001)
-        return _chunks(starts, *args)
-
-    monkeypatch.setattr(kernels, "_sum_actions", slow_helpers_failing_caller)
-    monkeypatch.setattr(kernels, "_curve_chunks", curve_chunks_after_helpers_start)
-    with pytest.raises(RuntimeError, match="caller chunk failed"):
-        kernels.logit_welfare_curve(*_split_call(3, 1.0))
+    with pytest.raises(RuntimeError, match="caller item failed"):
+        kernels._split_across_threads(range(20), 3, work)
     assert active[0] == 0
-    # Each helper finishes the chunk it was in (two sums over actions) and
-    # claims no other.
-    assert len(entered) == 4 and len(set(entered)) == 2
+    assert len(entered) == 2 and len(set(entered)) == 2
+
+
+def test_a_helper_error_reaches_the_caller_after_every_other_helper_ends():
+    # Three threads: the first helper to enter an item fails while the
+    # other is inside a slow item, and the caller holds its item until the
+    # failure. The error reaches the caller only once no item is running,
+    # and no thread starts an item after it.
+    caller = threading.get_ident()
+    both_inside = threading.Barrier(2, timeout=30)
+    failed = threading.Event()
+    lock = threading.Lock()
+    active = [0]
+    entered = []
+
+    def work(claims):
+        for _ in claims:
+            if threading.get_ident() == caller:
+                assert failed.wait(timeout=30)
+                continue
+            with lock:
+                active[0] += 1
+                entered.append(threading.get_ident())
+                first, inside = len(entered) == 1, len(entered) <= 2
+            try:
+                if inside:
+                    both_inside.wait()
+                if first:
+                    failed.set()
+                    raise RuntimeError("helper item failed")
+                time.sleep(0.2)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+    with pytest.raises(RuntimeError, match="helper item failed"):
+        kernels._split_across_threads(range(60), 3, work)
+    assert active[0] == 0
+    assert len(entered) == 2 and len(set(entered)) == 2

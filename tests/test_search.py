@@ -4,8 +4,8 @@ import gc
 import itertools
 import math
 import threading
-import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -47,11 +47,9 @@ from choicewelfare.search import (
     BISECT_VALUE_TOL,
     TALLY_CHUNK_ELEMENTS,
     TOUCH_TOL,
-    TYPE_SPLIT_ELEMENTS,
     _illinois,
     _sign_change_brackets,
     _subset_welfare,
-    _type_threads,
 )
 
 # Roots frozen from an independent bracketing root finder (xtol 1e-13) on the
@@ -422,6 +420,36 @@ def test_a_sweep_refuses_utility_gaps_beyond_the_float_range():
     assert find_crossings(pop, (0,), (2,)) == []
 
 
+def test_a_sweep_whose_q_times_a_gap_overflows_warns_nothing(monkeypatch):
+    # Every gap is finite, but 10 x 1e308 is not: exp(q x gap) = exp(-inf)
+    # = 0 is the right weight, so the sweep sets numpy's overflow warning
+    # aside. A sweep that cannot overflow, such as the same population up to
+    # q = 1, and its one-q refinement calls keep the caller's setting.
+    actions = ActionSet(labels=("a", "b", "c"))
+    pop = build_population(actions, [
+        UtilityType(utilities=np.array([1e308, 0.0, 5e307]), weight=1.0),
+        UtilityType(utilities=np.array([0.0, 1e308, 0.2]), weight=1.0),
+    ])
+    over = []
+    curve = search.logit_welfare_curve
+
+    def recording(weights, utilities, q_values):
+        over.append(np.geterr()["over"])
+        return curve(weights, utilities, q_values)
+
+    monkeypatch.setattr(search, "logit_welfare_curve", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise"):
+            wide = sweep_logit(pop)
+            assert set(over) == {"ignore"}
+            over.clear()
+            narrow = sweep_logit(pop, SweepConfig(q_max=1.0).grid())
+    assert set(over) == {"raise"} and len(over) > 7  # 7 grid curves, then refinement
+    assert wide.crossings and np.isfinite(wide.welfare).all()
+    assert np.array_equal(wide.welfare[:, :21], narrow.welfare)
+
+
 # --- discrete optimization ---
 
 
@@ -678,9 +706,19 @@ def _optimize_mc_peak_bytes(n_types, workers):
         [UtilityType(utilities=u, weight=1.0) for u in rng.normal(size=(n_types, 4))],
     )
     model = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=4000, seed=1)
+    # The blocks still run on every thread, but one at a time, so the peak
+    # does not depend on how the threads' blocks overlap.
+    one_block_at_a_time = threading.Lock()
+    probabilities = search.block_choice_probabilities
+
+    def serialized(*args):
+        with one_block_at_a_time:
+            return probabilities(*args)
+
     tracemalloc.start()
     try:
-        with mock.patch.object(_kernels, "WORKERS", workers):
+        with mock.patch.object(_kernels, "WORKERS", workers), \
+                mock.patch.object(search, "block_choice_probabilities", serialized):
             optimize_choice_set(pop, model)
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -691,9 +729,9 @@ def test_optimize_mc_memory_does_not_grow_with_the_types():
     # One type's draws (4000 x 4 doubles, 125 KiB) are released before the
     # next type's are made; with the cyclic collector off, anything kept
     # alive by a reference cycle would pile up with the number of types.
-    # Each thread has one type's draws in flight, so the peaks compared are
-    # taken on one thread count: 4 and 40 types on one thread, and 40 and
-    # 400 types split across two.
+    # The peaks compared are taken on one thread count: 4 and 40 types on
+    # one thread, and 40 and 400 types split across two, whose blocks take
+    # turns.
     gc.disable()
     try:
         few, many = _optimize_mc_peak_bytes(4, 1), _optimize_mc_peak_bytes(40, 1)
@@ -785,7 +823,6 @@ def test_optimize_is_the_same_on_any_worker_count(model, n_types, k, monkeypatch
     results = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(_kernels, "WORKERS", workers)
-        assert _type_threads(pop, model) == workers
         before = len(starts)
         subsets, welfare = _subset_welfare(pop, model)
         assert len(starts) - before == workers - 1
@@ -802,60 +839,19 @@ def test_small_optimizer_problems_stay_on_the_calling_thread(workers, monkeypatc
     monkeypatch.setattr(_kernels._thread, "start_new_thread", _no_thread)
     mc = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=200, seed=0)
     small = _normal_population(6, 4)
-    assert 6 * 4 * 200 < TYPE_SPLIT_ELEMENTS
+    assert 6 * 4 * 200 < _kernels.SPLIT_ELEMENTS
     one_action = _normal_population(2000, 1)
     big_mc = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=2000, seed=0)
-    assert 2000 * 2000 >= TYPE_SPLIT_ELEMENTS
+    assert 2000 * 2000 >= _kernels.SPLIT_ELEMENTS
     for pop, model in ((small, mc), (small, Logit(q=1.0)), (one_action, big_mc),
                        (_normal_population(3, 14), Logit(q=1.0))):
-        assert _type_threads(pop, model) == 1
         optimize_choice_set(pop, model)
-    large = _normal_population(100, 6)
-    assert _type_threads(large, big_mc) == min(workers, 50)
+    monkeypatch.undo()
+    monkeypatch.setattr(_kernels, "WORKERS", workers)
+    starts = _count_thread_starts(monkeypatch)
+    optimize_choice_set(_normal_population(100, 6), big_mc)
+    assert len(starts) == min(workers, 50) - 1
 
 
 def _no_thread(*args, **kwargs):
     raise AssertionError("the call started a thread")
-
-
-def test_a_block_error_on_a_helper_reaches_the_caller_after_every_helper_ends(monkeypatch):
-    # Three workers: the first helper to enter a block fails while the other
-    # is inside a slow block, and the caller holds its block until the
-    # failure. The error reaches the caller only once no block is running,
-    # and no thread starts a block after it.
-    monkeypatch.setattr(_kernels, "WORKERS", 3)
-    pop = _normal_population(60, 10)
-    caller = threading.get_ident()
-    both_inside = threading.Barrier(2, timeout=30)
-    failed = threading.Event()
-    lock = threading.Lock()
-    active = [0]
-    entered = []
-    probabilities = search.block_choice_probabilities
-
-    def failing_or_slow(utilities, groups, model, streams):
-        if threading.get_ident() == caller:
-            assert failed.wait(timeout=30)
-            return probabilities(utilities, groups, model, streams)
-        with lock:
-            active[0] += 1
-            entered.append(threading.get_ident())
-            first = len(entered) == 1
-        try:
-            if len(entered) <= 2:
-                both_inside.wait()
-            if first:
-                failed.set()
-                raise RuntimeError("helper block failed")
-            time.sleep(0.2)
-            return probabilities(utilities, groups, model, streams)
-        finally:
-            with lock:
-                active[0] -= 1
-
-    monkeypatch.setattr(search, "block_choice_probabilities", failing_or_slow)
-    with pytest.raises(RuntimeError, match="helper block failed"):
-        optimize_choice_set(pop, Logit(q=1.0))
-    assert active[0] == 0
-    assert len(entered) == 2 and len(set(entered)) == 2
-
