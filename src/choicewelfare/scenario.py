@@ -215,8 +215,6 @@ def build_population(
     population validators).
     """
     types = tuple(types)
-    if len(types) == 0:
-        raise ValueError("population must contain at least one type")
     total = float(np.sum([typ.weight for typ in types]))
     rescaled = tuple(
         UtilityType(utilities=typ.utilities, weight=typ.weight / total)

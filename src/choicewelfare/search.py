@@ -84,6 +84,14 @@ class SweepConfig:
             raise ValueError("q_max must be >= q_min")
         if q_step <= 0.0:
             raise ValueError("q_step must be > 0")
+        # grid() holds the points in one float64 array, and numpy sizes no
+        # array past intp's maximum in bytes: a longer or infinite range fails
+        # there with a message that names none of the three values.
+        if not (q_max - q_min) / q_step < np.iinfo(np.intp).max // 8:
+            raise ValueError(
+                f"q_min {q_min!r} to q_max {q_max!r} in steps of q_step "
+                f"{q_step!r} makes too many grid points to hold"
+            )
         object.__setattr__(self, "q_min", q_min)
         object.__setattr__(self, "q_max", q_max)
         object.__setattr__(self, "q_step", q_step)
@@ -100,7 +108,9 @@ class SweepConfig:
 
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """Strictly increasing, finite, non-negative q values."""
+    """Strictly increasing, finite, non-negative q values: the grid that
+    sweep_logit and find_crossings take. SweepConfig(q_min, q_max,
+    q_step).grid() builds one from a q range."""
 
     q_values: NDArray[np.float64]
 
@@ -117,16 +127,6 @@ class SweepGrid:
         object.__setattr__(self, "q_values", q)
 
     __eq__ = _fields_equal
-
-    @classmethod
-    def from_range(
-        cls,
-        q_min: float = SweepConfig.q_min,
-        q_max: float = SweepConfig.q_max,
-        q_step: float = SweepConfig.q_step,
-    ) -> "SweepGrid":
-        """SweepConfig(q_min, q_max, q_step).grid()."""
-        return SweepConfig(q_min, q_max, q_step).grid()
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,11 @@ def find_crossings(
 
 def _sweep(pop: Population, subsets, qs) -> tuple[NDArray[np.float64], list[Crossing]]:
     """Each subset's welfare curve on the grid qs, and the refined crossings
-    of every subset pair in itertools.combinations order."""
+    of every subset pair in itertools.combinations order.
+
+    Runs each stage, _grid_curves and then _refine_crossings, once and by its
+    module-level name, so a wrapper set on this module (perfbench's tracer
+    patches module attributes) sees every call of both."""
     weights, matrix = pop.weights, pop.utility_matrix
     # q x gap past the float range rounds to -inf, whose exp is the right 0.
     # Refinement stays in the grid's q range, so only a sweep whose last q x
@@ -231,37 +235,52 @@ def _sweep(pop: Population, subsets, qs) -> tuple[NDArray[np.float64], list[Cros
     overflows = float(qs[-1]) * _require_finite_gaps(pop, subsets) > np.finfo(float).max
     with np.errstate(over="ignore" if overflows else None):
         matrices = [np.ascontiguousarray(matrix[:, list(subset)]) for subset in subsets]
-        welfare = np.empty((len(subsets), qs.shape[0]))
-        for si, sub_matrix in enumerate(matrices):
-            welfare[si] = logit_welfare_curve(weights, sub_matrix, qs)
-        crossings = []
-        # Row-major upper-triangle order is itertools.combinations order.
-        pair_a, pair_b = np.triu_indices(len(subsets), k=1)
-        chunk = max(1, PAIR_CHUNK_ELEMENTS // qs.shape[0])
-        for start in range(0, pair_a.shape[0], chunk):
-            rows_a = pair_a[start:start + chunk]
-            rows_b = pair_b[start:start + chunk]
-            diff = welfare[rows_a] - welfare[rows_b]
-            for row, left, right in zip(*_sign_change_brackets(diff)):
-                ia, ib = rows_a[row], rows_b[row]
-
-                # The welfare gap at one q; refinement calls the kernel per q.
-                def gap(q, matrix_a=matrices[ia], matrix_b=matrices[ib]) -> float:
-                    qarr = np.array([q])
-                    return float(
-                        logit_welfare_curve(weights, matrix_a, qarr)[0]
-                        - logit_welfare_curve(weights, matrix_b, qarr)[0]
-                    )
-
-                q_star = _illinois(
-                    gap,
-                    float(qs[left]),
-                    float(qs[right]),
-                    float(diff[row, left]),
-                    float(diff[row, right]),
-                )
-                crossings.append(Crossing(subsets[ia], subsets[ib], q_star))
+        welfare = _grid_curves(weights, matrices, qs)
+        crossings = _refine_crossings(weights, matrices, subsets, qs, welfare)
     return welfare, crossings
+
+
+def _grid_curves(weights, matrices, qs) -> NDArray[np.float64]:
+    """The sweep's grid stage: a (subsets x Q) table whose row s is the
+    logit welfare curve of the subset whose utility columns are matrices[s]."""
+    welfare = np.empty((len(matrices), qs.shape[0]))
+    for si, sub_matrix in enumerate(matrices):
+        welfare[si] = logit_welfare_curve(weights, sub_matrix, qs)
+    return welfare
+
+
+def _refine_crossings(weights, matrices, subsets, qs, welfare) -> list[Crossing]:
+    """The sweep's refinement stage: the sign changes of every subset pair's
+    welfare difference on the grid, each refined by _illinois, listed in
+    itertools.combinations order of the pairs and increasing q within one."""
+    crossings = []
+    # Row-major upper-triangle order is itertools.combinations order.
+    pair_a, pair_b = np.triu_indices(len(subsets), k=1)
+    chunk = max(1, PAIR_CHUNK_ELEMENTS // qs.shape[0])
+    for start in range(0, pair_a.shape[0], chunk):
+        rows_a = pair_a[start:start + chunk]
+        rows_b = pair_b[start:start + chunk]
+        diff = welfare[rows_a] - welfare[rows_b]
+        for row, left, right in zip(*_sign_change_brackets(diff)):
+            ia, ib = rows_a[row], rows_b[row]
+
+            # The welfare gap at one q; refinement calls the kernel per q.
+            def gap(q, matrix_a=matrices[ia], matrix_b=matrices[ib]) -> float:
+                qarr = np.array([q])
+                return float(
+                    logit_welfare_curve(weights, matrix_a, qarr)[0]
+                    - logit_welfare_curve(weights, matrix_b, qarr)[0]
+                )
+
+            q_star = _illinois(
+                gap,
+                float(qs[left]),
+                float(qs[right]),
+                float(diff[row, left]),
+                float(diff[row, right]),
+            )
+            crossings.append(Crossing(subsets[ia], subsets[ib], q_star))
+    return crossings
 
 
 def _require_finite_gaps(pop: Population, subsets) -> float:

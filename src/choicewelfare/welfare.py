@@ -17,13 +17,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .models import (
+    AlphaRational,
     ChoiceModel,
     ChoiceProbabilities,
     DefaultNudge,
     Logit,
+    UniformBoundedIID,
     _defined,
     _validate_available,
-    _validate_prob_vector,
     block_choice_probabilities,
     choice_probabilities,
 )
@@ -166,23 +167,23 @@ def alpha_welfare_closed_form(
     pop: Population, alpha: float, background
 ) -> float:
     """Closed form for the alpha-rational model over the full action set:
-    alpha * E(max utility) + (1 - alpha) * sum_i p_i * E[u(i)]."""
-    alpha = float(alpha)
-    if not (np.isfinite(alpha) and 0.0 <= alpha <= 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
-    background = _validate_prob_vector(background, "background probs")
-    if background.shape[0] != pop.n_actions:
+    alpha * E(max utility) + (1 - alpha) * sum_i p_i * E[u(i)].
+
+    alpha and background are checked as AlphaRational checks them, and the
+    background must also cover the full action set."""
+    model = AlphaRational(alpha, background)
+    if model.background.shape[0] != pop.n_actions:
         raise ValueError("background probs must cover the full action set")
-    table_welfare = float(np.dot(background, expected_utilities(pop)))
-    return alpha * idealized_optimum(pop) + (1.0 - alpha) * table_welfare
+    table_welfare = float(np.dot(model.background, expected_utilities(pop)))
+    return model.alpha * idealized_optimum(pop) + (1.0 - model.alpha) * table_welfare
 
 
 def bounded_error_welfare_bound(pop: Population, delta: float) -> float:
     """Welfare floor for decentralized choice when mismeasurement errors have
-    support within [-delta, +delta]: idealized optimum minus 2*delta."""
-    delta = float(delta)
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise ValueError("delta must be strictly positive")
+    support within [-delta, +delta]: idealized optimum minus 2*delta.
+
+    delta is checked as UniformBoundedIID checks it."""
+    delta = UniformBoundedIID(float(delta)).delta
     return idealized_optimum(pop) - 2.0 * delta
 
 
@@ -204,11 +205,9 @@ def logit_sensitivities(
 
     The welfare derivative is computed in centered form
     sum_i P_i * (u_i - v)^2, which is algebraically the stated
-    sum_i u_i^2 P_i - v^2 but cannot go negative in floating point.
+    sum_i u_i^2 P_i - v^2 but cannot go negative in floating point. q is
+    checked as Logit checks it.
     """
-    q = float(q)
-    if not (np.isfinite(q) and q >= 0.0):
-        raise ValueError("q must be finite and >= 0")
     utilities = np.asarray(utilities, dtype=np.float64)
     chosen = choice_probabilities(utilities, available, Logit(q=q))
     probs, u_sub = chosen.probs, utilities[list(chosen.available)]

@@ -828,6 +828,11 @@ _PINNED_ERRORS = {
     "sweep-constructor": (
         _population_doc(sweep={"q_step": 0.0}), (), None, "sweep: q_step must be > 0"
     ),
+    "sweep-constructor-point-count": (
+        _population_doc(sweep={"q_step": 1e-320}), (), None,
+        "sweep: q_min 0.0 to q_max 10.0 in steps of q_step 1e-320 makes too many "
+        "grid points to hold",
+    ),
     "mc-unknown-key": (
         _population_doc(mc={"n": 1}), (), None, "mc: unknown field 'n'"
     ),

@@ -64,6 +64,8 @@ def test_population_length_mismatch_names_type():
 def test_population_requires_types():
     with pytest.raises(ValueError):
         Population(actions=ActionSet(labels=("a",)), types=())
+    with pytest.raises(ValueError, match="population must contain at least one type"):
+        build_population(ActionSet(labels=("a",)), [])
 
 
 def test_population_matrix_and_weights():

@@ -72,9 +72,11 @@ LINE_CROSSINGS = {
 
 # --- grids ---
 
+# test_from_range_* check the grids SweepConfig builds from a q range.
+
 
 def test_from_range_defaults():
-    grid = SweepGrid.from_range()
+    grid = SweepConfig().grid()
     assert grid.q_values.shape == (201,)
     assert grid.q_values[0] == 0.0
     assert grid.q_values[-1] == 10.0
@@ -82,22 +84,22 @@ def test_from_range_defaults():
 
 
 def test_from_range_partial_last_step():
-    grid = SweepGrid.from_range(0.0, 1.0, 0.3)
+    grid = SweepConfig(0.0, 1.0, 0.3).grid()
     assert np.allclose(grid.q_values, [0.0, 0.3, 0.6, 0.9], atol=1e-12)
 
 
 def test_from_range_degenerate_single_point():
-    grid = SweepGrid.from_range(2.0, 2.0, 0.5)
+    grid = SweepConfig(2.0, 2.0, 0.5).grid()
     assert np.array_equal(grid.q_values, [2.0])
 
 
 def test_from_range_validation():
     with pytest.raises(ValueError):
-        SweepGrid.from_range(0.0, 1.0, 0.0)
+        SweepConfig(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        SweepGrid.from_range(1.0, 0.5, 0.1)
+        SweepConfig(1.0, 0.5, 0.1)
     with pytest.raises(ValueError):
-        SweepGrid.from_range(-0.5, 1.0, 0.1)
+        SweepConfig(-0.5, 1.0, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -105,15 +107,7 @@ def test_from_range_validation():
 )
 def test_from_range_rejects_non_finite_bounds(bounds):
     with pytest.raises(ValueError, match="q_min and q_max must be finite"):
-        SweepGrid.from_range(*bounds, 0.1)
-
-
-@given(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.floats(0.01, 10.0))
-def test_from_range_is_the_sweep_config_grid(a, b, q_step):
-    q_min, q_max = sorted((a, b))
-    grid = SweepGrid.from_range(q_min, q_max, q_step)
-    config_grid = SweepConfig(q_min, q_max, q_step).grid()
-    assert grid.q_values.tobytes() == config_grid.q_values.tobytes()
+        SweepConfig(*bounds, 0.1)
 
 
 def test_grid_requires_increasing_nonnegative_values():
@@ -368,7 +362,7 @@ def test_sign_change_brackets_match_a_row_by_row_scan(diff):
 @settings(max_examples=30, deadline=None)
 @given(small_populations())
 def test_sweep_crossings_are_the_per_pair_roots(pop):
-    grid = SweepGrid.from_range(0.0, 5.0, 0.1)
+    grid = SweepConfig(0.0, 5.0, 0.1).grid()
     result = sweep_logit(pop, grid)
     per_pair = [
         (a, b, q_star)
@@ -377,6 +371,32 @@ def test_sweep_crossings_are_the_per_pair_roots(pop):
     ]
     # Same roots bit for bit, in the same order.
     assert [(c.subset_a, c.subset_b, c.q_star) for c in result.crossings] == per_pair
+
+
+def test_sweep_and_find_crossings_pass_through_each_stage_once(line_population):
+    expected = sweep_logit(line_population)
+    pair = ((0, 2), (0, 1, 2))
+    expected_roots = find_crossings(line_population, *pair)
+    calls = []
+
+    def counting(name):
+        stage = getattr(search, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return stage(*args)
+        return wrapper
+
+    with mock.patch.object(search, "_grid_curves", counting("_grid_curves")), \
+            mock.patch.object(search, "_refine_crossings", counting("_refine_crossings")):
+        result = sweep_logit(line_population)
+        assert calls == ["_grid_curves", "_refine_crossings"]
+        roots = find_crossings(line_population, *pair)
+        assert calls == ["_grid_curves", "_refine_crossings"] * 2
+    assert result.welfare.tobytes() == expected.welfare.tobytes()
+    assert result.crossings == expected.crossings
+    assert roots == expected_roots
+    assert len(roots) == len(LINE_CROSSINGS[pair]) == 2
 
 
 def test_one_action_sweep_has_no_pairs():

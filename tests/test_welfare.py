@@ -336,6 +336,32 @@ def test_bounded_error_welfare_bound_value(line_population):
         bounded_error_welfare_bound(line_population, delta=0.0)
 
 
+@pytest.mark.parametrize(
+    "closed_form, args, message",
+    [
+        (alpha_welfare_closed_form, (1.5, [0.2, 0.3, 0.5]), "alpha must lie in [0, 1]"),
+        (alpha_welfare_closed_form, (0.5, [0.5, 0.6, 0.0]),
+         "background probs must sum to 1 within 1e-12"),
+        (alpha_welfare_closed_form, (0.5, [0.5, 0.5]),
+         "background probs must cover the full action set"),
+        (bounded_error_welfare_bound, (float("inf"),),
+         "delta must be strictly positive and finite"),
+    ],
+)
+def test_closed_forms_reject_what_their_models_reject(
+    line_population, closed_form, args, message
+):
+    with pytest.raises(ValueError) as info:
+        closed_form(line_population, *args)
+    assert str(info.value) == message
+
+
+def test_sensitivities_reject_the_q_logit_rejects():
+    for q in (-0.5, float("nan")):
+        with pytest.raises(ValueError, match=r"^q must be finite and >= 0$"):
+            logit_sensitivities([1.0, 0.0], [0, 1], q)
+
+
 def test_bounded_error_bound_respected_by_mc(line_population):
     delta = 0.3
     model = RandomUtilityMC(
