@@ -13,35 +13,30 @@ perfbench/workloads.py and three size axes on standard normal utilities:
 = 6...14, with `--model mc` (normal errors, sigma 1, 1,200 samples), named
 optimize_mc_k6 ... optimize_mc_k14, and under Logit(q=2), named
 optimize_logit_k6 ... optimize_logit_k14. For each command it writes the
-scenario for --seed once, then runs the command in a fresh interpreter
-through perfbench/child.py. The trees are interleaved: every repeat runs
-each command RUNS_PER_REPEAT times on every tree, one round of trees after
-the other, odd repeats in reverse tree order, and keeps each metric's median
-of those runs as the repeat's sample. A command whose runs have taken
-COMMAND_TIME_CAP_S seconds in all is not repeated further (sweep_k9 takes
-about 11 s a run), so a command can have fewer repeats than --repeats. As
-perfbench/run.py does, it runs
-perfbench/reference.py before the first command and after each one, and
-divides set-up time by the import factor and wall time by the host factor
-of the two runs around the command. The command's CPU time (user + system,
-of the whole child process, interpreter start-up included, as perfbench/run.py
-takes it from os.wait4) is the change in this process's RUSAGE_CHILDREN
-around the child, divided by the host factor too. Nothing under perfbench/ is
-changed.
+scenario for --seed once, then runs the command with perfbench/run.py's
+`invoke`, in a fresh interpreter with the tree's `src` first on the path.
+The trees are interleaved: every repeat runs each command RUNS_PER_REPEAT
+times on every tree, one round of trees after the other, odd repeats in
+reverse tree order, and keeps each metric's median of those runs as the
+repeat's sample. A command whose runs have taken COMMAND_TIME_CAP_S seconds
+in all is not repeated further (sweep_k9 takes about 11 s a run), so a
+command can have fewer repeats than --repeats. Each time is scaled as
+perfbench/run.py scales it, by the reference task run before the first
+command and after each one. Each tree's first run of a command is checked
+against the workload's oracle; later runs must write the same bytes. Nothing
+under perfbench/ is changed.
 
 `--label L` writes BENCH_L.json at the repository root (or --out). It holds
 the environment, numpy's SIMD dispatch included; per tree, its git commit
 and a digest of its package sources; and per command: its argv, its sizes,
 the number of repeats it ran, where it has actions its number of subsets,
 and for a sweep its number of subset pairs; and per tree: for a sweep the
-number of crossings it wrote, the median
-and quartiles of scaled `setup_s`, `wall_s` and `cpu_s` and of
-`peak_rss_mb`, with every sample in repeat order and, for every tree after
-the first, the number of repeats in which it read below the first tree; the
-`choicewelfare` modules loaded after `import choicewelfare.cli` and after
-the command; whether the first output passed the workload's oracle; and each
-output's sha256. --tiny shrinks every scenario and keeps only the two ends
-of each axis, for a quick check of the script itself.
+number of crossings it wrote, the median and quartiles of scaled `setup_s`,
+`wall_s` and `cpu_s` and of `peak_rss_mb`, with every sample in repeat order
+and, for every tree after the first, the number of repeats in which it read
+below the first tree; whether the first output passed the workload's oracle;
+and each output's sha256. --tiny shrinks every scenario and keeps only the
+two ends of each axis, for a quick check of the script itself.
 """
 
 import argparse
@@ -50,9 +45,7 @@ import dataclasses
 import hashlib
 import json
 import os
-import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -66,13 +59,7 @@ import envinfo  # noqa: E402
 import oracle  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
-from reference import host_factor, import_factor  # noqa: E402
 
-CHILD = os.path.join(ROOT, "perfbench", "child.py")
-TIMEOUT_S = 120
-# Each time is divided by the reference factor that tracks it; memory is not.
-SCALED_BY = {"setup_s": import_factor, "wall_s": host_factor, "cpu_s": host_factor,
-             "peak_rss_mb": None}
 TINY_SIZES = {
     "sweep_crossings": {"types": 4, "actions": 3, "q_step": 0.5},
     "sweep_fine_grid": {"types": 4, "actions": 3, "q_step": 0.25},
@@ -93,18 +80,6 @@ TINY_SWEEP_ACTIONS = (SWEEP_ACTIONS[0], SWEEP_ACTIONS[-1])
 # One grid point, q = 0: with any bracket on its grid, a k = 9 sweep refines
 # tens of thousands of crossings, whatever its size.
 TINY_SWEEP_SIZES = {"types": 4, "q_step": 20.0}
-# Runs `cli.main(argv)` with its stdout discarded and prints the package's
-# modules loaded after importing the CLI and after the command.
-PROBE = """
-import contextlib, io, json, sys
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "choicewelfare")
-from choicewelfare import cli
-after_import = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"rc": rc, "after_import": after_import, "after_command": loaded()}))
-"""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,30 +132,12 @@ def _tree(text):
 def numpy_simd():
     """numpy's SIMD baseline and the dispatch targets this CPU enables; they
     decide the last bits of `exp`."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
+    from numpy._core import _multiarray_umath as umath
     features = umath.__cpu_features__
     return {
         "baseline": list(umath.__cpu_baseline__),
         "dispatch": [t for t in umath.__cpu_dispatch__ if features.get(t)],
     }
-
-
-def _python(tree_root, args, cwd):
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree_root, "src"))
-    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=TIMEOUT_S)
-    if done.returncode != 0:
-        raise RuntimeError(f"{args[0]} in {cwd} failed: {done.stderr.strip()[-500:]}")
-    return done.stdout
-
-
-def _children_cpu_s():
-    """User + system CPU seconds of this process's reaped children so far."""
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
 
 
 def _digests(run_dir, outputs):
@@ -214,64 +171,57 @@ def _summary(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "samples": values}
 
 
-def _run_child(wname, entry, tname, root, work):
-    """One run of the command on one tree; its measurements, with cpu_s."""
-    cell = entry["trees"][tname]
-    run_dir = os.path.join(work, wname, tname)
-    spec = {"argv": entry["argv"], "result": "child-result.json", "spans": None}
-    with open(os.path.join(run_dir, "child-spec.json"), "w") as fh:
-        json.dump(spec, fh)
-    cpu_before = _children_cpu_s()
-    _python(root, [CHILD, "child-spec.json"], run_dir)
-    cpu_s = _children_cpu_s() - cpu_before
-    with open(os.path.join(run_dir, "child-result.json")) as fh:
-        sample = dict(json.load(fh), cpu_s=cpu_s)
-    if sample["rc"] != 0:
-        raise RuntimeError(f"{wname} on {tname}: exit status {sample['rc']}")
-    if _digests(run_dir, cell["outputs_sha256"]) != cell["outputs_sha256"]:
-        cell["outputs_stable"] = False
+def _run_child(wname, argv, tname, root, run_dir):
+    """One run of the command on one tree, through perfbench's `invoke`; its
+    measurements."""
+    run.SRC = os.path.join(root, "src")
+    run.ROOT = run_dir  # invoke's working directory, which argv's paths are relative to
+    sample, _ = run.invoke(argv, run_dir, False, run.INVOKE_TIMEOUT_S)
+    if sample.get("rc") != 0:
+        with open(os.path.join(run_dir, "stderr.txt"), encoding="utf-8", errors="replace") as fh:
+            stderr = fh.read().strip()[-500:]
+        raise RuntimeError(f"{wname} on {tname}: exit {sample['exit_code']}, "
+                           f"cli status {sample.get('rc')}: {stderr}")
     return sample
+
+
+def _record_outputs(cell, workload, scenario, outputs, run_dir):
+    """Check, digest and count the crossings of a tree's first run of the
+    command; mark the tree unstable when a later run writes other bytes."""
+    digests = _digests(run_dir, outputs)
+    if "outputs_sha256" in cell:
+        cell["outputs_stable"] = cell["outputs_stable"] and digests == cell["outputs_sha256"]
+        return
+    try:
+        workload.check(scenario, os.path.join(run_dir, outputs[0]))
+        cell["correct"] = True
+    except oracle.CheckError:
+        cell["correct"] = False
+    cell["outputs_sha256"] = digests
+    if isinstance(workload, workloads.SweepWorkload):
+        cell["crossings"] = _crossing_count(os.path.join(run_dir, outputs[1]))
 
 
 def measure(trees, commands, seed, repeats, work):
     """Run every command on every tree `repeats` times, interleaved."""
-    results = {}
+    results, files = {}, {}
     for wname, workload in commands.items():
         os.makedirs(os.path.join(work, wname))
         scenario = os.path.join(work, wname, f"{wname}.scn")
         workloads.write_scenario(scenario, workload.scenario(seed))
         out = workload.output_path(".")
-        argv = workload.argv(os.path.join("..", f"{wname}.scn"), out)
-        outputs = [os.path.normpath(p) for p in workload.outputs(out)]
-        entry = results[wname] = {"argv": argv, "sizes": workload.sizes, "repeats": 0,
-                                  "trees": {}}
+        files[wname] = scenario, [os.path.normpath(p) for p in workload.outputs(out)]
+        entry = results[wname] = {
+            "argv": workload.argv(os.path.join("..", f"{wname}.scn"), out),
+            "sizes": workload.sizes, "repeats": 0, "trees": {}}
         if "actions" in workload.sizes:
             entry["subsets"] = 2 ** workload.sizes["actions"] - 1
-        sweep = isinstance(workload, workloads.SweepWorkload)
-        if sweep:
+        if isinstance(workload, workloads.SweepWorkload):
             entry["pairs"] = entry["subsets"] * (entry["subsets"] - 1) // 2
-        for tname, root in trees:
-            run_dir = os.path.join(work, wname, tname)
-            os.makedirs(run_dir)
-            probe = json.loads(_python(root, ["-c", PROBE, json.dumps(argv)], run_dir))
-            if probe["rc"] != 0:
-                raise RuntimeError(f"{wname} on {tname}: exit status {probe['rc']}")
-            try:
-                workload.check(scenario, os.path.join(run_dir, outputs[0]))
-                correct = True
-            except oracle.CheckError:
-                correct = False
-            entry["trees"][tname] = {
-                "modules_after_cli_import": probe["after_import"],
-                "modules_after_command": probe["after_command"],
-                "correct": correct,
-                "outputs_sha256": _digests(run_dir, outputs),
-                "outputs_stable": True,
-                "raw": {name: [] for name in SCALED_BY},
-            }
-            if sweep:
-                entry["trees"][tname]["crossings"] = _crossing_count(
-                    os.path.join(run_dir, outputs[1]))
+        for tname, _ in trees:
+            os.makedirs(os.path.join(work, wname, tname))
+            entry["trees"][tname] = {"outputs_stable": True,
+                                     "raw": {name: [] for name in run.END_TO_END_UNITS}}
 
     before = run.reference_times()
     spent = {wname: 0.0 for wname in results}
@@ -281,17 +231,21 @@ def measure(trees, commands, seed, repeats, work):
             if spent[wname] >= COMMAND_TIME_CAP_S:
                 continue
             entry["repeats"] += 1
-            runs = {tname: {name: [] for name in SCALED_BY} for tname, _ in trees}
+            runs = {tname: {name: [] for name in run.END_TO_END_UNITS} for tname, _ in trees}
             for _ in range(RUNS_PER_REPEAT):
                 for tname, root in order:
+                    run_dir = os.path.join(work, wname, tname)
                     started = time.monotonic()
-                    sample = _run_child(wname, entry, tname, root, work)
+                    sample = _run_child(wname, entry["argv"], tname, root, run_dir)
                     spent[wname] += time.monotonic() - started
                     after = run.reference_times()
-                    for name, factor in SCALED_BY.items():
-                        scale = (factor(before) * factor(after)) ** 0.5 if factor else 1.0
-                        runs[tname][name].append(sample[name] / scale)
+                    for key, factor in run.FACTORS.items():
+                        sample[key] = (factor(before) * factor(after)) ** 0.5
                     before = after
+                    for name in run.END_TO_END_UNITS:
+                        runs[tname][name].append(run.scaled(sample, name))
+                    _record_outputs(entry["trees"][tname], commands[wname], *files[wname],
+                                    run_dir)
             for tname, _ in trees:
                 for name, values in runs[tname].items():
                     entry["trees"][tname]["raw"][name].append(statistics.median(values))
@@ -344,8 +298,8 @@ def main(argv=None):
         fh.write("\n")
     for wname, entry in results.items():
         for tname, cell in entry["trees"].items():
-            print(f"{wname:18s} {tname:10s} "
-                  + "  ".join(f"{name} {cell[name]['median']:.4g}" for name in SCALED_BY))
+            print(f"{wname:18s} {tname:10s} " + "  ".join(
+                f"{name} {cell[name]['median']:.4g}" for name in run.END_TO_END_UNITS))
     print(f"wrote {path}")
     return 0
 

@@ -45,6 +45,18 @@ def _validate_prob_vector(probs, name: str) -> NDArray[np.float64]:
     return probs
 
 
+def _whole_number(value, name: str) -> int:
+    """`value` as an int, refusing what int() would parse (a string) or
+    truncate (a number with a fractional part)."""
+    try:
+        whole = None if isinstance(value, (str, bytes)) else int(value)
+    except (OverflowError, ValueError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return whole
+
+
 # --- error distributions for the random-utility model ---
 
 
@@ -60,8 +72,10 @@ class GumbelIID:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
+        scale = float(self.scale)
+        if not (np.isfinite(scale) and scale > 0.0):
             raise ValueError("scale must be strictly positive and finite")
+        object.__setattr__(self, "scale", scale)
 
 
 @dataclass(frozen=True)
@@ -71,8 +85,10 @@ class UniformBoundedIID:
     delta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta) and self.delta > 0.0):
+        delta = float(self.delta)
+        if not (np.isfinite(delta) and delta > 0.0):
             raise ValueError("delta must be strictly positive and finite")
+        object.__setattr__(self, "delta", delta)
 
 
 @dataclass(frozen=True)
@@ -82,8 +98,10 @@ class NormalIID:
     sigma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
+        sigma = float(self.sigma)
+        if not (np.isfinite(sigma) and sigma > 0.0):
             raise ValueError("sigma must be strictly positive and finite")
+        object.__setattr__(self, "sigma", sigma)
 
 
 ErrorSpec = Union[GumbelIID, UniformBoundedIID, NormalIID]
@@ -160,11 +178,11 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        samples = int(self.samples)
+        samples = _whole_number(self.samples, "samples")
         if samples < 1:
             raise ValueError("samples must be >= 1")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -209,7 +227,9 @@ class DefaultNudge:
         if not isinstance(self.base, get_args(ChoiceModel)):
             raise ValueError("base must be a ChoiceModel")
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "default_action", int(self.default_action))
+        object.__setattr__(
+            self, "default_action", _whole_number(self.default_action, "default_action")
+        )
 
 
 ChoiceModel = Union[

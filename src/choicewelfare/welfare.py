@@ -183,7 +183,7 @@ def bounded_error_welfare_bound(pop: Population, delta: float) -> float:
     support within [-delta, +delta]: idealized optimum minus 2*delta.
 
     delta is checked as UniformBoundedIID checks it."""
-    delta = UniformBoundedIID(float(delta)).delta
+    delta = UniformBoundedIID(delta).delta
     return idealized_optimum(pop) - 2.0 * delta
 
 

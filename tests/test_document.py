@@ -139,6 +139,27 @@ def test_hotelling_document_roundtrip():
     assert text1 == serialize_scenario(parse_scenario_text(text1))
 
 
+def test_models_built_from_numpy_scalars_roundtrip():
+    # The constructors store Python numbers, so the serializer never meets a
+    # numpy scalar that json cannot write.
+    f, i = np.float32, np.int64
+    models = {
+        "gumbel": RandomUtilityMC(error=GumbelIID(scale=f(0.5)), samples=i(10), seed=i(3)),
+        "uniform": RandomUtilityMC(error=UniformBoundedIID(delta=f(1.5)), samples=i(10)),
+        "normal": RandomUtilityMC(error=NormalIID(sigma=f(0.5)), samples=i(10)),
+        "alpha": AlphaRational(alpha=f(0.5), background=np.array([0.5, 0.5], dtype=f)),
+        "nudge": DefaultNudge(default_action=i(1), gamma=f(0.25), base=Logit(q=f(2.0))),
+    }
+    doc = ScenarioDocument(
+        schema_version=1,
+        population=PopulationSection(
+            population=_parse(_population_doc()).population.population, models=models
+        ),
+        mc=MCConfig(samples=i(500), seed=i(9)),
+    )
+    assert parse_scenario_text(serialize_scenario(doc)) == doc
+
+
 # --- round-trip property: parse(serialize(d)) == d for generated documents ---
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

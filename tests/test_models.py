@@ -16,6 +16,7 @@ from choicewelfare import (
     GumbelIID,
     IndependentTable,
     Logit,
+    MCConfig,
     NormalIID,
     RandomUtilityMC,
     RationalMax,
@@ -245,6 +246,38 @@ def test_error_spec_validation():
             UniformBoundedIID(delta=bad)
         with pytest.raises(ValueError):
             NormalIID(sigma=bad)
+
+
+# Each numeric field with a way to build its model from one value. A float
+# field is stored as a Python float and an integer field as a Python int,
+# whatever number type it was given.
+NUMERIC_FIELDS = {
+    "scale": (lambda v: GumbelIID(scale=v), float),
+    "delta": (lambda v: UniformBoundedIID(delta=v), float),
+    "sigma": (lambda v: NormalIID(sigma=v), float),
+    "q": (lambda v: Logit(q=v), float),
+    "alpha": (lambda v: AlphaRational(alpha=v, background=[0.5, 0.5]), float),
+    "gamma": (lambda v: DefaultNudge(default_action=0, gamma=v, base=RationalMax()), float),
+    "samples": (lambda v: MCConfig(samples=v), int),
+    "seed": (lambda v: MCConfig(seed=v), int),
+    "default_action": (
+        lambda v: DefaultNudge(default_action=v, gamma=0.1, base=RationalMax()),
+        int,
+    ),
+}
+
+
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_numeric_fields_store_python_numbers_and_refuse_the_rest(field):
+    build, kind = NUMERIC_FIELDS[field]
+    for value in (1, np.float32(1.0), np.int64(1)):
+        stored = getattr(build(value), field)
+        assert type(stored) is kind and stored == 1
+    with pytest.raises(ValueError):
+        build("x")
+    if kind is int:
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number, got 1.5$"):
+            build(1.5)
 
 
 # --- Monte Carlo random-utility model ---

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -62,7 +63,23 @@ def test_scaling_script_writes_a_record_of_the_documented_shape(tmp_path):
             summary = cell[metric]
             assert set(summary) == {"median", "q1", "q3", "samples"}
             assert len(summary["samples"]) == 1 and summary["median"] > 0
-        assert "choicewelfare.cli" in cell["modules_after_cli_import"]
-        assert "choicewelfare.treatment" not in cell["modules_after_cli_import"]
-        loads_treatment = "choicewelfare.treatment" in cell["modules_after_command"]
-        assert loads_treatment == (name == "treatment_cohort")
+
+
+def test_each_tree_runs_its_own_sources(tmp_path):
+    # A copy of the package whose CLI exits 3: the script must run it from
+    # that tree and name the tree, after this checkout's run passed.
+    package = tmp_path / "broken" / "src" / "choicewelfare"
+    shutil.copytree(ROOT / "src" / "choicewelfare", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "cli.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef main(argv=None):\n    return 3\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "scaling.py"), "--label", "broken",
+         "--tiny", "--repeats", "1", "--src", f"this={ROOT}",
+         "--src", f"broken={tmp_path / 'broken'}", "--out", str(tmp_path / "record.json")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode != 0
+    assert "RuntimeError: sweep_crossings on broken: exit 0, cli status 3" in done.stderr
+    assert not (tmp_path / "record.json").exists()
