@@ -31,30 +31,18 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._kernels import argmax_tally
-from .scenario import PROB_SUM_TOL, _fields_equal, _frozen_array
+from .scenario import PROB_SUM_TOL, _fields_equal, _frozen_array, _real, _whole_number
 
 
 def _validate_prob_vector(probs, name: str) -> NDArray[np.float64]:
-    probs = _frozen_array(probs)
+    probs = _frozen_array(probs, name)
     if probs.ndim != 1 or probs.shape[0] == 0:
         raise ValueError(f"{name} must be a non-empty 1-d vector")
-    if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-        raise ValueError(f"{name} entries must be finite and non-negative")
+    if np.any(probs < 0.0):
+        raise ValueError(f"{name} entries must be non-negative")
     if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"{name} must sum to 1 within {PROB_SUM_TOL}")
     return probs
-
-
-def _whole_number(value, name: str) -> int:
-    """`value` as an int, refusing what int() would parse (a string) or
-    truncate (a number with a fractional part)."""
-    try:
-        whole = None if isinstance(value, (str, bytes)) else int(value)
-    except (OverflowError, ValueError):
-        whole = None
-    if whole is None or whole != value:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return whole
 
 
 # --- error distributions for the random-utility model ---
@@ -72,10 +60,7 @@ class GumbelIID:
     scale: float = 1.0
 
     def __post_init__(self):
-        scale = float(self.scale)
-        if not (np.isfinite(scale) and scale > 0.0):
-            raise ValueError("scale must be strictly positive and finite")
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scale", _real(self.scale, "scale", "> 0"))
 
 
 @dataclass(frozen=True)
@@ -85,10 +70,7 @@ class UniformBoundedIID:
     delta: float
 
     def __post_init__(self):
-        delta = float(self.delta)
-        if not (np.isfinite(delta) and delta > 0.0):
-            raise ValueError("delta must be strictly positive and finite")
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", _real(self.delta, "delta", "> 0"))
 
 
 @dataclass(frozen=True)
@@ -98,10 +80,7 @@ class NormalIID:
     sigma: float
 
     def __post_init__(self):
-        sigma = float(self.sigma)
-        if not (np.isfinite(sigma) and sigma > 0.0):
-            raise ValueError("sigma must be strictly positive and finite")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma", "> 0"))
 
 
 ErrorSpec = Union[GumbelIID, UniformBoundedIID, NormalIID]
@@ -139,10 +118,7 @@ class AlphaRational:
     background: NDArray[np.float64]
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        if not (np.isfinite(alpha) and 0.0 <= alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", "[0, 1]"))
         object.__setattr__(
             self,
             "background",
@@ -163,10 +139,7 @@ class Logit:
     q: float
 
     def __post_init__(self):
-        q = float(self.q)
-        if not (np.isfinite(q) and q >= 0.0):
-            raise ValueError("q must be finite and >= 0")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _real(self.q, "q", ">= 0"))
 
 
 @dataclass(frozen=True)
@@ -219,9 +192,7 @@ class DefaultNudge:
     base: "ChoiceModel"
 
     def __post_init__(self):
-        gamma = float(self.gamma)
-        if not (np.isfinite(gamma) and gamma >= 0.0):
-            raise ValueError("gamma must be finite and >= 0")
+        gamma = _real(self.gamma, "gamma", ">= 0")
         if isinstance(self.base, DefaultNudge):
             raise ValueError("nudge base must not itself be a DefaultNudge")
         if not isinstance(self.base, get_args(ChoiceModel)):
@@ -245,12 +216,12 @@ class ChoiceProbabilities:
     probs: NDArray[np.float64]
 
     def __post_init__(self):
-        probs = _frozen_array(self.probs)
-        available = tuple(int(i) for i in self.available)
+        probs = _frozen_array(self.probs, "probs")
+        available = tuple(_whole_number(i, "action index") for i in self.available)
         if probs.ndim != 1 or probs.shape[0] != len(available):
             raise ValueError("probs length must match available")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise ValueError("probs must be finite and non-negative")
+        if np.any(probs < 0.0):
+            raise ValueError("probs must be non-negative")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ValueError("probs must sum to 1 within 1e-9")
         object.__setattr__(self, "available", available)
@@ -266,7 +237,7 @@ class ChoiceProbabilities:
 
 
 def _validate_available(available: Iterable[int], n_actions: int) -> tuple[int, ...]:
-    indices = tuple(int(i) for i in available)
+    indices = tuple(_whole_number(i, "action index") for i in available)
     if len(indices) == 0:
         raise ValueError("available action subset must be non-empty")
     if len(set(indices)) != len(indices):
@@ -281,7 +252,7 @@ def _validate_available(available: Iterable[int], n_actions: int) -> tuple[int, 
 
 def _normalize_seed(seed: int) -> int:
     # 64-bit contract; negative seeds wrap like two's complement.
-    return int(seed) & 0xFFFFFFFFFFFFFFFF
+    return _whole_number(seed, "seed") & 0xFFFFFFFFFFFFFFFF
 
 
 def _draw_errors(
@@ -309,12 +280,14 @@ def sample_errors(
     Entries are IID across rows and columns. Gumbel draws use the inverse CDF
     -log(-log(U)).
     """
-    if int(count) < 1:
+    count = _whole_number(count, "count")
+    n_actions = _whole_number(n_actions, "n_actions")
+    if count < 1:
         raise ValueError("count must be >= 1")
-    if int(n_actions) < 1:
+    if n_actions < 1:
         raise ValueError("n_actions must be >= 1")
     rng = np.random.default_rng(_normalize_seed(seed))
-    return _draw_errors(spec, int(count), int(n_actions), rng)
+    return _draw_errors(spec, count, n_actions, rng)
 
 
 def choice_probabilities(
@@ -333,14 +306,13 @@ def choice_probabilities(
     describes the draws). A subset on which the model leaves choice undefined
     raises ValueError.
     """
-    utilities = np.asarray(utilities, dtype=np.float64)
+    utilities = _frozen_array(utilities, "utilities")
     if utilities.ndim != 1:
         raise ValueError("utilities must be a 1-d vector")
-    if not np.all(np.isfinite(utilities)):
-        raise ValueError("utilities must be finite")
     avail = _validate_available(available, utilities.shape[0])
     one_subset = [np.array([avail])]
-    block = block_choice_probabilities(utilities[None], one_subset, model, [stream])
+    streams = [_whole_number(stream, "stream")]
+    block = block_choice_probabilities(utilities[None], one_subset, model, streams)
     return ChoiceProbabilities(available=avail, probs=_defined(block[0][0, 0]))
 
 
@@ -487,17 +459,13 @@ def binary_scaled_choice_prob(utilities, base_errors, q: float) -> float:
     comparison against q * (utility gap), and the threshold is monotone in q.
     Ties in both true utility and mismeasured score go to the lower index.
     """
-    utilities = np.asarray(utilities, dtype=np.float64)
+    utilities = _frozen_array(utilities, "utilities")
     if utilities.shape != (2,):
         raise ValueError("exactly 2 actions required")
-    if not np.all(np.isfinite(utilities)):
-        raise ValueError("utilities must be finite")
-    base_errors = np.asarray(base_errors, dtype=np.float64)
+    base_errors = _frozen_array(base_errors, "base_errors")
     if base_errors.ndim != 2 or base_errors.shape[1] != 2:
         raise ValueError("base_errors must have exactly 2 columns")
-    q = float(q)
-    if not (np.isfinite(q) and q > 0.0):
-        raise ValueError("q must be finite and > 0")
+    q = _real(q, "q", "> 0")
 
     better = 0 if utilities[0] >= utilities[1] else 1
     other = 1 - better

@@ -9,8 +9,16 @@ reduces to weighted sums on finite support.
 Includes the line-location builder in which each person's utility for an
 action falls with the squared distance between the person's location and the
 action's location (single-peaked preferences).
+
+This module is also the one place where the library converts and checks a
+number it is given: `_real` for one real number within a bound,
+`_whole_number` for an integer, and `_frozen_array` for an array of finite
+numbers. Each refuses text, booleans, NaN and the infinities, and raises
+ValueError("<name> must be <rule>, got <value>").
 """
 
+import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -21,10 +29,66 @@ from numpy.typing import NDArray
 PROB_SUM_TOL = 1e-12
 
 
-def _frozen_array(values, dtype=np.float64) -> NDArray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+# What float() and int() would take but no number rule does.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+# The bounds of _real: the rule its message states, and the closed float
+# interval [lo, hi] that holds exactly the floats the rule admits (x > 0 is
+# x >= the least subnormal). NaN lies in no interval.
+_LARGEST = sys.float_info.max
+_REAL_BOUNDS = {
+    "finite": ("a finite number", -_LARGEST, _LARGEST),
+    ">= 0": ("a finite number >= 0", 0.0, _LARGEST),
+    "> 0": ("a finite number > 0", math.ulp(0.0), _LARGEST),
+    "[0, 1]": ("a number in [0, 1]", 0.0, 1.0),
+}
+
+
+def _real(value, name: str, bound: str) -> float:
+    """`value` as a Python float within `bound`, one of "finite", ">= 0",
+    "> 0" and "[0, 1]"."""
+    rule, lo, hi = _REAL_BOUNDS[bound]
+    real = value
+    if type(real) is not float:  # a parsed scenario's numbers skip this
+        try:
+            real = math.nan if isinstance(value, _NOT_NUMBERS) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            real = math.nan
+    if not lo <= real <= hi:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return real
+
+
+def _whole_number(value, name: str) -> int:
+    """`value` as a Python int, refusing what int() would parse (a string) or
+    truncate (a number with a fractional part)."""
+    try:
+        whole = None if isinstance(value, _NOT_NUMBERS) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return whole
+
+
+def _holds_bool(values) -> bool:
+    # numpy reads [0.5, True] as the number array [0.5, 1.0], so a list or
+    # tuple's own entries are looked at; an array of booleans has dtype bool.
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_))
+
+
+def _frozen_array(values, name: str) -> NDArray[np.float64]:
+    """A new read-only float64 copy of `values`, whose entries must be
+    finite numbers: text, booleans and objects are refused."""
+    arr = np.array(values)
+    if arr.dtype.kind in "iuf" and not _holds_bool(values):
+        arr = arr.astype(np.float64, copy=False)
+        if np.isfinite(arr).all():
+            arr.setflags(write=False)
+            return arr
+    raise ValueError(f"{name} must be finite numbers, got {arr!r}")
 
 
 def _fields_equal(self, other):
@@ -58,6 +122,10 @@ class ActionSet:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.labels, (str, bytes)):
+            raise ValueError(
+                f"labels must be a sequence of labels, got {self.labels!r}"
+            )
         if len(self.labels) == 0:
             raise ValueError("action set must be non-empty")
         labels = tuple(str(lab) for lab in self.labels)
@@ -89,16 +157,11 @@ class UtilityType:
     weight: float
 
     def __post_init__(self):
-        utilities = _frozen_array(self.utilities)
+        utilities = _frozen_array(self.utilities, "utilities")
         if utilities.ndim != 1:
             raise ValueError("utilities must be a 1-d vector")
-        if not np.all(np.isfinite(utilities)):
-            raise ValueError("utilities must be finite")
-        weight = float(self.weight)
-        if not np.isfinite(weight) or weight <= 0.0:
-            raise ValueError("type weight must be positive and finite")
         object.__setattr__(self, "utilities", utilities)
-        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "weight", _real(self.weight, "weight", "> 0"))
 
     __eq__ = _fields_equal
 
@@ -134,14 +197,12 @@ class Population:
         object.__setattr__(self, "types", types)
         # Built once: every sweep, welfare and search path reads these, and
         # both are immutable, so all accesses share the same arrays.
-        object.__setattr__(
-            self, "_weights", _frozen_array([typ.weight for typ in types])
-        )
-        object.__setattr__(
-            self,
-            "_utility_matrix",
-            _frozen_array(np.stack([typ.utilities for typ in types])),
-        )
+        weights = np.array([typ.weight for typ in types], dtype=np.float64)
+        utility_matrix = np.stack([typ.utilities for typ in types])
+        weights.setflags(write=False)
+        utility_matrix.setflags(write=False)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_utility_matrix", utility_matrix)
 
     __eq__ = _fields_equal
 
@@ -180,24 +241,22 @@ class HotellingScenario:
     person_weights: Optional[NDArray[np.float64]] = None
 
     def __post_init__(self):
-        stores = _frozen_array(self.store_locations)
-        persons = _frozen_array(self.person_locations)
+        stores = _frozen_array(self.store_locations, "store_locations")
+        persons = _frozen_array(self.person_locations, "person_locations")
         if stores.ndim != 1 or stores.shape[0] == 0:
             raise ValueError("store_locations must be a non-empty vector")
         if persons.ndim != 1 or persons.shape[0] == 0:
             raise ValueError("person_locations must be a non-empty vector")
-        if not (np.all(np.isfinite(stores)) and np.all(np.isfinite(persons))):
-            raise ValueError("locations must be finite")
         object.__setattr__(self, "store_locations", stores)
         object.__setattr__(self, "person_locations", persons)
         if self.person_weights is not None:
-            w = _frozen_array(self.person_weights)
+            w = _frozen_array(self.person_weights, "person_weights")
             if w.shape != persons.shape:
                 raise ValueError(
                     "person_weights length must match person_locations"
                 )
-            if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-                raise ValueError("person_weights must be positive and finite")
+            if np.any(w <= 0.0):
+                raise ValueError("person_weights must be positive")
             if abs(float(w.sum()) - 1.0) > PROB_SUM_TOL:
                 raise ValueError("person_weights must sum to 1")
             object.__setattr__(self, "person_weights", w)
@@ -238,7 +297,7 @@ def hotelling_population(scenario: HotellingScenario) -> Population:
         weights = np.full(persons.shape[0], 1.0 / persons.shape[0])
     actions = ActionSet(labels=tuple(str(i + 1) for i in range(stores.shape[0])))
     types = tuple(
-        UtilityType(utilities=-((stores - theta) ** 2), weight=float(w))
+        UtilityType(utilities=-((stores - theta) ** 2), weight=w)
         for theta, w in zip(persons, weights)
     )
     return Population(actions=actions, types=types)

@@ -31,7 +31,7 @@ from .models import (
     _validate_available,
     block_choice_probabilities,
 )
-from .scenario import ActionSet, Population, _fields_equal, _frozen_array
+from .scenario import ActionSet, Population, _fields_equal, _frozen_array, _real
 # policy_welfare is not called here: optimize_choice_set reproduces its welfare
 # bit for bit, and perfbench/spans.py wraps the name as search.policy_welfare.
 from .welfare import expected_value, policy_welfare  # noqa: F401
@@ -72,18 +72,11 @@ class SweepConfig:
     q_step: float = 0.05
 
     def __post_init__(self):
-        q_min, q_max = float(self.q_min), float(self.q_max)
-        q_step = float(self.q_step)
-        if not (math.isfinite(q_min) and math.isfinite(q_max)):
-            raise ValueError(f"q_min and q_max must be finite, got {q_min}, {q_max}")
-        if not math.isfinite(q_step):
-            raise ValueError(f"q_step must be finite, got {q_step}")
-        if q_min < 0.0:
-            raise ValueError("q_min must be >= 0")
+        q_min = _real(self.q_min, "q_min", ">= 0")
+        q_max = _real(self.q_max, "q_max", "finite")
+        q_step = _real(self.q_step, "q_step", "> 0")
         if q_max < q_min:
             raise ValueError("q_max must be >= q_min")
-        if q_step <= 0.0:
-            raise ValueError("q_step must be > 0")
         # grid() holds the points in one float64 array, and numpy sizes no
         # array past intp's maximum in bytes: a longer or infinite range fails
         # there with a message that names none of the three values.
@@ -115,11 +108,9 @@ class SweepGrid:
     q_values: NDArray[np.float64]
 
     def __post_init__(self):
-        q = _frozen_array(self.q_values)
+        q = _frozen_array(self.q_values, "q_values")
         if q.ndim != 1 or q.shape[0] == 0:
             raise ValueError("grid must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("grid values must be finite")
         if np.any(q < 0.0):
             raise ValueError("grid values must be >= 0")
         if q.shape[0] > 1 and np.any(np.diff(q) <= 0.0):

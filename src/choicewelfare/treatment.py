@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .scenario import PROB_SUM_TOL, _fields_equal, _frozen_array
+from .scenario import PROB_SUM_TOL, _fields_equal, _frozen_array, _real
 
 TREATMENT_A = "A"
 TREATMENT_B = "B"
@@ -57,11 +57,9 @@ class OutcomeUtilities:
     values: NDArray[np.float64]
 
     def __post_init__(self):
-        values = _frozen_array(self.values)
+        values = _frozen_array(self.values, "outcome utilities")
         if values.shape != (2, 2):
             raise ValueError("outcome utilities must form a 2x2 matrix")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("outcome utilities must be finite")
         object.__setattr__(self, "values", values)
 
     __eq__ = _fields_equal
@@ -70,7 +68,7 @@ class OutcomeUtilities:
     def from_components(
         cls, u0_a: float, u1_a: float, u0_b: float, u1_b: float
     ) -> "OutcomeUtilities":
-        return cls(values=np.array([[u0_a, u0_b], [u1_a, u1_b]], dtype=np.float64))
+        return cls(values=[[u0_a, u0_b], [u1_a, u1_b]])
 
     def u(self, y: int, treatment: str) -> float:
         if y not in (0, 1):
@@ -241,10 +239,7 @@ class PointMassBelief:
     pi: float
 
     def __post_init__(self):
-        pi = float(self.pi)
-        if not (0.0 <= pi <= 1.0):
-            raise ValueError("pi must lie in [0, 1]")
-        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "pi", _real(self.pi, "pi", "[0, 1]"))
 
     def prob_le(self, x: float) -> float:
         return 1.0 if self.pi <= x else 0.0
@@ -261,8 +256,8 @@ class UniformBelief:
     hi: float
 
     def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
-        if not (0.0 <= lo < hi <= 1.0):
+        lo, hi = _real(self.lo, "lo", "[0, 1]"), _real(self.hi, "hi", "[0, 1]")
+        if not lo < hi:
             raise ValueError("need 0 <= lo < hi <= 1")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -295,11 +290,8 @@ class BetaBelief:
     b: float
 
     def __post_init__(self):
-        a, b = float(self.a), float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b) and a > 0.0 and b > 0.0):
-            raise ValueError("beta parameters must be positive and finite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _real(self.a, "a", "> 0"))
+        object.__setattr__(self, "b", _real(self.b, "b", "> 0"))
 
     def prob_le(self, x: float) -> float:
         return _beta_cdf(self.a, self.b, float(x))
@@ -316,7 +308,7 @@ class MixtureBelief:
 
     def __post_init__(self):
         components = tuple(self.components)
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(_real(w, "mixture weight", "> 0") for w in self.weights)
         if len(components) == 0 or len(components) != len(weights):
             raise ValueError("components and weights must be non-empty and aligned")
         for comp in components:
@@ -324,9 +316,6 @@ class MixtureBelief:
                 raise ValueError(
                     "mixture components must be point-mass, uniform, or beta"
                 )
-        # Written so that NaN, which fails every comparison, is rejected.
-        if not all(w > 0.0 for w in weights):
-            raise ValueError("mixture weights must be positive")
         if abs(sum(weights) - 1.0) > PROB_SUM_TOL:
             raise ValueError("mixture weights must sum to 1")
         object.__setattr__(self, "components", components)
@@ -355,10 +344,10 @@ class EmpiricalBelief:
     samples: NDArray[np.float64]
 
     def __post_init__(self):
-        samples = _frozen_array(self.samples)
+        samples = _frozen_array(self.samples, "samples")
         if samples.ndim != 1 or samples.shape[0] == 0:
             raise ValueError("samples must be a non-empty vector")
-        if not np.all((samples >= 0.0) & (samples <= 1.0)):  # NaN fails too
+        if not np.all((samples >= 0.0) & (samples <= 1.0)):
             raise ValueError("samples must lie in [0, 1]")
         object.__setattr__(self, "samples", samples)
 
@@ -399,12 +388,8 @@ class CovariateCell:
     belief: Optional[BeliefModel] = None
 
     def __post_init__(self):
-        p_z = float(self.p_z_given_x)
-        p = float(self.p_xz)
-        if not (math.isfinite(p_z) and p_z > 0.0):
-            raise ValueError("p_z_given_x must be strictly positive")
-        if not (0.0 <= p <= 1.0):
-            raise ValueError("p_xz must lie in [0, 1]")
+        p_z = _real(self.p_z_given_x, "p_z_given_x", "> 0")
+        p = _real(self.p_xz, "p_xz", "[0, 1]")
         object.__setattr__(self, "z_label", str(self.z_label))
         object.__setattr__(self, "p_z_given_x", p_z)
         object.__setattr__(self, "p_xz", p)
@@ -424,9 +409,7 @@ class XCell:
     z_cells: tuple[CovariateCell, ...]
 
     def __post_init__(self):
-        weight = float(self.weight)
-        if not (math.isfinite(weight) and weight > 0.0):
-            raise ValueError("x-cell weight must be strictly positive")
+        weight = _real(self.weight, "weight", "> 0")
         z_cells = tuple(self.z_cells)
         if len(z_cells) == 0:
             raise ValueError("x cell must contain at least one z cell")
@@ -480,9 +463,7 @@ class TreatmentScenario:
 
 def expected_outcome_utility(p: float, u: OutcomeUtilities, treatment: str) -> float:
     """p * u(1, t) + (1 - p) * u(0, t)."""
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
+    p = _real(p, "p", "[0, 1]")
     col = _col(treatment)
     return p * float(u.values[1, col]) + (1.0 - p) * float(u.values[0, col])
 
@@ -612,9 +593,7 @@ def subjective_choice(pi: float, u: OutcomeUtilities) -> str:
     once-rounded root belief_choice_prob reads, so the two agree on every pi
     however close it is to the root.
     """
-    pi = float(pi)
-    if not (0.0 <= pi <= 1.0):
-        raise ValueError("pi must lie in [0, 1]")
+    pi = _real(pi, "pi", "[0, 1]")
     slope, root = _indifference(u)
     choose_a = pi <= root if slope < 0.0 else pi >= root
     return TREATMENT_A if choose_a else TREATMENT_B
@@ -661,11 +640,11 @@ def bounded_rational_welfare_x(cell: XCell, q_map: Mapping[str, float]) -> float
     welfare = 0.0
     for z, (eu_a, eu_b) in zip(cell.z_cells, cell._eu_pairs):
         try:
-            q = float(q_map[z.z_label])
+            q = _real(q_map[z.z_label], "q", "[0, 1]")
         except KeyError:
             raise ValueError(f"q_map missing z cell {z.z_label!r}") from None
-        if not (0.0 <= q <= 1.0):
-            raise ValueError(f"q for z cell {z.z_label!r} must lie in [0, 1]")
+        except ValueError as exc:
+            raise ValueError(f"z cell {z.z_label!r}: {exc}") from None
         eu_opt, eu_other = (eu_a, eu_b) if eu_a >= eu_b else (eu_b, eu_a)
         welfare += z.p_z_given_x * (q * eu_opt + (1.0 - q) * eu_other)
     return welfare

@@ -28,7 +28,7 @@ from .models import (
     block_choice_probabilities,
     choice_probabilities,
 )
-from .scenario import Population
+from .scenario import Population, _real
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,7 @@ def policy_welfare(
     eta of the as-if cost gamma is treated as a real utility loss for every
     non-default choice (eta = 0, the default, makes gamma purely a mistake).
     """
-    eta = float(eta)
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError("eta must lie in [0, 1]")
+    eta = _real(eta, "eta", "[0, 1]")
     avail = _resolve_available(pop, available)
     cols = np.array(avail)
     matrix = pop.utility_matrix

@@ -748,14 +748,14 @@ def test_bad_grid_step_is_usage_error(hotelling_file, tmp_path, capsys):
 
 
 BAD_Q_RANGES = [
-    (float("nan"), 10.0, 0.1, "q_min and q_max must be finite, got nan, 10.0"),
-    (0.0, float("inf"), 0.1, "q_min and q_max must be finite, got 0.0, inf"),
-    (float("-inf"), 1.0, 0.1, "q_min and q_max must be finite, got -inf, 1.0"),
-    (0.0, 1.0, float("inf"), "q_step must be finite, got inf"),
-    (0.0, 1.0, 0.0, "q_step must be > 0"),
-    (0.0, 1.0, -0.5, "q_step must be > 0"),
+    (float("nan"), 10.0, 0.1, "q_min must be a finite number >= 0, got nan"),
+    (0.0, float("inf"), 0.1, "q_max must be a finite number, got inf"),
+    (float("-inf"), 1.0, 0.1, "q_min must be a finite number >= 0, got -inf"),
+    (0.0, 1.0, float("inf"), "q_step must be a finite number > 0, got inf"),
+    (0.0, 1.0, 0.0, "q_step must be a finite number > 0, got 0.0"),
+    (0.0, 1.0, -0.5, "q_step must be a finite number > 0, got -0.5"),
     (1.0, 0.5, 0.1, "q_max must be >= q_min"),
-    (-0.5, 1.0, 0.1, "q_min must be >= 0"),
+    (-0.5, 1.0, 0.1, "q_min must be a finite number >= 0, got -0.5"),
     # (q_max - q_min) / q_step is inf, past intp, then past a float64 array.
     (0.0, 10.0, 1e-320,
      "q_min 0.0 to q_max 10.0 in steps of q_step 1e-320 makes too many grid points to hold"),

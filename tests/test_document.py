@@ -750,7 +750,7 @@ _PINNED_ERRORS = {
     ),
     "model-constructor": (
         _with_model({"kind": "logit", "q": -1.0}), (), None,
-        "population.models.m: q must be finite and >= 0",
+        "population.models.m: q must be a finite number >= 0, got -1.0",
     ),
     "model-constructor-nested": (
         _with_model({**_NUDGE, "base": {**_NUDGE, "base": {"kind": "rational_max"}}}),
@@ -793,7 +793,7 @@ _PINNED_ERRORS = {
     ),
     "error-constructor": (
         _with_model({**_MC, "error": {"kind": "normal", "sigma": -1.0}}), (), None,
-        "population.models.m.error: sigma must be strictly positive and finite",
+        "population.models.m.error: sigma must be a finite number > 0, got -1.0",
     ),
     # belief kinds
     "belief-unknown-kind": (
@@ -847,7 +847,8 @@ _PINNED_ERRORS = {
         _population_doc(sweep={"q_max": "1"}), (), None, "sweep.q_max: expected a number"
     ),
     "sweep-constructor": (
-        _population_doc(sweep={"q_step": 0.0}), (), None, "sweep: q_step must be > 0"
+        _population_doc(sweep={"q_step": 0.0}), (), None,
+        "sweep: q_step must be a finite number > 0, got 0.0",
     ),
     "sweep-constructor-point-count": (
         _population_doc(sweep={"q_step": 1e-320}), (), None,
@@ -892,7 +893,7 @@ _PINNED_ERRORS = {
     ),
     "type-constructor": (
         _population_doc(), ("population", "types", 0, "weight"), -0.5,
-        "population.types[0]: type weight must be positive and finite",
+        "population.types[0]: weight must be a finite number > 0, got -0.5",
     ),
     "type-not-object": (
         _population_doc(), ("population", "types", 1), [0.0, 1.0],
@@ -927,7 +928,8 @@ _PINNED_ERRORS = {
         f"{_B}.kind: unknown belief kind 'dirichlet'",
     ),
     "z-cell-constructor": (
-        _treatment_doc(), _Z + ("p_xz",), 2, f"{_ZP}: p_xz must lie in [0, 1]"
+        _treatment_doc(), _Z + ("p_xz",), 2,
+        f"{_ZP}: p_xz must be a number in [0, 1], got 2.0",
     ),
     "x-cell-constructor": (
         _treatment_doc(), _Z + ("p_z_given_x",), 0.5,

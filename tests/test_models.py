@@ -11,20 +11,32 @@ from hypothesis import strategies as st
 from choicewelfare import (
     ActionSet,
     AlphaRational,
+    BetaBelief,
     ChoiceProbabilities,
+    CovariateCell,
     DefaultNudge,
+    EmpiricalBelief,
     GumbelIID,
+    HotellingScenario,
     IndependentTable,
     Logit,
     MCConfig,
+    MixtureBelief,
     NormalIID,
+    OutcomeUtilities,
+    PointMassBelief,
     RandomUtilityMC,
     RationalMax,
+    SweepConfig,
+    SweepGrid,
+    UniformBelief,
     UniformBoundedIID,
     UtilityType,
+    XCell,
     binary_scaled_choice_prob,
     build_population,
     choice_probabilities,
+    find_crossings,
     optimize_choice_set,
     policy_welfare,
     sample_errors,
@@ -248,36 +260,199 @@ def test_error_spec_validation():
             NormalIID(sigma=bad)
 
 
-# Each numeric field with a way to build its model from one value. A float
+# The rule each number-checking message states.
+FINITE = "a finite number"
+NON_NEGATIVE = "a finite number >= 0"
+POSITIVE = "a finite number > 0"
+UNIT = "a number in [0, 1]"
+WHOLE = "a whole number"
+
+_U = OutcomeUtilities.from_components(1.0, 0.0, 0.0, 1.0)
+
+# Each numeric field, keyed by the name its messages use (after a class name
+# where two classes share it), with a way to build its object from one value
+# and read the stored value back, and the rule the value must meet. A float
 # field is stored as a Python float and an integer field as a Python int,
 # whatever number type it was given.
 NUMERIC_FIELDS = {
-    "scale": (lambda v: GumbelIID(scale=v), float),
-    "delta": (lambda v: UniformBoundedIID(delta=v), float),
-    "sigma": (lambda v: NormalIID(sigma=v), float),
-    "q": (lambda v: Logit(q=v), float),
-    "alpha": (lambda v: AlphaRational(alpha=v, background=[0.5, 0.5]), float),
-    "gamma": (lambda v: DefaultNudge(default_action=0, gamma=v, base=RationalMax()), float),
-    "samples": (lambda v: MCConfig(samples=v), int),
-    "seed": (lambda v: MCConfig(seed=v), int),
+    "scale": (lambda v: GumbelIID(scale=v).scale, POSITIVE),
+    "delta": (lambda v: UniformBoundedIID(delta=v).delta, POSITIVE),
+    "sigma": (lambda v: NormalIID(sigma=v).sigma, POSITIVE),
+    "q": (lambda v: Logit(q=v).q, NON_NEGATIVE),
+    "alpha": (lambda v: AlphaRational(alpha=v, background=[0.5, 0.5]).alpha, UNIT),
+    "gamma": (
+        lambda v: DefaultNudge(default_action=0, gamma=v, base=RationalMax()).gamma,
+        NON_NEGATIVE,
+    ),
+    "samples": (lambda v: MCConfig(samples=v).samples, WHOLE),
+    "seed": (lambda v: MCConfig(seed=v).seed, WHOLE),
     "default_action": (
-        lambda v: DefaultNudge(default_action=v, gamma=0.1, base=RationalMax()),
-        int,
+        lambda v: DefaultNudge(default_action=v, gamma=0.1, base=RationalMax()).default_action,
+        WHOLE,
+    ),
+    "q_min": (lambda v: SweepConfig(q_min=v).q_min, NON_NEGATIVE),
+    "q_max": (lambda v: SweepConfig(q_max=v).q_max, FINITE),
+    "q_step": (lambda v: SweepConfig(q_step=v).q_step, POSITIVE),
+    "UtilityType.weight": (lambda v: UtilityType([0.0], weight=v).weight, POSITIVE),
+    "pi": (lambda v: PointMassBelief(pi=v).pi, UNIT),
+    "lo": (lambda v: UniformBelief(lo=v, hi=1.0).lo, UNIT),
+    "hi": (lambda v: UniformBelief(lo=0.0, hi=v).hi, UNIT),
+    "a": (lambda v: BetaBelief(a=v, b=1.0).a, POSITIVE),
+    "b": (lambda v: BetaBelief(a=1.0, b=v).b, POSITIVE),
+    "mixture weight": (
+        lambda v: MixtureBelief((PointMassBelief(0.5),), weights=(v,)).weights[0],
+        POSITIVE,
+    ),
+    "p_z_given_x": (lambda v: CovariateCell("z", v, 0.5).p_z_given_x, POSITIVE),
+    "p_xz": (lambda v: CovariateCell("z", 1.0, v).p_xz, UNIT),
+    "XCell.weight": (
+        lambda v: XCell("x", v, _U, (CovariateCell("z", 1.0, 0.5),)).weight, POSITIVE
     ),
 }
+# A valid value other than 1, where 1 is not valid.
+_VALID = {"lo": 0}
 
 
 @pytest.mark.parametrize("field", NUMERIC_FIELDS)
 def test_numeric_fields_store_python_numbers_and_refuse_the_rest(field):
-    build, kind = NUMERIC_FIELDS[field]
-    for value in (1, np.float32(1.0), np.int64(1)):
-        stored = getattr(build(value), field)
-        assert type(stored) is kind and stored == 1
-    with pytest.raises(ValueError):
-        build("x")
-    if kind is int:
-        with pytest.raises(ValueError, match=f"^{field} must be a whole number, got 1.5$"):
-            build(1.5)
+    build, rule = NUMERIC_FIELDS[field]
+    name = field.rpartition(".")[2]
+    valid = _VALID.get(field, 1)
+    for value in (valid, np.float32(valid), np.int64(valid)):
+        stored = build(value)
+        assert type(stored) is (int if rule == WHOLE else float) and stored == valid
+    bad_values = ["1", b"1", True, np.bool_(True), float("nan"), float("inf"), None]
+    if rule == WHOLE:
+        bad_values.append(1.5)
+    for bad in bad_values:
+        with pytest.raises(ValueError) as info:
+            build(bad)
+        assert str(info.value) == f"{name} must be {rule}, got {bad!r}"
+
+
+_POP2 = build_population(
+    ActionSet(labels=("a", "b", "c")),
+    [UtilityType([0.0, 1.0, 2.0], 1.0), UtilityType([2.0, 1.0, 0.0], 1.0)],
+)
+_MC2 = RandomUtilityMC(error=NormalIID(sigma=1.0), samples=100, seed=0)
+
+
+# Integer and real arguments of functions, each with a call that passes a
+# bad one and the message it raises.
+ARGUMENT_CASES = {
+    "index-fraction": (
+        lambda: policy_welfare(_POP2, (0.9, 2), Logit(2.0)),
+        "action index must be a whole number, got 0.9",
+    ),
+    "index-text": (
+        lambda: policy_welfare(_POP2, (0, "2"), Logit(2.0)),
+        "action index must be a whole number, got '2'",
+    ),
+    "index-bool": (
+        lambda: choice_probabilities(U3, (0, True), RationalMax()),
+        "action index must be a whole number, got True",
+    ),
+    "index-crossings": (
+        lambda: find_crossings(_POP2, (0, 1.5), (2,), SweepConfig().grid()),
+        "action index must be a whole number, got 1.5",
+    ),
+    "index-available": (
+        lambda: ChoiceProbabilities(available=(np.float64(0.5),), probs=[1.0]),
+        "action index must be a whole number, got np.float64(0.5)",
+    ),
+    "count-fraction": (
+        lambda: sample_errors(NormalIID(sigma=1.0), 2.7, 2, seed=0),
+        "count must be a whole number, got 2.7",
+    ),
+    "count-text": (
+        lambda: sample_errors(NormalIID(sigma=1.0), "3", 2, seed=0),
+        "count must be a whole number, got '3'",
+    ),
+    "n_actions-fraction": (
+        lambda: sample_errors(NormalIID(sigma=1.0), 3, 2.5, seed=0),
+        "n_actions must be a whole number, got 2.5",
+    ),
+    "seed-fraction": (
+        lambda: sample_errors(NormalIID(sigma=1.0), 3, 2, seed=1.9),
+        "seed must be a whole number, got 1.9",
+    ),
+    "stream-text": (
+        lambda: choice_probabilities(U3, (0, 1), _MC2, stream="3"),
+        "stream must be a whole number, got '3'",
+    ),
+    "stream-fraction": (
+        lambda: choice_probabilities(U3, (0, 1), _MC2, stream=0.5),
+        "stream must be a whole number, got 0.5",
+    ),
+    "eta-text": (
+        lambda: policy_welfare(_POP2, None, RationalMax(), eta="0.5"),
+        "eta must be a number in [0, 1], got '0.5'",
+    ),
+    "eta-bool": (
+        lambda: policy_welfare(_POP2, None, RationalMax(), eta=True),
+        "eta must be a number in [0, 1], got True",
+    ),
+    "binary-q": (
+        lambda: binary_scaled_choice_prob([0.0, 1.0], np.zeros((4, 2)), "2"),
+        "q must be a finite number > 0, got '2'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_CASES)
+def test_number_arguments_are_whole_or_real_as_their_rule_says(case):
+    call, message = ARGUMENT_CASES[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# Each array field with a way to build its object from a pair of entries and
+# read the stored array back.
+ARRAY_FIELDS = {
+    "utilities": lambda v: UtilityType(v, weight=1.0).utilities,
+    "store_locations": lambda v: HotellingScenario(v, [0.0]).store_locations,
+    "person_locations": lambda v: HotellingScenario([0.0], v).person_locations,
+    "person_weights": lambda v: HotellingScenario([0.0], [0.0, 1.0], v).person_weights,
+    "q_values": lambda v: SweepGrid(v).q_values,
+    "outcome utilities": lambda v: OutcomeUtilities([v, v]).values[0],
+    "background probs": lambda v: IndependentTable(v).probs,
+    "probs": lambda v: ChoiceProbabilities((0, 1), v).probs,
+    "samples": lambda v: EmpiricalBelief(v).samples,
+}
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_array_fields_store_finite_float64_and_refuse_the_rest(field):
+    build = ARRAY_FIELDS[field]
+    for valid in ([0.25, 0.75], np.array([0.25, 0.75], dtype=np.float32)):
+        stored = build(valid)
+        assert stored.dtype == np.float64 and not stored.flags.writeable
+        assert np.array_equal(stored, [0.25, 0.75])
+    for bad in (
+        [0.5, "0.5"],
+        [True, False],
+        [0.5, True],
+        (0.5, np.bool_(False)),
+        [0.5, None],
+        [0.5, np.nan],
+        [np.inf, 0.5],
+    ):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite numbers, got array\("):
+            build(bad)
+
+
+def test_choice_functions_refuse_non_finite_utilities():
+    for call in (
+        lambda u: choice_probabilities(u, (0, 1), RationalMax()),
+        lambda u: binary_scaled_choice_prob(u, np.zeros((4, 2)), 1.0),
+    ):
+        for bad in ([0.0, np.nan], ["0", "1"], [False, True], [0.0, True]):
+            with pytest.raises(ValueError, match=r"^utilities must be finite numbers"):
+                call(bad)
+    for bad in ([[0.0, 1.0], [np.nan, 0.0]], [["0.5", "1"], [0.0, 0.0]], [[0.0, True]]):
+        with pytest.raises(ValueError, match=r"^base_errors must be finite numbers"):
+            binary_scaled_choice_prob([0.0, 1.0], bad, 1.0)
 
 
 # --- Monte Carlo random-utility model ---

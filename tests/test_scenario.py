@@ -26,6 +26,11 @@ def test_action_set_rejects_empty_and_duplicates():
         ActionSet(labels=())
     with pytest.raises(ValueError):
         ActionSet(labels=("a", "a"))
+    # One string is one label's text, not a sequence of one-letter labels.
+    for labels in ("abc", b"abc"):
+        with pytest.raises(ValueError) as info:
+            ActionSet(labels=labels)
+        assert str(info.value) == f"labels must be a sequence of labels, got {labels!r}"
 
 
 def test_action_set_unknown_label():

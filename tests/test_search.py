@@ -106,7 +106,7 @@ def test_from_range_validation():
     "bounds", [(float("nan"), 10.0), (0.0, float("inf")), (float("-inf"), 1.0)]
 )
 def test_from_range_rejects_non_finite_bounds(bounds):
-    with pytest.raises(ValueError, match="q_min and q_max must be finite"):
+    with pytest.raises(ValueError, match="^q_m(in|ax) must be a finite number"):
         SweepConfig(*bounds, 0.1)
 
 

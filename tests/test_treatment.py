@@ -279,7 +279,7 @@ def test_mixture_belief_validation():
     with pytest.raises(ValueError):
         MixtureBelief(components=(inner, PointMassBelief(pi=0.1)), weights=(0.5, 0.5))
     for weights in ((float("nan"),), (float("nan"), 1.0)):
-        with pytest.raises(ValueError, match="mixture weights must be positive"):
+        with pytest.raises(ValueError, match="^mixture weight must be a finite number > 0"):
             MixtureBelief(
                 components=(PointMassBelief(pi=0.5),) * len(weights), weights=weights
             )
@@ -296,7 +296,7 @@ def test_empirical_belief_counts_exactly():
     with pytest.raises(ValueError):
         EmpiricalBelief(samples=np.array([]))
     for bad in ([0.2, np.nan], [np.nan]):
-        with pytest.raises(ValueError, match=r"samples must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"^samples must be finite numbers"):
             EmpiricalBelief(samples=bad)
 
 
@@ -775,9 +775,10 @@ def test_bounded_rational_welfare_by_primitive_events(reference_cell):
 def test_bounded_rational_welfare_validation(reference_cell):
     with pytest.raises(ValueError, match="q_map missing"):
         bounded_rational_welfare_x(reference_cell, {"z1": 0.5})
-    bad = {"z1": 0.5, "z2": 1.5}
-    with pytest.raises(ValueError):
-        bounded_rational_welfare_x(reference_cell, bad)
+    for bad in (1.5, "0.5", True, np.bool_(True), np.nan):
+        with pytest.raises(ValueError) as info:
+            bounded_rational_welfare_x(reference_cell, {"z1": 0.5, "z2": bad})
+        assert str(info.value) == f"z cell 'z2': q must be a number in [0, 1], got {bad!r}"
 
 
 def test_belief_q_map_reference(reference_cell):
