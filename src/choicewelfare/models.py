@@ -31,18 +31,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._kernels import argmax_tally
-from .scenario import PROB_SUM_TOL, _fields_equal, _frozen_array, _real, _whole_number
-
-
-def _validate_prob_vector(probs, name: str) -> NDArray[np.float64]:
-    probs = _frozen_array(probs, name)
-    if probs.ndim != 1 or probs.shape[0] == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d vector")
-    if np.any(probs < 0.0):
-        raise ValueError(f"{name} entries must be non-negative")
-    if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"{name} must sum to 1 within {PROB_SUM_TOL}")
-    return probs
+from .scenario import (
+    _fields_equal, _frozen_array, _real, _unit_sum, _vector, _whole_number
+)
 
 
 # --- error distributions for the random-utility model ---
@@ -102,9 +93,9 @@ class IndependentTable:
     probs: NDArray[np.float64]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "probs", _validate_prob_vector(self.probs, "background probs")
-        )
+        probs = _vector(self.probs, "background probs", ">= 0")
+        _unit_sum(probs, "background probs")
+        object.__setattr__(self, "probs", probs)
 
     __eq__ = _fields_equal
 
@@ -119,11 +110,9 @@ class AlphaRational:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _real(self.alpha, "alpha", "[0, 1]"))
-        object.__setattr__(
-            self,
-            "background",
-            _validate_prob_vector(self.background, "background probs"),
-        )
+        background = _vector(self.background, "background probs", ">= 0")
+        _unit_sum(background, "background probs")
+        object.__setattr__(self, "background", background)
 
     __eq__ = _fields_equal
 
@@ -216,12 +205,10 @@ class ChoiceProbabilities:
     probs: NDArray[np.float64]
 
     def __post_init__(self):
-        probs = _frozen_array(self.probs, "probs")
+        probs = _frozen_array(self.probs, "probs", ">= 0")
         available = tuple(_whole_number(i, "action index") for i in self.available)
         if probs.ndim != 1 or probs.shape[0] != len(available):
             raise ValueError("probs length must match available")
-        if np.any(probs < 0.0):
-            raise ValueError("probs must be non-negative")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ValueError("probs must sum to 1 within 1e-9")
         object.__setattr__(self, "available", available)
@@ -306,12 +293,13 @@ def choice_probabilities(
     describes the draws). A subset on which the model leaves choice undefined
     raises ValueError.
     """
-    utilities = _frozen_array(utilities, "utilities")
-    if utilities.ndim != 1:
-        raise ValueError("utilities must be a 1-d vector")
+    utilities = _vector(utilities, "utilities")
     avail = _validate_available(available, utilities.shape[0])
     one_subset = [np.array([avail])]
-    streams = [_whole_number(stream, "stream")]
+    stream = _whole_number(stream, "stream")
+    if stream < 0:
+        raise ValueError(f"stream must be >= 0, got {stream!r}")
+    streams = [stream]
     block = block_choice_probabilities(utilities[None], one_subset, model, streams)
     return ChoiceProbabilities(available=avail, probs=_defined(block[0][0, 0]))
 

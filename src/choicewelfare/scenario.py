@@ -11,10 +11,14 @@ action falls with the squared distance between the person's location and the
 action's location (single-peaked preferences).
 
 This module is also the one place where the library converts and checks a
-number it is given: `_real` for one real number within a bound,
-`_whole_number` for an integer, and `_frozen_array` for an array of finite
-numbers. Each refuses text, booleans, NaN and the infinities, and raises
-ValueError("<name> must be <rule>, got <value>").
+number or an array it is given: `_real` for one real number within a bound,
+`_whole_number` for an integer, `_frozen_array` for an array whose entries lie
+within a bound, `_vector` for such an array that is non-empty and 1-d, and
+`_unit_sum` for weights that must sum to 1. The first three refuse text,
+booleans, NaN and the infinities, and raise
+ValueError("<name> must be <rule>, got <value>"); the other two raise
+"<name> must be a non-empty 1-d vector" and
+"<name> must sum to 1 within 1e-12, got <total>".
 """
 
 import math
@@ -32,22 +36,23 @@ PROB_SUM_TOL = 1e-12
 # What float() and int() would take but no number rule does.
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
-# The bounds of _real: the rule its message states, and the closed float
-# interval [lo, hi] that holds exactly the floats the rule admits (x > 0 is
-# x >= the least subnormal). NaN lies in no interval.
+# The bounds of _real and _frozen_array: the rule their messages state, for
+# one number and for an array's entries, and the closed float interval
+# [lo, hi] that holds exactly the floats the rule admits (x > 0 is x >= the
+# least subnormal). NaN lies in no interval.
 _LARGEST = sys.float_info.max
 _REAL_BOUNDS = {
-    "finite": ("a finite number", -_LARGEST, _LARGEST),
-    ">= 0": ("a finite number >= 0", 0.0, _LARGEST),
-    "> 0": ("a finite number > 0", math.ulp(0.0), _LARGEST),
-    "[0, 1]": ("a number in [0, 1]", 0.0, 1.0),
+    "finite": ("a finite number", "finite numbers", -_LARGEST, _LARGEST),
+    ">= 0": ("a finite number >= 0", "finite numbers >= 0", 0.0, _LARGEST),
+    "> 0": ("a finite number > 0", "finite numbers > 0", math.ulp(0.0), _LARGEST),
+    "[0, 1]": ("a number in [0, 1]", "numbers in [0, 1]", 0.0, 1.0),
 }
 
 
 def _real(value, name: str, bound: str) -> float:
     """`value` as a Python float within `bound`, one of "finite", ">= 0",
     "> 0" and "[0, 1]"."""
-    rule, lo, hi = _REAL_BOUNDS[bound]
+    rule, _, lo, hi = _REAL_BOUNDS[bound]
     real = value
     if type(real) is not float:  # a parsed scenario's numbers skip this
         try:
@@ -79,16 +84,35 @@ def _holds_bool(values) -> bool:
     return isinstance(values, (bool, np.bool_))
 
 
-def _frozen_array(values, name: str) -> NDArray[np.float64]:
+def _frozen_array(values, name: str, bound: str = "finite") -> NDArray[np.float64]:
     """A new read-only float64 copy of `values`, whose entries must be
-    finite numbers: text, booleans and objects are refused."""
+    numbers within `bound` (as for `_real`): text, booleans and objects are
+    refused."""
+    _, rule, lo, hi = _REAL_BOUNDS[bound]
     arr = np.array(values)
     if arr.dtype.kind in "iuf" and not _holds_bool(values):
         arr = arr.astype(np.float64, copy=False)
-        if np.isfinite(arr).all():
+        if ((lo <= arr) & (arr <= hi)).all():
             arr.setflags(write=False)
             return arr
-    raise ValueError(f"{name} must be finite numbers, got {arr!r}")
+    raise ValueError(f"{name} must be {rule}, got {arr!r}")
+
+
+def _vector(values, name: str, bound: str = "finite") -> NDArray[np.float64]:
+    """`_frozen_array(values, name, bound)`, which must be non-empty and 1-d."""
+    arr = _frozen_array(values, name, bound)
+    if arr.ndim != 1 or arr.shape[0] == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d vector")
+    return arr
+
+
+def _unit_sum(values, name: str) -> None:
+    """Refuse weights whose sum is more than PROB_SUM_TOL from 1. math.fsum
+    rounds the exact sum once, so the verdict does not depend on the order
+    of the entries."""
+    total = math.fsum(values)
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"{name} must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
 
 
 def _fields_equal(self, other):
@@ -157,10 +181,7 @@ class UtilityType:
     weight: float
 
     def __post_init__(self):
-        utilities = _frozen_array(self.utilities, "utilities")
-        if utilities.ndim != 1:
-            raise ValueError("utilities must be a 1-d vector")
-        object.__setattr__(self, "utilities", utilities)
+        object.__setattr__(self, "utilities", _vector(self.utilities, "utilities"))
         object.__setattr__(self, "weight", _real(self.weight, "weight", "> 0"))
 
     __eq__ = _fields_equal
@@ -189,15 +210,12 @@ class Population:
                     f"type {idx}: utilities length {typ.utilities.shape[0]} "
                     f"does not match action count {n}"
                 )
-        total = float(np.sum([typ.weight for typ in types]))
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(
-                f"type weights must sum to 1 within {PROB_SUM_TOL}, got {total!r}"
-            )
+        weights = [typ.weight for typ in types]
+        _unit_sum(weights, "type weights")
         object.__setattr__(self, "types", types)
         # Built once: every sweep, welfare and search path reads these, and
         # both are immutable, so all accesses share the same arrays.
-        weights = np.array([typ.weight for typ in types], dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
         utility_matrix = np.stack([typ.utilities for typ in types])
         weights.setflags(write=False)
         utility_matrix.setflags(write=False)
@@ -241,24 +259,17 @@ class HotellingScenario:
     person_weights: Optional[NDArray[np.float64]] = None
 
     def __post_init__(self):
-        stores = _frozen_array(self.store_locations, "store_locations")
-        persons = _frozen_array(self.person_locations, "person_locations")
-        if stores.ndim != 1 or stores.shape[0] == 0:
-            raise ValueError("store_locations must be a non-empty vector")
-        if persons.ndim != 1 or persons.shape[0] == 0:
-            raise ValueError("person_locations must be a non-empty vector")
+        stores = _vector(self.store_locations, "store_locations")
+        persons = _vector(self.person_locations, "person_locations")
         object.__setattr__(self, "store_locations", stores)
         object.__setattr__(self, "person_locations", persons)
         if self.person_weights is not None:
-            w = _frozen_array(self.person_weights, "person_weights")
+            w = _vector(self.person_weights, "person_weights", "> 0")
             if w.shape != persons.shape:
                 raise ValueError(
                     "person_weights length must match person_locations"
                 )
-            if np.any(w <= 0.0):
-                raise ValueError("person_weights must be positive")
-            if abs(float(w.sum()) - 1.0) > PROB_SUM_TOL:
-                raise ValueError("person_weights must sum to 1")
+            _unit_sum(w, "person_weights")
             object.__setattr__(self, "person_weights", w)
 
     __eq__ = _fields_equal

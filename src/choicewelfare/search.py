@@ -31,7 +31,7 @@ from .models import (
     _validate_available,
     block_choice_probabilities,
 )
-from .scenario import ActionSet, Population, _fields_equal, _frozen_array, _real
+from .scenario import ActionSet, Population, _fields_equal, _real, _vector
 # policy_welfare is not called here: optimize_choice_set reproduces its welfare
 # bit for bit, and perfbench/spans.py wraps the name as search.policy_welfare.
 from .welfare import expected_value, policy_welfare  # noqa: F401
@@ -40,8 +40,8 @@ MAX_ACTIONS = 20
 
 # |difference| at or below this is "touching", not a sign change.
 TOUCH_TOL = 1e-12
-BISECT_INTERVAL_TOL = 1e-6
-BISECT_VALUE_TOL = 1e-8
+REFINE_INTERVAL_TOL = 1e-6
+REFINE_VALUE_TOL = 1e-8
 # Iterations one crossing's refinement may take before it is reported as not
 # converged; a smooth gap converges in about four.
 REFINE_MAX_ITERATIONS = 100
@@ -108,11 +108,7 @@ class SweepGrid:
     q_values: NDArray[np.float64]
 
     def __post_init__(self):
-        q = _frozen_array(self.q_values, "q_values")
-        if q.ndim != 1 or q.shape[0] == 0:
-            raise ValueError("grid must be a non-empty 1-d vector")
-        if np.any(q < 0.0):
-            raise ValueError("grid values must be >= 0")
+        q = _vector(self.q_values, "q_values", ">= 0")
         if q.shape[0] > 1 and np.any(np.diff(q) <= 0.0):
             raise ValueError("grid values must be strictly increasing")
         object.__setattr__(self, "q_values", q)
@@ -322,8 +318,8 @@ def _illinois(gap, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
 
     Regula falsi steps, with the Illinois halving of the end value kept twice
     in a row, and bisection when a step does not land strictly inside the
-    bracket. Returns q with |gap(q)| <= BISECT_VALUE_TOL and a sign change of
-    gap within BISECT_INTERVAL_TOL of q. When the value tolerance is met but
+    bracket. Returns q with |gap(q)| <= REFINE_VALUE_TOL and a sign change of
+    gap within REFINE_INTERVAL_TOL of q. When the value tolerance is met but
     the opposite-signed end is further away, one probe half an interval
     tolerance toward it proves the sign change or narrows the bracket.
     """
@@ -336,11 +332,11 @@ def _illinois(gap, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
         f = gap(q)
         if f == 0.0:
             return q
-        if abs(f) <= BISECT_VALUE_TOL:
+        if abs(f) <= REFINE_VALUE_TOL:
             far = hi if (f > 0.0) == (f_lo > 0.0) else lo
-            if abs(far - q) <= BISECT_INTERVAL_TOL:
+            if abs(far - q) <= REFINE_INTERVAL_TOL:
                 return q
-            probe = q + math.copysign(0.5 * BISECT_INTERVAL_TOL, far - q)
+            probe = q + math.copysign(0.5 * REFINE_INTERVAL_TOL, far - q)
             f_probe = gap(probe)
             if f_probe == 0.0 or (f_probe > 0.0) != (f > 0.0):
                 return q

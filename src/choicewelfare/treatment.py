@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .scenario import PROB_SUM_TOL, _fields_equal, _frozen_array, _real
+from .scenario import _fields_equal, _frozen_array, _real, _unit_sum, _vector
 
 TREATMENT_A = "A"
 TREATMENT_B = "B"
@@ -316,8 +316,7 @@ class MixtureBelief:
                 raise ValueError(
                     "mixture components must be point-mass, uniform, or beta"
                 )
-        if abs(sum(weights) - 1.0) > PROB_SUM_TOL:
-            raise ValueError("mixture weights must sum to 1")
+        _unit_sum(weights, "mixture weights")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "weights", weights)
 
@@ -344,12 +343,7 @@ class EmpiricalBelief:
     samples: NDArray[np.float64]
 
     def __post_init__(self):
-        samples = _frozen_array(self.samples, "samples")
-        if samples.ndim != 1 or samples.shape[0] == 0:
-            raise ValueError("samples must be a non-empty vector")
-        if not np.all((samples >= 0.0) & (samples <= 1.0)):
-            raise ValueError("samples must lie in [0, 1]")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _vector(self.samples, "samples", "[0, 1]"))
 
     __eq__ = _fields_equal
 
@@ -416,11 +410,7 @@ class XCell:
         labels = [c.z_label for c in z_cells]
         if len(set(labels)) != len(labels):
             raise ValueError("z labels must be unique within an x cell")
-        total = sum(c.p_z_given_x for c in z_cells)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(
-                f"x cell {self.x_label!r}: P(z|x) must sum to 1, got {total!r}"
-            )
+        _unit_sum((c.p_z_given_x for c in z_cells), f"x cell {self.x_label!r}: P(z|x)")
         if len({c.p_xz for c in z_cells}) == 1 and len(z_cells) > 1:
             warnings.warn(
                 f"x cell {self.x_label!r}: p_xz is constant across z; private "
@@ -452,9 +442,7 @@ class TreatmentScenario:
         labels = [c.x_label for c in x_cells]
         if len(set(labels)) != len(labels):
             raise ValueError("x labels must be unique")
-        total = sum(c.weight for c in x_cells)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"P(x) weights must sum to 1, got {total!r}")
+        _unit_sum((c.weight for c in x_cells), "P(x) weights")
         object.__setattr__(self, "x_cells", x_cells)
 
 

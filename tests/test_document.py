@@ -758,13 +758,14 @@ _PINNED_ERRORS = {
     ),
     "model-constructor-alpha": (
         _with_model({"kind": "alpha_rational", "alpha": 0.5, "background": [0.5, 0.6]}),
-        (), None, "population.models.m: background probs must sum to 1 within 1e-12",
+        (), None,
+        "population.models.m: background probs must sum to 1 within 1e-12, got 1.1",
     ),
     # The only message the table-driven parser changed: the parent prefixed
     # it with "population.models.m.probs", unlike every other kind.
     "model-constructor-table": (
         _with_model({"kind": "independent_table", "probs": [0.5, 0.6]}), (), None,
-        "population.models.m: background probs must sum to 1 within 1e-12",
+        "population.models.m: background probs must sum to 1 within 1e-12, got 1.1",
     ),
     "model-unknown-label": (
         _with_model({**_NUDGE, "default_action": "zzz", "base": {"kind": "rational_max"}}),
@@ -830,11 +831,11 @@ _PINNED_ERRORS = {
     ),
     "belief-constructor-mixture": (
         _with_belief(_mixture(weights=[0.5, 0.25])), (), None,
-        f"{_B}: mixture weights must sum to 1",
+        f"{_B}: mixture weights must sum to 1 within 1e-12, got 0.75",
     ),
     "belief-constructor-empirical": (
         _with_belief({"kind": "empirical", "samples": [0.5, 1.5]}), (), None,
-        f"{_B}: samples must lie in [0, 1]",
+        f"{_B}: samples must be numbers in [0, 1], got array([0.5, 1.5])",
     ),
     # flat sections
     "sweep-not-object": (
@@ -933,11 +934,11 @@ _PINNED_ERRORS = {
     ),
     "x-cell-constructor": (
         _treatment_doc(), _Z + ("p_z_given_x",), 0.5,
-        f"{_XP}: x cell 'x1': P(z|x) must sum to 1, got 0.9",
+        f"{_XP}: x cell 'x1': P(z|x) must sum to 1 within 1e-12, got 0.9",
     ),
     "treatment-constructor": (
         _treatment_doc(), _X + ("weight",), 0.5,
-        "treatment.x_cells: P(x) weights must sum to 1, got 0.5",
+        "treatment.x_cells: P(x) weights must sum to 1 within 1e-12, got 0.5",
     ),
 }
 

@@ -25,10 +25,12 @@ from choicewelfare import (
     NormalIID,
     OutcomeUtilities,
     PointMassBelief,
+    Population,
     RandomUtilityMC,
     RationalMax,
     SweepConfig,
     SweepGrid,
+    TreatmentScenario,
     UniformBelief,
     UniformBoundedIID,
     UtilityType,
@@ -384,6 +386,16 @@ ARGUMENT_CASES = {
         lambda: choice_probabilities(U3, (0, 1), _MC2, stream=0.5),
         "stream must be a whole number, got 0.5",
     ),
+    # Negative seeds wrap (see sample_errors); a negative stream is refused
+    # whatever the model, before numpy's SeedSequence could refuse it unnamed.
+    "stream-negative": (
+        lambda: choice_probabilities(U3, (0, 1), _MC2, stream=-1),
+        "stream must be >= 0, got -1",
+    ),
+    "stream-negative-analytic": (
+        lambda: choice_probabilities(U3, (0, 1), RationalMax(), stream=-1),
+        "stream must be >= 0, got -1",
+    ),
     "eta-text": (
         lambda: policy_welfare(_POP2, None, RationalMax(), eta="0.5"),
         "eta must be a number in [0, 1], got '0.5'",
@@ -408,28 +420,47 @@ def test_number_arguments_are_whole_or_real_as_their_rule_says(case):
 
 
 # Each array field with a way to build its object from a pair of entries and
-# read the stored array back.
+# read the stored array back, the rule its entries keep, and whether it must
+# be a non-empty 1-d vector.
 ARRAY_FIELDS = {
-    "utilities": lambda v: UtilityType(v, weight=1.0).utilities,
-    "store_locations": lambda v: HotellingScenario(v, [0.0]).store_locations,
-    "person_locations": lambda v: HotellingScenario([0.0], v).person_locations,
-    "person_weights": lambda v: HotellingScenario([0.0], [0.0, 1.0], v).person_weights,
-    "q_values": lambda v: SweepGrid(v).q_values,
-    "outcome utilities": lambda v: OutcomeUtilities([v, v]).values[0],
-    "background probs": lambda v: IndependentTable(v).probs,
-    "probs": lambda v: ChoiceProbabilities((0, 1), v).probs,
-    "samples": lambda v: EmpiricalBelief(v).samples,
+    "utilities": (lambda v: UtilityType(v, weight=1.0).utilities, "finite numbers", True),
+    "store_locations": (
+        lambda v: HotellingScenario(v, [0.0]).store_locations, "finite numbers", True
+    ),
+    "person_locations": (
+        lambda v: HotellingScenario([0.0], v).person_locations, "finite numbers", True
+    ),
+    "person_weights": (
+        lambda v: HotellingScenario([0.0], [0.0, 1.0], v).person_weights,
+        "finite numbers > 0", True,
+    ),
+    "q_values": (lambda v: SweepGrid(v).q_values, "finite numbers >= 0", True),
+    "outcome utilities": (
+        lambda v: OutcomeUtilities([v, v]).values[0], "finite numbers", False
+    ),
+    "background probs": (
+        lambda v: IndependentTable(v).probs, "finite numbers >= 0", True
+    ),
+    "probs": (
+        lambda v: ChoiceProbabilities((0, 1), v).probs, "finite numbers >= 0", False
+    ),
+    "samples": (lambda v: EmpiricalBelief(v).samples, "numbers in [0, 1]", True),
+}
+
+# A finite number outside each bounded rule.
+_OUTSIDE = {
+    "finite numbers >= 0": -0.25, "finite numbers > 0": 0.0, "numbers in [0, 1]": 1.25
 }
 
 
 @pytest.mark.parametrize("field", ARRAY_FIELDS)
 def test_array_fields_store_finite_float64_and_refuse_the_rest(field):
-    build = ARRAY_FIELDS[field]
+    build, rule, vector = ARRAY_FIELDS[field]
     for valid in ([0.25, 0.75], np.array([0.25, 0.75], dtype=np.float32)):
         stored = build(valid)
         assert stored.dtype == np.float64 and not stored.flags.writeable
         assert np.array_equal(stored, [0.25, 0.75])
-    for bad in (
+    bad_entries = [
         [0.5, "0.5"],
         [True, False],
         [0.5, True],
@@ -437,9 +468,71 @@ def test_array_fields_store_finite_float64_and_refuse_the_rest(field):
         [0.5, None],
         [0.5, np.nan],
         [np.inf, 0.5],
-    ):
-        with pytest.raises(ValueError, match=rf"^{field} must be finite numbers, got array\("):
+    ]
+    if rule in _OUTSIDE:
+        bad_entries.append([_OUTSIDE[rule], 0.75])
+    for bad in bad_entries:
+        with pytest.raises(ValueError) as info:
             build(bad)
+        assert str(info.value).startswith(f"{field} must be {rule}, got array(")
+    for bad in ([], [[0.25, 0.75]]) if vector else ():
+        with pytest.raises(ValueError) as info:
+            build(bad)
+        assert str(info.value) == f"{field} must be a non-empty 1-d vector"
+
+
+_OPPOSED = OutcomeUtilities([[1.0, 0.0], [0.0, 1.0]])
+
+
+def _x_cell(weights):
+    # p_xz varies across z, so the cell gives no constant-p_xz warning.
+    n = len(weights)
+    z_cells = [CovariateCell(f"z{i}", w, i / n) for i, w in enumerate(weights)]
+    return XCell("x1", 1.0, _OPPOSED, z_cells)
+
+
+def _population(weights):
+    # One type object per distinct weight: 100,000 would take seconds.
+    types = {w: UtilityType([0.0], w) for w in set(weights)}
+    return Population(ActionSet(("a",)), [types[w] for w in weights])
+
+
+def _treatment(weights):
+    z_cells = (CovariateCell("z1", 1.0, 0.5),)
+    x_cells = [XCell(f"x{i}", w, _OPPOSED, z_cells) for i, w in enumerate(weights)]
+    return TreatmentScenario(x_cells)
+
+
+# Each sum-to-one site: the name its message gives the weights, and a way to
+# build its object from a sequence of weights.
+UNIT_SUM_SITES = {
+    "table": ("background probs", IndependentTable),
+    "alpha": ("background probs", lambda w: AlphaRational(0.5, w)),
+    "population": ("type weights", _population),
+    "hotelling": (
+        "person_weights", lambda w: HotellingScenario([0.0], np.zeros(len(w)), w)
+    ),
+    "mixture": (
+        "mixture weights", lambda w: MixtureBelief([PointMassBelief(0.5)] * len(w), w)
+    ),
+    "x cell": ("x cell 'x1': P(z|x)", _x_cell),
+    "treatment": ("P(x) weights", _treatment),
+}
+
+_MANY = 100_000
+
+
+@pytest.mark.parametrize("site", UNIT_SUM_SITES)
+def test_weights_sum_to_one_whatever_their_count_and_order(site):
+    name, build = UNIT_SUM_SITES[site]
+    with pytest.raises(ValueError) as info:
+        build([0.5, 0.25])
+    assert str(info.value) == f"{name} must sum to 1 within 1e-12, got 0.75"
+    # Left to right, 100,000 weights of 1e-5 sum to 1 - 1.9e-12, and so do
+    # 0.5 then 99,999 equal weights, which in reverse order sum to 1 - 7.9e-13.
+    skewed = [0.5] + [0.5 / (_MANY - 1)] * (_MANY - 1)
+    for weights in ([1.0 / _MANY] * _MANY, skewed, skewed[::-1]):
+        build(weights)
 
 
 def test_choice_functions_refuse_non_finite_utilities():

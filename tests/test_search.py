@@ -44,7 +44,7 @@ from choicewelfare import (
 from choicewelfare import _kernels, search
 from choicewelfare.models import _beaten_tally, _subset_sums
 from choicewelfare.search import (
-    BISECT_VALUE_TOL,
+    REFINE_VALUE_TOL,
     TALLY_CHUNK_ELEMENTS,
     TOUCH_TOL,
     _illinois,
@@ -417,7 +417,7 @@ def test_refinement_that_cannot_converge_names_its_bracket():
 
     def noisy_gap(q):
         value = (q - 0.3) + rng.uniform(-1e-6, 1e-6)
-        return math.copysign(max(abs(value), 10 * BISECT_VALUE_TOL), value)
+        return math.copysign(max(abs(value), 10 * REFINE_VALUE_TOL), value)
 
     with pytest.raises(RefinementError, match=r"\[0\.25, 0\.35\]"):
         _illinois(noisy_gap, 0.25, 0.35, noisy_gap(0.25), noisy_gap(0.35))

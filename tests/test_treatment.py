@@ -296,7 +296,7 @@ def test_empirical_belief_counts_exactly():
     with pytest.raises(ValueError):
         EmpiricalBelief(samples=np.array([]))
     for bad in ([0.2, np.nan], [np.nan]):
-        with pytest.raises(ValueError, match=r"^samples must be finite numbers"):
+        with pytest.raises(ValueError, match=r"^samples must be numbers in \[0, 1\]"):
             EmpiricalBelief(samples=bad)
 
 
