@@ -39,20 +39,18 @@ are read by hand, because the models refer to the labels.
 Parsing is strict: unknown fields, wrong types, unresolved labels, and
 violated invariants all raise ScenarioError naming the path of the offending
 field (e.g. ``population.types[2].weight``); syntax errors carry the line and
-column reported by the JSON parser. A number array (utilities, samples,
-probabilities, locations) is checked in one vectorised pass over the whole
-list; the per-element pass runs only when that check fails, to name the first
-bad element. parse -> serialize -> parse is an identity on documents.
+column reported by the JSON parser. A number or number array is handed to its
+constructor as JSON gave it, so the number rules of ``scenario`` are the only
+check, and their message follows the record's path
+(``population.types[2]: utilities[4] must be a finite number, got '1'``).
+parse -> serialize -> parse is an identity on documents.
 """
 
 import functools
 import inspect
 import json
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, NamedTuple, Optional
-
-import numpy as np
 
 from .models import (
     AlphaRational,
@@ -139,23 +137,8 @@ def _get(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
-def _as_number(value: Any, path: str) -> float:
-    # The common case: json reads a number with a fraction or exponent as float.
-    if type(value) is float and math.isfinite(value):
-        return value
-    # bool is an int subclass; reject it explicitly.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}: expected a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ScenarioError(f"{path}: number must be finite") from None
-    if not math.isfinite(value):
-        raise ScenarioError(f"{path}: number must be finite")
-    return value
-
-
 def _as_int(value: Any, path: str) -> int:
+    # Only for schema_version: a format tag, not a number the library stores.
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}: expected an integer")
     return value
@@ -171,23 +154,6 @@ def _as_list(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise ScenarioError(f"{path}: expected an array")
     return value
-
-
-def _as_number_array(value: Any, path: str) -> np.ndarray:
-    items = _as_list(value, path)
-    # One pass over the whole array. The type set excludes bool, str, None and
-    # nested lists; np.array raises OverflowError on an int beyond float range,
-    # and isfinite catches NaN and the infinities (json reads 1e400 as inf).
-    if set(map(type, items)) <= {float, int}:
-        try:
-            arr = np.array(items, dtype=np.float64)
-        except OverflowError:
-            pass
-        else:
-            if np.isfinite(arr).all():
-                return arr
-    # Some element is bad: check one at a time to name the first of them.
-    return np.array([_as_number(v, f"{path}[{i}]") for i, v in enumerate(items)])
 
 
 def _build(path: str, ctor, *args, **kwargs):
@@ -294,19 +260,16 @@ def _tagged_to_json(obj, ctx: _Context = _Context()) -> dict:
     return {"kind": kind, **_record_to_json(obj, record, ctx)}
 
 
-_NUMBER = _Codec(lambda v, path, ctx: _as_number(v, path), lambda v, ctx: v)
-_INT = _Codec(lambda v, path, ctx: _as_int(v, path), lambda v, ctx: v)
+# A number, or a number array, goes to its constructor unchanged.
+_NUMBER = _Codec(lambda v, path, ctx: v, lambda v, ctx: v)
+_NUMBER_ARRAY = _NUMBER._replace(write=lambda v, ctx: v.tolist())
 _LABEL = _Codec(lambda v, path, ctx: _as_str(v, path), lambda v, ctx: v, key="label")
-_NUMBER_ARRAY = _Codec(
-    lambda v, path, ctx: _as_number_array(v, path),
-    lambda v, ctx: [float(x) for x in v],
-)
 _ACTION_LABEL = _Codec(
     lambda v, path, ctx: _build(path, ctx.actions.index_of, _as_str(v, path)),
     lambda v, ctx: ctx.actions.labels[v],
 )
 # Sampler settings a model omits come from the document's mc section.
-_MC_INT = _INT._replace(absent=lambda ctx, name: getattr(ctx.mc, name))
+_MC_NUMBER = _NUMBER._replace(absent=lambda ctx, name: getattr(ctx.mc, name))
 
 
 def _one_of(family: str) -> _Codec:
@@ -350,8 +313,8 @@ _TAGGED = {
             RandomUtilityMC,
             {
                 "error": _one_of("error distribution"),
-                "samples": _MC_INT,
-                "seed": _MC_INT,
+                "samples": _MC_NUMBER,
+                "seed": _MC_NUMBER,
             },
         ),
         "default_nudge": _tagged(
@@ -375,7 +338,7 @@ _KIND_OF = {
 _SWEEP = _record_kind(
     SweepConfig, {"q_min": _NUMBER, "q_max": _NUMBER, "q_step": _NUMBER}
 )
-_MC = _record_kind(MCConfig, {"samples": _INT, "seed": _INT})
+_MC = _record_kind(MCConfig, {"samples": _NUMBER, "seed": _NUMBER})
 _HOTELLING = _record_kind(
     HotellingScenario,
     {

@@ -11,13 +11,14 @@ action falls with the squared distance between the person's location and the
 action's location (single-peaked preferences).
 
 This module is also the one place where the library converts and checks a
-number or an array it is given: `_real` for one real number within a bound,
-`_whole_number` for an integer, `_frozen_array` for an array whose entries lie
-within a bound, `_vector` for such an array that is non-empty and 1-d, and
-`_unit_sum` for weights that must sum to 1. The first three refuse text,
-booleans, NaN and the infinities, and raise
-ValueError("<name> must be <rule>, got <value>"); the other two raise
-"<name> must be a non-empty 1-d vector" and
+number or an array it is given, from a caller or from a scenario file:
+`_real` for one real number within a bound, `_whole_number` for an integer,
+`_frozen_array` for an array whose entries lie within a bound, `_vector` for
+such an array that is non-empty and 1-d, and `_unit_sum` for weights that
+must sum to 1. The first three refuse text, booleans, NaN and the infinities,
+and raise ValueError("<name> must be <rule>, got <value>"), where an array
+names its first bad entry as <name>[i] (<name>[i][j] in 2-d); the other two
+raise "<name> must be a non-empty 1-d vector" and
 "<name> must sum to 1 within 1e-12, got <total>".
 """
 
@@ -36,23 +37,22 @@ PROB_SUM_TOL = 1e-12
 # What float() and int() would take but no number rule does.
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
-# The bounds of _real and _frozen_array: the rule their messages state, for
-# one number and for an array's entries, and the closed float interval
-# [lo, hi] that holds exactly the floats the rule admits (x > 0 is x >= the
-# least subnormal). NaN lies in no interval.
+# The bounds of _real: the rule its messages state and the closed float
+# interval [lo, hi] that holds exactly the floats the rule admits (x > 0 is
+# x >= the least subnormal). NaN lies in no interval.
 _LARGEST = sys.float_info.max
 _REAL_BOUNDS = {
-    "finite": ("a finite number", "finite numbers", -_LARGEST, _LARGEST),
-    ">= 0": ("a finite number >= 0", "finite numbers >= 0", 0.0, _LARGEST),
-    "> 0": ("a finite number > 0", "finite numbers > 0", math.ulp(0.0), _LARGEST),
-    "[0, 1]": ("a number in [0, 1]", "numbers in [0, 1]", 0.0, 1.0),
+    "finite": ("a finite number", -_LARGEST, _LARGEST),
+    ">= 0": ("a finite number >= 0", 0.0, _LARGEST),
+    "> 0": ("a finite number > 0", math.ulp(0.0), _LARGEST),
+    "[0, 1]": ("a number in [0, 1]", 0.0, 1.0),
 }
 
 
 def _real(value, name: str, bound: str) -> float:
     """`value` as a Python float within `bound`, one of "finite", ">= 0",
     "> 0" and "[0, 1]"."""
-    rule, _, lo, hi = _REAL_BOUNDS[bound]
+    rule, lo, hi = _REAL_BOUNDS[bound]
     real = value
     if type(real) is not float:  # a parsed scenario's numbers skip this
         try:
@@ -76,26 +76,50 @@ def _whole_number(value, name: str) -> int:
     return whole
 
 
-def _holds_bool(values) -> bool:
-    # numpy reads [0.5, True] as the number array [0.5, 1.0], so a list or
-    # tuple's own entries are looked at; an array of booleans has dtype bool.
-    if isinstance(values, (list, tuple)):
-        return any(map(_holds_bool, values))
-    return isinstance(values, (bool, np.bool_))
+def _is_row(entry) -> bool:
+    # A 0-d array is one number, as numpy reads it.
+    return isinstance(entry, (list, tuple)) or getattr(entry, "ndim", 0) > 0
+
+
+def _entries(values, name: str, bound: str, rows: bool = True):
+    """Each entry of `values` through `_real` under its index, so that the
+    first bad one raises; a list of rows, each as long as the first, when the
+    first entry is itself a sequence."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)):
+        return _real(values, name, bound)
+    if rows and values and _is_row(values[0]):
+        width = len(values[0])
+        for i, row in enumerate(values):
+            if not _is_row(row) or len(row) != width:
+                raise ValueError(
+                    f"{name}[{i}] must be a row of length {width}, got {row!r}"
+                )
+        return [_entries(r, f"{name}[{i}]", bound, False) for i, r in enumerate(values)]
+    return [_real(v, f"{name}[{i}]", bound) for i, v in enumerate(values)]
 
 
 def _frozen_array(values, name: str, bound: str = "finite") -> NDArray[np.float64]:
-    """A new read-only float64 copy of `values`, whose entries must be
-    numbers within `bound` (as for `_real`): text, booleans and objects are
-    refused."""
-    _, rule, lo, hi = _REAL_BOUNDS[bound]
-    arr = np.array(values)
-    if arr.dtype.kind in "iuf" and not _holds_bool(values):
-        arr = arr.astype(np.float64, copy=False)
-        if ((lo <= arr) & (arr <= hi)).all():
-            arr.setflags(write=False)
-            return arr
-    raise ValueError(f"{name} must be {rule}, got {arr!r}")
+    """A new read-only float64 copy of `values`, each of whose entries `_real`
+    must accept within `bound`. A numeric array, or a list or tuple of floats
+    and ints, is converted and checked whole; only when that fails are the
+    entries walked one by one, to name the first bad one."""
+    _, lo, hi = _REAL_BOUNDS[bound]
+    arr = None
+    if not isinstance(values, (list, tuple)):
+        values = np.asarray(values)
+        if values.dtype.kind in "iuf":
+            arr = values.astype(np.float64)
+    elif set(map(type, values)) <= {float, int}:
+        try:  # numpy reads an int beyond int64 as float() does
+            arr = np.array(values, dtype=np.float64)
+        except OverflowError:
+            pass
+    if arr is None or not ((lo <= arr) & (arr <= hi)).all():
+        arr = np.array(_entries(values, name, bound), dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
 
 
 def _vector(values, name: str, bound: str = "finite") -> NDArray[np.float64]:

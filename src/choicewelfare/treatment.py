@@ -68,7 +68,11 @@ class OutcomeUtilities:
     def from_components(
         cls, u0_a: float, u1_a: float, u0_b: float, u1_b: float
     ) -> "OutcomeUtilities":
-        return cls(values=[[u0_a, u0_b], [u1_a, u1_b]])
+        # Each number is checked under its own name, which a scenario file
+        # uses as its key.
+        given = {"u0_a": u0_a, "u1_a": u1_a, "u0_b": u0_b, "u1_b": u1_b}
+        u = {key: _real(value, key, "finite") for key, value in given.items()}
+        return cls(values=np.array([[u["u0_a"], u["u0_b"]], [u["u1_a"], u["u1_b"]]]))
 
     def u(self, y: int, treatment: str) -> float:
         if y not in (0, 1):
@@ -308,7 +312,9 @@ class MixtureBelief:
 
     def __post_init__(self):
         components = tuple(self.components)
-        weights = tuple(_real(w, "mixture weight", "> 0") for w in self.weights)
+        weights = tuple(
+            _real(w, f"weights[{i}]", "> 0") for i, w in enumerate(self.weights)
+        )
         if len(components) == 0 or len(components) != len(weights):
             raise ValueError("components and weights must be non-empty and aligned")
         for comp in components:

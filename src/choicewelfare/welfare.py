@@ -28,7 +28,7 @@ from .models import (
     block_choice_probabilities,
     choice_probabilities,
 )
-from .scenario import Population, _real
+from .scenario import Population, _real, _vector
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def logit_sensitivities(
     sum_i u_i^2 P_i - v^2 but cannot go negative in floating point. q is
     checked as Logit checks it.
     """
-    utilities = np.asarray(utilities, dtype=np.float64)
+    utilities = _vector(utilities, "utilities")
     chosen = choice_probabilities(utilities, available, Logit(q=q))
     probs, u_sub = chosen.probs, utilities[list(chosen.available)]
     v = float(np.dot(probs, u_sub))

@@ -43,7 +43,6 @@ from choicewelfare import (
     parse_scenario_text,
     serialize_scenario,
 )
-from choicewelfare import document
 
 
 def _population_doc(**overrides):
@@ -483,14 +482,16 @@ def test_wrong_types_name_paths():
     doc = _population_doc()
     doc["population"]["types"][1]["weight"] = "0.5"
     with pytest.raises(
-        ScenarioError, match=r"population\.types\[1\]\.weight: expected a number"
+        ScenarioError,
+        match=r"^population\.types\[1\]: weight must be a finite number > 0, got '0\.5'$",
     ):
         _parse(doc)
 
     doc = _population_doc()
     doc["population"]["types"][0]["weight"] = True
     with pytest.raises(
-        ScenarioError, match=r"population\.types\[0\]\.weight: expected a number"
+        ScenarioError,
+        match=r"^population\.types\[0\]: weight must be a finite number > 0, got True$",
     ):
         _parse(doc)
 
@@ -498,9 +499,15 @@ def test_wrong_types_name_paths():
 def test_non_finite_numbers_rejected():
     doc = _population_doc()
     doc["population"]["types"][0]["weight"] = 10**400  # arbitrary-precision int
-    with pytest.raises(ScenarioError, match=r"weight: number must be finite"):
+    with pytest.raises(
+        ScenarioError,
+        match=r"^population\.types\[0\]: weight must be a finite number > 0, got 10{400}$",
+    ):
         _parse(doc)
-    with pytest.raises(ScenarioError, match=r"number must be finite"):
+    with pytest.raises(
+        ScenarioError,
+        match=r"^population\.types\[0\]: utilities\[0\] must be a finite number, got inf$",
+    ):
         parse_scenario_text(
             json.dumps(_population_doc()).replace("1.0, 0.0", "Infinity, 0.0")
         )
@@ -654,7 +661,7 @@ def test_sweep_section_validation():
 
 
 def test_mc_section_validation():
-    with pytest.raises(ScenarioError, match=r"mc\.samples"):
+    with pytest.raises(ScenarioError, match=r"^mc: samples must be a whole number, got 1\.5$"):
         _parse(_population_doc(mc={"samples": 1.5}))
     with pytest.raises(ScenarioError, match=r"mc"):
         _parse(_population_doc(mc={"samples": 0}))
@@ -734,19 +741,19 @@ _PINNED_ERRORS = {
     ),
     "model-wrong-type": (
         _with_model({"kind": "logit", "q": "1"}), (), None,
-        "population.models.m.q: expected a number",
+        "population.models.m: q must be a finite number >= 0, got '1'",
     ),
     "model-nested-wrong-type": (
         _with_model({**_NUDGE, "base": {**_MC, "error": {"kind": "gumbel", "scale": "x"}}}),
-        (), None, "population.models.m.base.error.scale: expected a number",
+        (), None, "population.models.m.base.error: scale must be a finite number > 0, got 'x'",
     ),
     "model-wrong-int": (
         _with_model({**_MC, "samples": 1.5}), (), None,
-        "population.models.m.samples: expected an integer",
+        "population.models.m: samples must be a whole number, got 1.5",
     ),
     "model-array-entry": (
         _with_model({"kind": "independent_table", "probs": [0.5, None]}), (), None,
-        "population.models.m.probs[1]: expected a number",
+        "population.models.m: background probs[1] must be a finite number >= 0, got None",
     ),
     "model-constructor": (
         _with_model({"kind": "logit", "q": -1.0}), (), None,
@@ -811,11 +818,11 @@ _PINNED_ERRORS = {
     ),
     "belief-component-wrong-type": (
         _with_belief(_mixture()), _BELIEF + ("components", 1, "a"), "x",
-        f"{_B}.components[1].a: expected a number",
+        f"{_B}.components[1]: a must be a finite number > 0, got 'x'",
     ),
     "belief-weight-wrong-type": (
         _with_belief(_mixture()), _BELIEF + ("weights", 0), "x",
-        f"{_B}.weights[0]: expected a number",
+        f"{_B}: weights[0] must be a finite number > 0, got 'x'",
     ),
     "belief-components-not-array": (
         _with_belief(_mixture(components={})), (), None,
@@ -835,7 +842,7 @@ _PINNED_ERRORS = {
     ),
     "belief-constructor-empirical": (
         _with_belief({"kind": "empirical", "samples": [0.5, 1.5]}), (), None,
-        f"{_B}: samples must be numbers in [0, 1], got array([0.5, 1.5])",
+        f"{_B}: samples[1] must be a number in [0, 1], got 1.5",
     ),
     # flat sections
     "sweep-not-object": (
@@ -845,7 +852,8 @@ _PINNED_ERRORS = {
         _population_doc(sweep={"q_grid": [0.0]}), (), None, "sweep: unknown field 'q_grid'"
     ),
     "sweep-wrong-type": (
-        _population_doc(sweep={"q_max": "1"}), (), None, "sweep.q_max: expected a number"
+        _population_doc(sweep={"q_max": "1"}), (), None,
+        "sweep: q_max must be a finite number, got '1'",
     ),
     "sweep-constructor": (
         _population_doc(sweep={"q_step": 0.0}), (), None,
@@ -860,7 +868,8 @@ _PINNED_ERRORS = {
         _population_doc(mc={"n": 1}), (), None, "mc: unknown field 'n'"
     ),
     "mc-wrong-type": (
-        _population_doc(mc={"seed": 1.5}), (), None, "mc.seed: expected an integer"
+        _population_doc(mc={"seed": 1.5}), (), None,
+        "mc: seed must be a whole number, got 1.5",
     ),
     "mc-constructor": (
         _population_doc(mc={"samples": 0}), (), None, "mc: samples must be >= 1"
@@ -874,7 +883,7 @@ _PINNED_ERRORS = {
     ),
     "hotelling-wrong-type": (
         _hotelling_doc(), ("hotelling", "person_weights", 1), True,
-        "hotelling.person_weights[1]: expected a number",
+        "hotelling: person_weights[1] must be a finite number > 0, got True",
     ),
     "hotelling-constructor": (
         _hotelling_doc(), ("hotelling", "person_weights"), [1.0],
@@ -890,7 +899,7 @@ _PINNED_ERRORS = {
     ),
     "type-wrong-type": (
         _population_doc(), ("population", "types", 0, "utilities", 1), "0",
-        "population.types[0].utilities[1]: expected a number",
+        "population.types[0]: utilities[1] must be a finite number, got '0'",
     ),
     "type-constructor": (
         _population_doc(), ("population", "types", 0, "weight"), -0.5,
@@ -930,7 +939,7 @@ _PINNED_ERRORS = {
     ),
     "z-cell-constructor": (
         _treatment_doc(), _Z + ("p_xz",), 2,
-        f"{_ZP}: p_xz must be a number in [0, 1], got 2.0",
+        f"{_ZP}: p_xz must be a number in [0, 1], got 2",
     ),
     "x-cell-constructor": (
         _treatment_doc(), _Z + ("p_z_given_x",), 0.5,
@@ -989,15 +998,16 @@ def _wide_hotelling():
 
 
 # field -> (a valid document whose field holds _N numbers, path to the list,
-# the field's path in error messages)
+# the record's path and the field's name in error messages, the rule the
+# field's entries keep)
 _LONG_ARRAYS = {
     "types.utilities": (
         _wide_population(), ("population", "types", 0, "utilities"),
-        "population.types[0].utilities",
+        "population.types[0]: utilities", "a finite number",
     ),
     "empirical.samples": (
         _with_belief({"kind": "empirical", "samples": [0.5] * _N}),
-        _BELIEF + ("samples",), f"{_B}.samples",
+        _BELIEF + ("samples",), f"{_B}: samples", "a number in [0, 1]",
     ),
     "mixture.weights": (
         _with_belief(
@@ -1007,24 +1017,27 @@ _LONG_ARRAYS = {
                 "weights": [_SHARE] * _N,
             }
         ),
-        _BELIEF + ("weights",), f"{_B}.weights",
+        _BELIEF + ("weights",), f"{_B}: weights", "a finite number > 0",
     ),
     "independent_table.probs": (
         _wide_population({"m": {"kind": "independent_table", "probs": [_SHARE] * _N}}),
-        _MODEL + ("probs",), "population.models.m.probs",
+        _MODEL + ("probs",), "population.models.m: background probs",
+        "a finite number >= 0",
     ),
     "alpha_rational.background": (
         _wide_population(
             {"m": {"kind": "alpha_rational", "alpha": 0.5, "background": [_SHARE] * _N}}
         ),
-        _MODEL + ("background",), "population.models.m.background",
+        _MODEL + ("background",), "population.models.m: background probs",
+        "a finite number >= 0",
     ),
     "hotelling.store_locations": (
         _wide_hotelling(), ("hotelling", "store_locations"),
-        "hotelling.store_locations",
+        "hotelling: store_locations", "a finite number",
     ),
     "hotelling.person_weights": (
-        _wide_hotelling(), ("hotelling", "person_weights"), "hotelling.person_weights",
+        _wide_hotelling(), ("hotelling", "person_weights"), "hotelling: person_weights",
+        "a finite number > 0",
     ),
 }
 
@@ -1032,17 +1045,17 @@ _LONG_ARRAYS = {
 # (json.loads reads it as inf).
 _RAW_1E400 = "<1e400>"
 
-# name -> (element, the message after its path)
+# name -> (element, how the message shows it)
 _BAD_NUMBERS = {
-    "true": (True, "expected a number"),
-    "string": ("0.5", "expected a number"),
-    "null": (None, "expected a number"),
-    "nested-list": ([0.5], "expected a number"),
-    "NaN": (float("nan"), "number must be finite"),
-    "Infinity": (float("inf"), "number must be finite"),
-    "-Infinity": (float("-inf"), "number must be finite"),
-    "1e400": (_RAW_1E400, "number must be finite"),
-    "10**400": (10**400, "number must be finite"),
+    "true": (True, "True"),
+    "string": ("0.5", "'0.5'"),
+    "null": (None, "None"),
+    "nested-list": ([0.5], "[0.5]"),
+    "NaN": (float("nan"), "nan"),
+    "Infinity": (float("inf"), "inf"),
+    "-Infinity": (float("-inf"), "-inf"),
+    "1e400": (_RAW_1E400, "inf"),
+    "10**400": (10**400, str(10**400)),
 }
 
 
@@ -1052,30 +1065,30 @@ def _parse_raw(doc):
 
 
 def _long_array_doc(field, edits):
-    doc, path, prefix = _LONG_ARRAYS[field]
+    doc, path, prefix, rule = _LONG_ARRAYS[field]
     doc = copy.deepcopy(doc)
     target = doc
     for key in path:
         target = target[key]
     for index, value in edits.items():
         target[index] = value
-    return doc, prefix
+    return doc, prefix, rule
 
 
 @pytest.mark.parametrize("field", sorted(_LONG_ARRAYS))
 def test_long_array_documents_are_valid(field):
-    doc, _ = _long_array_doc(field, {})
+    doc = _long_array_doc(field, {})[0]
     assert _parse_raw(doc) == _parse(doc)
 
 
 @pytest.mark.parametrize("bad", sorted(_BAD_NUMBERS))
 @pytest.mark.parametrize("field", sorted(_LONG_ARRAYS))
 def test_bad_array_element_message_is_pinned(field, bad):
-    value, reason = _BAD_NUMBERS[bad]
-    doc, prefix = _long_array_doc(field, {250: value})
+    value, shown = _BAD_NUMBERS[bad]
+    doc, prefix, rule = _long_array_doc(field, {250: value})
     with pytest.raises(ScenarioError) as info:
         _parse_raw(doc)
-    assert str(info.value) == f"{prefix}[250]: {reason}"
+    assert str(info.value) == f"{prefix}[250] must be {rule}, got {shown}"
 
 
 @pytest.mark.parametrize(
@@ -1084,12 +1097,12 @@ def test_bad_array_element_message_is_pinned(field, bad):
 )
 @pytest.mark.parametrize("field", sorted(_LONG_ARRAYS))
 def test_first_bad_array_element_is_named(field, first, later):
-    doc, prefix = _long_array_doc(
+    doc, prefix, rule = _long_array_doc(
         field, {250: _BAD_NUMBERS[first][0], 400: _BAD_NUMBERS[later][0]}
     )
     with pytest.raises(ScenarioError) as info:
         _parse_raw(doc)
-    assert str(info.value) == f"{prefix}[250]: {_BAD_NUMBERS[first][1]}"
+    assert str(info.value) == f"{prefix}[250] must be {rule}, got {_BAD_NUMBERS[first][1]}"
 
 
 _EDGE_INTS = [2**53 + 1, 2**63, 2**64 + 1, 10**300, -(2**63) - 1, 2**1024 - 2**970 - 1]
@@ -1106,17 +1119,52 @@ _json_numbers = st.one_of(
 @example([])
 @example(_EDGE_INTS)
 def test_number_array_matches_per_element_floats(items):
-    # What json.loads hands the parser, number for number.
+    # What json.loads hands the parser, number for number. The file and the
+    # constructor store what float() gives entry by entry, or both refuse.
     items = json.loads(json.dumps(items))
-    got = document._as_number_array(items, "x")
+    doc = {"schema_version": 1, "hotelling": {
+        "store_locations": items, "person_locations": [0.0]}}
+    if not items:
+        rule = "store_locations must be a non-empty 1-d vector"
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            HotellingScenario(items, [0.0])
+        with pytest.raises(ScenarioError, match=f"^hotelling: {rule}$"):
+            _parse(doc)
+        return
     expected = np.array([float(v) for v in items], dtype=np.float64)
-    assert got.dtype == np.float64 and got.shape == (len(items),)
-    assert got.tobytes() == expected.tobytes()
-    if items:
-        doc = {"schema_version": 1, "hotelling": {
-            "store_locations": items, "person_locations": [0.0]}}
-        stores = _parse(doc).hotelling.store_locations
-        assert stores.tobytes() == expected.tobytes()
+    for stores in (
+        _parse(doc).hotelling.store_locations,
+        HotellingScenario(items, [0.0]).store_locations,
+    ):
+        assert stores.dtype == np.float64 and stores.tobytes() == expected.tobytes()
+
+
+def _with_utilities(utilities):
+    doc = _population_doc()
+    doc["population"]["types"][0]["utilities"] = utilities
+    return doc
+
+
+# A file and the constructor it calls take the same value alike: the
+# document, how to read the parsed object, and how to build it directly.
+_AGREEMENTS = {
+    "mc-samples-2.0": (
+        _population_doc(mc={"samples": 2.0}),
+        lambda d: d.mc,
+        lambda: MCConfig(samples=2.0),
+    ),
+    "utilities-2**64": (
+        _with_utilities([2**64, 0]),
+        lambda d: d.population.population.types[0],
+        lambda: UtilityType([2**64, 0], 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AGREEMENTS))
+def test_files_and_constructors_agree(case):
+    doc, read, build = _AGREEMENTS[case]
+    assert read(_parse(doc)) == build()
 
 
 @settings(max_examples=50, deadline=None)

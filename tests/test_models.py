@@ -39,6 +39,7 @@ from choicewelfare import (
     build_population,
     choice_probabilities,
     find_crossings,
+    logit_sensitivities,
     optimize_choice_set,
     policy_welfare,
     sample_errors,
@@ -301,7 +302,7 @@ NUMERIC_FIELDS = {
     "hi": (lambda v: UniformBelief(lo=0.0, hi=v).hi, UNIT),
     "a": (lambda v: BetaBelief(a=v, b=1.0).a, POSITIVE),
     "b": (lambda v: BetaBelief(a=1.0, b=v).b, POSITIVE),
-    "mixture weight": (
+    "weights[0]": (
         lambda v: MixtureBelief((PointMassBelief(0.5),), weights=(v,)).weights[0],
         POSITIVE,
     ),
@@ -423,34 +424,29 @@ def test_number_arguments_are_whole_or_real_as_their_rule_says(case):
 # read the stored array back, the rule its entries keep, and whether it must
 # be a non-empty 1-d vector.
 ARRAY_FIELDS = {
-    "utilities": (lambda v: UtilityType(v, weight=1.0).utilities, "finite numbers", True),
+    "utilities": (lambda v: UtilityType(v, weight=1.0).utilities, FINITE, True),
     "store_locations": (
-        lambda v: HotellingScenario(v, [0.0]).store_locations, "finite numbers", True
+        lambda v: HotellingScenario(v, [0.0]).store_locations, FINITE, True
     ),
     "person_locations": (
-        lambda v: HotellingScenario([0.0], v).person_locations, "finite numbers", True
+        lambda v: HotellingScenario([0.0], v).person_locations, FINITE, True
     ),
     "person_weights": (
-        lambda v: HotellingScenario([0.0], [0.0, 1.0], v).person_weights,
-        "finite numbers > 0", True,
+        lambda v: HotellingScenario([0.0], [0.0, 1.0], v).person_weights, POSITIVE, True
     ),
-    "q_values": (lambda v: SweepGrid(v).q_values, "finite numbers >= 0", True),
+    "q_values": (lambda v: SweepGrid(v).q_values, NON_NEGATIVE, True),
     "outcome utilities": (
-        lambda v: OutcomeUtilities([v, v]).values[0], "finite numbers", False
+        lambda v: OutcomeUtilities([v, v]).values[0], FINITE, False
     ),
-    "background probs": (
-        lambda v: IndependentTable(v).probs, "finite numbers >= 0", True
-    ),
-    "probs": (
-        lambda v: ChoiceProbabilities((0, 1), v).probs, "finite numbers >= 0", False
-    ),
-    "samples": (lambda v: EmpiricalBelief(v).samples, "numbers in [0, 1]", True),
+    "background probs": (lambda v: IndependentTable(v).probs, NON_NEGATIVE, True),
+    "probs": (lambda v: ChoiceProbabilities((0, 1), v).probs, NON_NEGATIVE, False),
+    "samples": (lambda v: EmpiricalBelief(v).samples, UNIT, True),
 }
+# The outcome utilities are built from [v, v], whose first row holds v.
+_ROW_OF_V = {"outcome utilities": "[0]"}
 
 # A finite number outside each bounded rule.
-_OUTSIDE = {
-    "finite numbers >= 0": -0.25, "finite numbers > 0": 0.0, "numbers in [0, 1]": 1.25
-}
+_OUTSIDE = {NON_NEGATIVE: -0.25, POSITIVE: 0.0, UNIT: 1.25}
 
 
 @pytest.mark.parametrize("field", ARRAY_FIELDS)
@@ -460,25 +456,43 @@ def test_array_fields_store_finite_float64_and_refuse_the_rest(field):
         stored = build(valid)
         assert stored.dtype == np.float64 and not stored.flags.writeable
         assert np.array_equal(stored, [0.25, 0.75])
+    # Each bad pair with the index of its first bad entry.
     bad_entries = [
-        [0.5, "0.5"],
-        [True, False],
-        [0.5, True],
-        (0.5, np.bool_(False)),
-        [0.5, None],
-        [0.5, np.nan],
-        [np.inf, 0.5],
+        ([0.5, "0.5"], 1),
+        ([True, False], 0),
+        ([0.5, True], 1),
+        ((0.5, np.bool_(False)), 1),
+        ([0.5, None], 1),
+        ([0.5, np.nan], 1),
+        ([np.inf, 0.5], 0),
     ]
     if rule in _OUTSIDE:
-        bad_entries.append([_OUTSIDE[rule], 0.75])
-    for bad in bad_entries:
+        bad_entries.append(([_OUTSIDE[rule], 0.75], 0))
+    name = field + _ROW_OF_V.get(field, "")
+    for bad, i in bad_entries:
         with pytest.raises(ValueError) as info:
             build(bad)
-        assert str(info.value).startswith(f"{field} must be {rule}, got array(")
+        assert str(info.value) == f"{name}[{i}] must be {rule}, got {bad[i]!r}"
     for bad in ([], [[0.25, 0.75]]) if vector else ():
         with pytest.raises(ValueError) as info:
             build(bad)
         assert str(info.value) == f"{field} must be a non-empty 1-d vector"
+
+
+def test_ragged_nesting_names_the_field():
+    for build, message in (
+        (
+            lambda: UtilityType([[1.0], [1.0, 2.0]], 1.0),
+            "utilities[1] must be a row of length 1, got [1.0, 2.0]",
+        ),
+        (
+            lambda: EmpiricalBelief([0.5, [0.5]]),
+            "samples[1] must be a number in [0, 1], got [0.5]",
+        ),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
 
 _OPPOSED = OutcomeUtilities([[1.0, 0.0], [0.0, 1.0]])
@@ -539,13 +553,20 @@ def test_choice_functions_refuse_non_finite_utilities():
     for call in (
         lambda u: choice_probabilities(u, (0, 1), RationalMax()),
         lambda u: binary_scaled_choice_prob(u, np.zeros((4, 2)), 1.0),
+        lambda u: logit_sensitivities(u, (0, 1), 1.0),
     ):
-        for bad in ([0.0, np.nan], ["0", "1"], [False, True], [0.0, True]):
-            with pytest.raises(ValueError, match=r"^utilities must be finite numbers"):
+        for bad, i in (([0.0, np.nan], 1), (["0", "1"], 0), ([False, True], 0), ([0.0, True], 1)):
+            with pytest.raises(ValueError) as info:
                 call(bad)
-    for bad in ([[0.0, 1.0], [np.nan, 0.0]], [["0.5", "1"], [0.0, 0.0]], [[0.0, True]]):
-        with pytest.raises(ValueError, match=r"^base_errors must be finite numbers"):
+            assert str(info.value) == f"utilities[{i}] must be a finite number, got {bad[i]!r}"
+    for bad, message in (
+        ([[0.0, 1.0], [np.nan, 0.0]], "base_errors[1][0] must be a finite number, got nan"),
+        ([["0.5", "1"], [0.0, 0.0]], "base_errors[0][0] must be a finite number, got '0.5'"),
+        ([[0.0, True]], "base_errors[0][1] must be a finite number, got True"),
+    ):
+        with pytest.raises(ValueError) as info:
             binary_scaled_choice_prob([0.0, 1.0], bad, 1.0)
+        assert str(info.value) == message
 
 
 # --- Monte Carlo random-utility model ---

@@ -279,7 +279,9 @@ def test_mixture_belief_validation():
     with pytest.raises(ValueError):
         MixtureBelief(components=(inner, PointMassBelief(pi=0.1)), weights=(0.5, 0.5))
     for weights in ((float("nan"),), (float("nan"), 1.0)):
-        with pytest.raises(ValueError, match="^mixture weight must be a finite number > 0"):
+        with pytest.raises(
+            ValueError, match=r"^weights\[0\] must be a finite number > 0, got nan$"
+        ):
             MixtureBelief(
                 components=(PointMassBelief(pi=0.5),) * len(weights), weights=weights
             )
@@ -295,8 +297,10 @@ def test_empirical_belief_counts_exactly():
         EmpiricalBelief(samples=np.array([0.1, 1.4]))
     with pytest.raises(ValueError):
         EmpiricalBelief(samples=np.array([]))
-    for bad in ([0.2, np.nan], [np.nan]):
-        with pytest.raises(ValueError, match=r"^samples must be numbers in \[0, 1\]"):
+    for bad, i in (([0.2, np.nan], 1), ([np.nan], 0)):
+        with pytest.raises(
+            ValueError, match=rf"^samples\[{i}\] must be a number in \[0, 1\], got nan$"
+        ):
             EmpiricalBelief(samples=bad)
 
 
