@@ -49,7 +49,7 @@ from .document import (
     parse_scenario,
 )
 from .models import ChoiceModel, DefaultNudge, MCConfig, RandomUtilityMC
-from .scenario import ActionSet, Population, hotelling_population
+from .scenario import ActionSet, Population, _distinct, hotelling_population
 from .search import (
     SweepConfig,
     SweepResult,
@@ -279,11 +279,9 @@ def _resolve_available(args, actions: ActionSet) -> Optional[list[int]]:
     labels = [part.strip() for part in args.available.split(",")]
     try:
         indices = [actions.index_of(label) for label in labels]
+        _distinct(labels, "action labels")
     except ValueError as exc:
         raise ScenarioError(f"--available: {exc}") from None
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ScenarioError(f"--available: repeated action label {label!r}")
     return indices
 
 

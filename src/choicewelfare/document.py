@@ -34,7 +34,9 @@ The optional keys are: every key of ``sweep`` and ``mc`` (the defaults of
 ``random_utility_mc.samples`` and ``.seed`` (the document's ``mc`` section);
 ``hotelling.person_weights`` (uniform); a population's ``models`` (none); and
 a z cell's ``belief`` (none). A population's action labels and named models
-are read by hand, because the models refer to the labels.
+are read by hand, because the models refer to the labels. `PopulationSection`
+checks each model against the actions (``models._check_fit``), so a table
+that is not one entry per action is refused at parse time, behind its path.
 
 Parsing is strict: unknown fields, wrong types, unresolved labels, and
 violated invariants all raise ScenarioError naming the path of the offending
@@ -64,6 +66,7 @@ from .models import (
     RandomUtilityMC,
     RationalMax,
     UniformBoundedIID,
+    _check_fit,
 )
 from .scenario import ActionSet, HotellingScenario, Population, UtilityType
 from .search import SweepConfig
@@ -82,10 +85,17 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True)
 class PopulationSection:
-    """Explicit population plus its named choice models."""
+    """Explicit population plus its named choice models. A model that does
+    not fit the actions (`models._check_fit`) raises ScenarioError behind its
+    path ``population.models.<name>``, whether parsed or built in code."""
 
     population: Population
     models: dict[str, ChoiceModel]
+
+    def __post_init__(self):
+        n_actions = len(self.population.actions)
+        for name, model in self.models.items():
+            _build(f"population.models.{name}", _check_fit, model, n_actions)
 
 
 @dataclass(frozen=True)
@@ -430,11 +440,9 @@ def _parse_population(value: Any, path: str, mc: MCConfig) -> PopulationSection:
     obj = _require_object(value, path)
     _check_keys(obj, {"actions", "types", "models"}, path)
 
-    labels_raw = _as_list(_get(obj, "actions", path), f"{path}.actions")
-    labels = tuple(
-        _as_str(lab, f"{path}.actions[{i}]") for i, lab in enumerate(labels_raw)
-    )
-    actions = _build(f"{path}.actions", ActionSet, labels)
+    actions_path = f"{path}.actions"
+    labels = _list_of(_LABEL).read(_get(obj, "actions", path), actions_path, _Context())
+    actions = _build(actions_path, ActionSet, labels)
 
     ctx = _Context(actions=actions, mc=mc)
     types_path = f"{path}.types"
@@ -494,24 +502,15 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDocume
 
     sweep = _parse_record(obj["sweep"], "sweep", _SWEEP) if "sweep" in obj else None
     mc = _parse_record(obj["mc"], "mc", _MC) if "mc" in obj else None
-    mc_defaults = mc if mc is not None else MCConfig()
-
-    population = hotelling = treatment = None
-    if "population" in obj:
-        population = _parse_population(obj["population"], "population", mc_defaults)
-    elif "hotelling" in obj:
-        hotelling = _parse_record(obj["hotelling"], "hotelling", _HOTELLING)
+    kind = present[0]
+    if kind == "population":
+        section = _parse_population(obj[kind], kind, mc or MCConfig())
+    elif kind == "hotelling":
+        section = _parse_record(obj[kind], kind, _HOTELLING)
     else:
-        treatment = _parse_treatment(obj["treatment"], "treatment")
-
+        section = _parse_treatment(obj[kind], kind)
     return ScenarioDocument(
-        schema_version=version,
-        population=population,
-        hotelling=hotelling,
-        treatment=treatment,
-        sweep=sweep,
-        mc=mc,
-    )
+        schema_version=version, sweep=sweep, mc=mc, **{kind: section})
 
 
 def parse_scenario(path) -> ScenarioDocument:

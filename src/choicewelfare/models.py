@@ -25,14 +25,15 @@ count table per type give every subset's choices.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Union, get_args
+from typing import Iterable, Optional, Union, get_args
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ._kernels import argmax_tally
 from .scenario import (
-    _fields_equal, _frozen_array, _real, _unit_sum, _vector, _whole_number
+    _distinct, _fields_equal, _frozen_array, _index, _non_empty, _one_per, _real,
+    _unit_sum, _vector, _whole_number,
 )
 
 
@@ -93,8 +94,8 @@ class IndependentTable:
     probs: NDArray[np.float64]
 
     def __post_init__(self):
-        probs = _vector(self.probs, "background probs", ">= 0")
-        _unit_sum(probs, "background probs")
+        probs = _vector(self.probs, "probs", ">= 0")
+        _unit_sum(probs, "probs")
         object.__setattr__(self, "probs", probs)
 
     __eq__ = _fields_equal
@@ -110,8 +111,8 @@ class AlphaRational:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _real(self.alpha, "alpha", "[0, 1]"))
-        background = _vector(self.background, "background probs", ">= 0")
-        _unit_sum(background, "background probs")
+        background = _vector(self.background, "background", ">= 0")
+        _unit_sum(background, "background")
         object.__setattr__(self, "background", background)
 
     __eq__ = _fields_equal
@@ -205,10 +206,9 @@ class ChoiceProbabilities:
     probs: NDArray[np.float64]
 
     def __post_init__(self):
-        probs = _frozen_array(self.probs, "probs", ">= 0")
+        probs = _vector(self.probs, "probs", ">= 0")
         available = tuple(_whole_number(i, "action index") for i in self.available)
-        if probs.ndim != 1 or probs.shape[0] != len(available):
-            raise ValueError("probs length must match available")
+        _one_per(probs, "probs", len(available), "available action")
         if abs(float(probs.sum()) - 1.0) > 1e-9:
             raise ValueError("probs must sum to 1 within 1e-9")
         object.__setattr__(self, "available", available)
@@ -223,18 +223,30 @@ class ChoiceProbabilities:
         return full
 
 
-def _validate_available(available: Iterable[int], n_actions: int) -> tuple[int, ...]:
-    indices = tuple(_whole_number(i, "action index") for i in available)
-    if len(indices) == 0:
-        raise ValueError("available action subset must be non-empty")
-    if len(set(indices)) != len(indices):
-        raise ValueError("available action indices must be unique")
-    for i in indices:
-        if i < 0 or i >= n_actions:
-            raise ValueError(
-                f"action index {i} out of range for {n_actions} actions"
-            )
+def _validate_available(
+    available: Optional[Iterable[int]], n_actions: int
+) -> tuple[int, ...]:
+    """`available` as ascending indices; None stands for every action."""
+    if available is None:
+        return tuple(range(n_actions))
+    indices = _non_empty(
+        (_index(i, "action index", n_actions) for i in available), "available"
+    )
+    _distinct(indices, "available")
     return tuple(sorted(indices))
+
+
+def _check_fit(model: ChoiceModel, n_actions: int) -> None:
+    """Refuse a model that does not fit n_actions actions: a table needs one
+    entry per action, a nudge's default an index in [0, n_actions)."""
+    prefix = ""
+    if isinstance(model, DefaultNudge):
+        _index(model.default_action, "default_action", n_actions)
+        model, prefix = model.base, "base."
+    if isinstance(model, IndependentTable):
+        _one_per(model.probs, f"{prefix}probs", n_actions, "action")
+    elif isinstance(model, AlphaRational):
+        _one_per(model.background, f"{prefix}background", n_actions, "action")
 
 
 def _normalize_seed(seed: int) -> int:
@@ -312,10 +324,13 @@ def block_choice_probabilities(utilities, groups, model: ChoiceModel, streams):
     table with no mass on the subset). A Monte Carlo model tallies one subset
     on each type's draws, and more from each type's table of 2^k subsets.
     """
+    _check_fit(model, utilities.shape[-1])
     if isinstance(model, DefaultNudge):
-        return block_choice_probabilities(
-            _nudged(utilities, model), groups, model.base, streams
-        )
+        # The utilities the base model chooses by: gamma off every non-default.
+        charged = np.arange(utilities.shape[-1]) != model.default_action
+        utilities = np.array(utilities, dtype=np.float64)
+        utilities[..., charged] -= model.gamma
+        model = model.base
     if isinstance(model, RandomUtilityMC):
         return _mc_block(utilities, groups, model, streams)
     out = []
@@ -330,10 +345,10 @@ def block_choice_probabilities(utilities, groups, model: ChoiceModel, streams):
             if isinstance(model, RationalMax):
                 probs = _first_max(u)
             elif isinstance(model, IndependentTable):
-                table = _renormalized_table(model.probs, cols, utilities.shape[-1])
+                table = _renormalized_table(model.probs, cols)
                 probs = np.broadcast_to(table, u.shape)
             elif isinstance(model, AlphaRational):
-                table = _renormalized_table(model.background, cols, utilities.shape[-1])
+                table = _renormalized_table(model.background, cols)
                 probs = model.alpha * _first_max(u) + (1.0 - model.alpha) * table
             elif isinstance(model, Logit) and model.q == 0.0:
                 # exp(0 * gap) = 1 for every action, even where u - max u
@@ -362,19 +377,6 @@ def _defined(probs: NDArray[np.float64]) -> NDArray[np.float64]:
 def _first_max(u: NDArray[np.float64]) -> NDArray[np.float64]:
     # One-hot of the first maximum on the last axis: the lowest-index tie-break.
     return (np.arange(u.shape[-1]) == np.argmax(u, axis=-1)[..., None]).astype(float)
-
-
-def _nudged(utilities, model: DefaultNudge) -> NDArray[np.float64]:
-    # The utilities the base model chooses by: gamma off every non-default.
-    shifted = np.array(utilities, dtype=np.float64)
-    n_actions = shifted.shape[-1]
-    if not 0 <= model.default_action < n_actions:
-        raise ValueError(
-            f"default action index {model.default_action} out of range for "
-            f"{n_actions} actions"
-        )
-    shifted[..., np.arange(n_actions) != model.default_action] -= model.gamma
-    return shifted
 
 
 def _mc_errors(model: RandomUtilityMC, n_actions: int, stream: int):
@@ -427,12 +429,8 @@ def _subset_sums(tables):
     return tables
 
 
-def _renormalized_table(background, cols, n_actions) -> NDArray[np.float64]:
+def _renormalized_table(background, cols) -> NDArray[np.float64]:
     # (G, s): the table renormalized over each subset, NaN where it has no mass.
-    if background.shape[0] != n_actions:
-        raise ValueError(
-            "background probability vector must cover the full action set"
-        )
     mass = background[cols]
     total = mass.sum(axis=-1, keepdims=True)
     return np.divide(mass, total, out=np.full(mass.shape, np.nan), where=total > 0.0)
@@ -447,9 +445,8 @@ def binary_scaled_choice_prob(utilities, base_errors, q: float) -> float:
     comparison against q * (utility gap), and the threshold is monotone in q.
     Ties in both true utility and mismeasured score go to the lower index.
     """
-    utilities = _frozen_array(utilities, "utilities")
-    if utilities.shape != (2,):
-        raise ValueError("exactly 2 actions required")
+    utilities = _vector(utilities, "utilities")
+    _one_per(utilities, "utilities", 2, "action")
     base_errors = _frozen_array(base_errors, "base_errors")
     if base_errors.ndim != 2 or base_errors.shape[1] != 2:
         raise ValueError("base_errors must have exactly 2 columns")

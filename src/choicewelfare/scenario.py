@@ -10,16 +10,18 @@ Includes the line-location builder in which each person's utility for an
 action falls with the squared distance between the person's location and the
 action's location (single-peaked preferences).
 
-This module is also the one place where the library converts and checks a
-number or an array it is given, from a caller or from a scenario file:
-`_real` for one real number within a bound, `_whole_number` for an integer,
-`_frozen_array` for an array whose entries lie within a bound, `_vector` for
-such an array that is non-empty and 1-d, and `_unit_sum` for weights that
-must sum to 1. The first three refuse text, booleans, NaN and the infinities,
-and raise ValueError("<name> must be <rule>, got <value>"), where an array
-names its first bad entry as <name>[i] (<name>[i][j] in 2-d); the other two
-raise "<name> must be a non-empty 1-d vector" and
-"<name> must sum to 1 within 1e-12, got <total>".
+This module is also the one place where the library checks a number, an
+array or a collection it is given, from a caller or from a scenario file.
+Each rule raises ValueError("<name> must be <rule>, got <value>") or the
+like. The number rules refuse text, booleans, NaN and the infinities: `_real`
+(one real number within a bound), `_whole_number` (an integer) and
+`_frozen_array` (an array whose entries lie within a bound; it names the first
+bad entry <name>[i], or <name>[i][j] in 2-d). The structural rules are
+`_vector` ("must be a non-empty 1-d vector"), `_unit_sum` ("must sum to 1
+within 1e-12, got <total>"), `_non_empty` ("must be non-empty"), `_distinct`
+("must be distinct, got <entry> more than once", the first repeat), `_one_per`
+("must hold one entry per <item> (<count>), got <length>") and `_index`
+("must be in [0, <n>), got <value>").
 """
 
 import math
@@ -139,6 +141,36 @@ def _unit_sum(values, name: str) -> None:
         raise ValueError(f"{name} must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
 
 
+def _non_empty(values, name: str) -> tuple:
+    """`values` as a tuple, which must hold at least one entry."""
+    values = tuple(values)
+    if not values:
+        raise ValueError(f"{name} must be non-empty")
+    return values
+
+
+def _distinct(values, name: str) -> None:
+    """Refuse a sequence that holds an entry twice, naming the first repeat."""
+    if len(set(values)) != len(values):
+        repeat = next(v for i, v in enumerate(values) if v in values[:i])
+        raise ValueError(f"{name} must be distinct, got {repeat!r} more than once")
+
+
+def _one_per(values, name: str, count: int, per: str) -> None:
+    """Refuse a sequence whose length is not `count`, one entry per `per`."""
+    if len(values) != count:
+        raise ValueError(
+            f"{name} must hold one entry per {per} ({count}), got {len(values)}")
+
+
+def _index(value, name: str, n: int) -> int:
+    """`value` as a whole number in [0, n): a position among n entries."""
+    index = _whole_number(value, name)
+    if not 0 <= index < n:
+        raise ValueError(f"{name} must be in [0, {n}), got {value!r}")
+    return index
+
+
 def _fields_equal(self, other):
     """``__eq__`` for frozen dataclasses that hold numpy arrays.
 
@@ -174,11 +206,8 @@ class ActionSet:
             raise ValueError(
                 f"labels must be a sequence of labels, got {self.labels!r}"
             )
-        if len(self.labels) == 0:
-            raise ValueError("action set must be non-empty")
-        labels = tuple(str(lab) for lab in self.labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("action labels must be unique")
+        labels = _non_empty((str(lab) for lab in self.labels), "labels")
+        _distinct(labels, "labels")
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
@@ -224,26 +253,18 @@ class Population:
     types: tuple[UtilityType, ...]
 
     def __post_init__(self):
-        types = tuple(self.types)
-        if len(types) == 0:
-            raise ValueError("population must contain at least one type")
+        types = _non_empty(self.types, "types")
         n = len(self.actions)
-        for idx, typ in enumerate(types):
-            if typ.utilities.shape[0] != n:
-                raise ValueError(
-                    f"type {idx}: utilities length {typ.utilities.shape[0]} "
-                    f"does not match action count {n}"
-                )
+        for i, typ in enumerate(types):
+            _one_per(typ.utilities, f"types[{i}].utilities", n, "action")
         weights = [typ.weight for typ in types]
         _unit_sum(weights, "type weights")
         object.__setattr__(self, "types", types)
         # Built once: every sweep, welfare and search path reads these, and
         # both are immutable, so all accesses share the same arrays.
-        weights = np.array(weights, dtype=np.float64)
         utility_matrix = np.stack([typ.utilities for typ in types])
-        weights.setflags(write=False)
         utility_matrix.setflags(write=False)
-        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_weights", _frozen_array(weights, "type weights"))
         object.__setattr__(self, "_utility_matrix", utility_matrix)
 
     __eq__ = _fields_equal
@@ -285,14 +306,19 @@ class HotellingScenario:
     def __post_init__(self):
         stores = _vector(self.store_locations, "store_locations")
         persons = _vector(self.person_locations, "person_locations")
+        # Rounding is monotone, so the widest gap is between extremes; Python
+        # floats overflow to inf where numpy would warn.
+        gap = max(float(stores.max()) - float(persons.min()),
+                  float(persons.max()) - float(stores.min()))
+        if math.isinf(gap * gap):
+            raise ValueError(
+                "store_locations and person_locations must lie close enough that "
+                f"every squared distance is finite, got a distance of {gap!r}")
         object.__setattr__(self, "store_locations", stores)
         object.__setattr__(self, "person_locations", persons)
         if self.person_weights is not None:
             w = _vector(self.person_weights, "person_weights", "> 0")
-            if w.shape != persons.shape:
-                raise ValueError(
-                    "person_weights length must match person_locations"
-                )
+            _one_per(w, "person_weights", persons.shape[0], "person location")
             _unit_sum(w, "person_weights")
             object.__setattr__(self, "person_weights", w)
 

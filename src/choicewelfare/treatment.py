@@ -26,7 +26,10 @@ from typing import Mapping, Optional, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .scenario import _fields_equal, _frozen_array, _real, _unit_sum, _vector
+from .scenario import (
+    _distinct, _fields_equal, _frozen_array, _non_empty, _one_per, _real, _unit_sum,
+    _vector,
+)
 
 TREATMENT_A = "A"
 TREATMENT_B = "B"
@@ -109,6 +112,12 @@ BETA_PARAM_MAX = 1e10
 # that changes the fraction by an ulp or two.
 _LENTZ_TINY = 1e-300
 _LENTZ_TOL = 3e-16
+# Just below the mirror switch x0 the direct fraction can round above the
+# mirror's value at x0 (0.5000000000000001 against 0.5 at a = 1 - 2^-53,
+# b = 1), so from x0 * _SWITCH_WINDOW up it is capped there. For a, b in
+# [0.05, 1e4] the CDF rises over the window by 160 times the fraction's error
+# or more, so below it needs no cap.
+_SWITCH_WINDOW = 1.0 - 2.0**-30
 
 
 def _stirling_remainder(t: float) -> float:
@@ -222,7 +231,8 @@ def _beta_cdf(a: float, b: float, x: float) -> float:
             "continued fraction's convergence domain"
         )
     y = 1.0 - x
-    mirrored = x >= (a + 1.0) / (a + b + 2.0)
+    switch = (a + 1.0) / (a + b + 2.0)
+    mirrored = x >= switch
     value = _beta_fraction(b, a, y, x) if mirrored else _beta_fraction(a, b, x, y)
     # NaN fails the range test too.
     if value is None or not 0.0 <= value <= 1.0:
@@ -230,6 +240,9 @@ def _beta_cdf(a: float, b: float, x: float) -> float:
             a, b, x, "the continued fraction did not converge to a probability "
             f"within {_beta_max_iter(a, b)} iterations"
         )
+    if not mirrored and x >= switch * _SWITCH_WINDOW:
+        at_switch = _beta_fraction(b, a, 1.0 - switch, switch)
+        value = value if at_switch is None else min(value, 1.0 - at_switch)
     return 1.0 - value if mirrored else value
 
 
@@ -311,12 +324,11 @@ class MixtureBelief:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        components = tuple(self.components)
+        components = _non_empty(self.components, "components")
         weights = tuple(
             _real(w, f"weights[{i}]", "> 0") for i, w in enumerate(self.weights)
         )
-        if len(components) == 0 or len(components) != len(weights):
-            raise ValueError("components and weights must be non-empty and aligned")
+        _one_per(weights, "weights", len(components), "component")
         for comp in components:
             if not isinstance(comp, (PointMassBelief, UniformBelief, BetaBelief)):
                 raise ValueError(
@@ -410,12 +422,8 @@ class XCell:
 
     def __post_init__(self):
         weight = _real(self.weight, "weight", "> 0")
-        z_cells = tuple(self.z_cells)
-        if len(z_cells) == 0:
-            raise ValueError("x cell must contain at least one z cell")
-        labels = [c.z_label for c in z_cells]
-        if len(set(labels)) != len(labels):
-            raise ValueError("z labels must be unique within an x cell")
+        z_cells = _non_empty(self.z_cells, "z_cells")
+        _distinct([c.z_label for c in z_cells], "z labels")
         _unit_sum((c.p_z_given_x for c in z_cells), f"x cell {self.x_label!r}: P(z|x)")
         if len({c.p_xz for c in z_cells}) == 1 and len(z_cells) > 1:
             warnings.warn(
@@ -442,12 +450,8 @@ class TreatmentScenario:
     x_cells: tuple[XCell, ...]
 
     def __post_init__(self):
-        x_cells = tuple(self.x_cells)
-        if len(x_cells) == 0:
-            raise ValueError("scenario must contain at least one x cell")
-        labels = [c.x_label for c in x_cells]
-        if len(set(labels)) != len(labels):
-            raise ValueError("x labels must be unique")
+        x_cells = _non_empty(self.x_cells, "x_cells")
+        _distinct([c.x_label for c in x_cells], "x labels")
         _unit_sum((c.weight for c in x_cells), "P(x) weights")
         object.__setattr__(self, "x_cells", x_cells)
 

@@ -23,12 +23,13 @@ from .models import (
     DefaultNudge,
     Logit,
     UniformBoundedIID,
+    _check_fit,
     _defined,
     _validate_available,
     block_choice_probabilities,
     choice_probabilities,
 )
-from .scenario import Population, _real, _vector
+from .scenario import Population, _one_per, _real, _vector
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def optimal_mandate(
     mandate_regret is measured against the full-set idealized optimum, so it
     equals the mandate-regret quantity when `available` is the full set.
     """
-    avail = _resolve_available(pop, available)
+    avail = _validate_available(available, pop.n_actions)
     eu = expected_utilities(pop)
     sub = eu[list(avail)]
     pos = int(np.argmax(sub))
@@ -139,7 +140,7 @@ def policy_welfare(
     non-default choice (eta = 0, the default, makes gamma purely a mistake).
     """
     eta = _real(eta, "eta", "[0, 1]")
-    avail = _resolve_available(pop, available)
+    avail = _validate_available(available, pop.n_actions)
     cols = np.array(avail)
     matrix = pop.utility_matrix
     block = block_choice_probabilities(matrix, [cols[None]], model, range(pop.n_types))
@@ -168,10 +169,9 @@ def alpha_welfare_closed_form(
     alpha * E(max utility) + (1 - alpha) * sum_i p_i * E[u(i)].
 
     alpha and background are checked as AlphaRational checks them, and the
-    background must also cover the full action set."""
+    background must also hold one entry per action."""
     model = AlphaRational(alpha, background)
-    if model.background.shape[0] != pop.n_actions:
-        raise ValueError("background probs must cover the full action set")
+    _check_fit(model, pop.n_actions)
     table_welfare = float(np.dot(model.background, expected_utilities(pop)))
     return model.alpha * idealized_optimum(pop) + (1.0 - model.alpha) * table_welfare
 
@@ -190,7 +190,7 @@ def mean_utility_bound(
 ) -> float:
     """Welfare floor under any IID-error random-utility model: the population
     mean of the unweighted average utility over the available set."""
-    avail = _resolve_available(pop, available)
+    avail = _validate_available(available, pop.n_actions)
     matrix = pop.utility_matrix[:, list(avail)]
     return float(np.sum(pop.weights * matrix.mean(axis=1)))
 
@@ -232,8 +232,8 @@ def stochastic_pareto_compare_binary(
     """
     if pop.n_actions != 2:
         raise ValueError("pareto comparison requires exactly 2 actions")
-    if len(probs_s) != pop.n_types or len(probs_s_prime) != pop.n_types:
-        raise ValueError("probability lists must align with population types")
+    _one_per(probs_s, "probs_s", pop.n_types, "type")
+    _one_per(probs_s_prime, "probs_s_prime", pop.n_types, "type")
     ge = True
     le = True
     strict_s = False
@@ -258,11 +258,3 @@ def stochastic_pareto_compare_binary(
     if le and strict_sp:
         return ParetoVerdict.S_PRIME_SUPERIOR
     return ParetoVerdict.INCOMPARABLE
-
-
-def _resolve_available(
-    pop: Population, available: Optional[Iterable[int]]
-) -> tuple[int, ...]:
-    if available is None:
-        return tuple(range(pop.n_actions))
-    return _validate_available(available, pop.n_actions)

@@ -656,6 +656,35 @@ def test_a_sweep_whose_q_times_a_gap_overflows_prints_nothing_to_stderr(tmp_path
     assert (tmp_path / "rows.crossings.csv").read_text(encoding="utf-8").count("\n") > 1
 
 
+@pytest.mark.parametrize("command", ["optimize", "evaluate"])
+def test_a_table_that_does_not_fit_its_actions_is_scenario_error(tmp_path, capsys, command):
+    path = _write(tmp_path, "table.scn", {"schema_version": 1, "population": {
+        "actions": ["a", "b", "c"],
+        "types": [{"utilities": [1.0, 0.0, 0.5], "weight": 1.0}],
+        "models": {"table": {"kind": "independent_table", "probs": [0.5, 0.5]}}}})
+    assert main([command, "--scenario", path, "--model", "table"]) == 2
+    assert capsys.readouterr().err == (
+        "error: population.models.table: probs must hold one entry per action (3), got 2\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["sweep", "hotelling"])
+def test_locations_whose_squared_distance_overflows_are_scenario_error(
+    tmp_path, capsys, command
+):
+    # Refused when parsed, before numpy could warn of the overflow (the
+    # suite turns a RuntimeWarning into an error).
+    path = _write(tmp_path, "far.scn", {"schema_version": 1, "hotelling": {
+        "store_locations": [1e200, 0.0], "person_locations": [0.0, 1.0]}})
+    out = tmp_path / "rows.csv"
+    assert main([command, "--scenario", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: hotelling: store_locations and person_locations must lie close enough "
+        "that every squared distance is finite, got a distance of 1e+200\n"
+    )
+    assert not out.exists()
+
+
 def test_unknown_available_label_is_scenario_error(population_file, capsys):
     assert (
         main(
@@ -677,7 +706,9 @@ def test_unknown_available_label_is_scenario_error(population_file, capsys):
 def test_repeated_available_label_is_scenario_error(population_file, capsys):
     argv = ["evaluate", "--scenario", population_file, "--model", "rational"]
     assert main(argv + ["--available", "a, b,a"]) == 2
-    assert capsys.readouterr().err == "error: --available: repeated action label 'a'\n"
+    assert capsys.readouterr().err == (
+        "error: --available: action labels must be distinct, got 'a' more than once\n"
+    )
 
 
 def test_csv_format_rejected_for_reports(population_file, treatment_file, capsys):

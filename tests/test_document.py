@@ -39,8 +39,10 @@ from choicewelfare import (
     bundled_scenario_text,
     document_to_json_dict,
     load_bundled_scenario,
+    optimize_choice_set,
     parse_scenario,
     parse_scenario_text,
+    policy_welfare,
     serialize_scenario,
 )
 
@@ -157,6 +159,32 @@ def test_models_built_from_numpy_scalars_roundtrip():
         mc=MCConfig(samples=i(500), seed=i(9)),
     )
     assert parse_scenario_text(serialize_scenario(doc)) == doc
+
+
+def test_a_section_built_in_code_refuses_a_table_that_does_not_fit():
+    # Its text would not parse back, so the section refuses the model as the
+    # parser does, with the same message.
+    population = _parse(_population_doc()).population.population
+    message = "population.models.m: probs must hold one entry per action (2), got 3"
+    with pytest.raises(ScenarioError) as built:
+        PopulationSection(population, {"m": IndependentTable([0.2, 0.3, 0.5])})
+    assert str(built.value) == message
+    spec = {"kind": "independent_table", "probs": [0.2, 0.3, 0.5]}
+    doc = _population_doc()
+    doc["population"]["models"] = {"m": spec}
+    with pytest.raises(ScenarioError) as parsed:
+        _parse(doc)
+    assert str(parsed.value) == message
+
+
+def test_a_section_built_in_code_refuses_a_default_past_its_actions():
+    # The serializer writes a nudge's default as its action's label, which
+    # index 2 of two actions does not have.
+    population = _parse(_population_doc()).population.population
+    nudge = DefaultNudge(default_action=2, gamma=0.1, base=RationalMax())
+    with pytest.raises(ScenarioError) as info:
+        PopulationSection(population, {"m": nudge})
+    assert str(info.value) == "population.models.m: default_action must be in [0, 2), got 2"
 
 
 # --- round-trip property: parse(serialize(d)) == d for generated documents ---
@@ -335,6 +363,42 @@ def test_parse_inverts_serialize(doc):
     again = parse_scenario_text(text)
     assert again == doc
     assert serialize_scenario(again) == text
+
+
+@st.composite
+def _table_documents(draw):
+    """A population of k actions with one model whose probability table,
+    bare, inside an alpha mixture or under a nudge, has m entries."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    labels = [f"a{i}" for i in range(k)]
+    table = [1.0 / m] * m
+    model = draw(st.sampled_from([
+        {"kind": "independent_table", "probs": table},
+        {"kind": "alpha_rational", "alpha": 0.5, "background": table},
+        {"kind": "default_nudge", "default_action": labels[-1], "gamma": 0.25,
+         "base": {"kind": "independent_table", "probs": table}},
+    ]))
+    utilities = st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)
+    types = [{"utilities": u, "weight": 0.5} for u in draw(st.tuples(utilities, utilities))]
+    name = draw(st.sampled_from(["m", "table", "nudged table"]))
+    return k == m, name, {"schema_version": 1, "population": {
+        "actions": labels, "types": types, "models": {name: model}}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_table_documents())
+def test_a_parsed_model_fits_its_actions(case):
+    # A table that does not fit its actions is refused, behind the model's
+    # path, when the file is parsed; one that is parsed runs every command.
+    fits, name, doc = case
+    if not fits:
+        with pytest.raises(ScenarioError, match=f"^population\\.models\\.{name}: "):
+            _parse(doc)
+        return
+    section = _parse(doc).population
+    for model in section.models.values():
+        optimize_choice_set(section.population, model)
+        policy_welfare(section.population, None, model)
 
 
 def test_models_parse_all_kinds():
@@ -625,7 +689,10 @@ def test_z_cell_probability_sum_checked():
 def test_duplicate_z_labels_rejected():
     doc = _treatment_doc()
     doc["treatment"]["x_cells"][0]["z_cells"][1]["label"] = "z1"
-    with pytest.raises(ScenarioError, match=r"z labels must be unique"):
+    with pytest.raises(
+        ScenarioError,
+        match=r"^treatment\.x_cells\[0\]: z labels must be distinct, got 'z1' more than once$",
+    ):
         _parse(doc)
 
 
@@ -753,7 +820,7 @@ _PINNED_ERRORS = {
     ),
     "model-array-entry": (
         _with_model({"kind": "independent_table", "probs": [0.5, None]}), (), None,
-        "population.models.m: background probs[1] must be a finite number >= 0, got None",
+        "population.models.m: probs[1] must be a finite number >= 0, got None",
     ),
     "model-constructor": (
         _with_model({"kind": "logit", "q": -1.0}), (), None,
@@ -766,13 +833,27 @@ _PINNED_ERRORS = {
     "model-constructor-alpha": (
         _with_model({"kind": "alpha_rational", "alpha": 0.5, "background": [0.5, 0.6]}),
         (), None,
-        "population.models.m: background probs must sum to 1 within 1e-12, got 1.1",
+        "population.models.m: background must sum to 1 within 1e-12, got 1.1",
     ),
     # The only message the table-driven parser changed: the parent prefixed
     # it with "population.models.m.probs", unlike every other kind.
     "model-constructor-table": (
         _with_model({"kind": "independent_table", "probs": [0.5, 0.6]}), (), None,
-        "population.models.m: background probs must sum to 1 within 1e-12, got 1.1",
+        "population.models.m: probs must sum to 1 within 1e-12, got 1.1",
+    ),
+    # A model is checked against the actions when it is parsed, not when a
+    # command first uses it.
+    "model-table-length": (
+        _with_model({"kind": "independent_table", "probs": [0.25, 0.25, 0.5]}), (), None,
+        "population.models.m: probs must hold one entry per action (2), got 3",
+    ),
+    "model-alpha-length": (
+        _with_model({"kind": "alpha_rational", "alpha": 0.5, "background": [1.0]}), (),
+        None, "population.models.m: background must hold one entry per action (2), got 1",
+    ),
+    "model-nudge-base-length": (
+        _with_model({**_NUDGE, "base": {"kind": "independent_table", "probs": [1.0]}}),
+        (), None, "population.models.m: base.probs must hold one entry per action (2), got 1",
     ),
     "model-unknown-label": (
         _with_model({**_NUDGE, "default_action": "zzz", "base": {"kind": "rational_max"}}),
@@ -887,7 +968,12 @@ _PINNED_ERRORS = {
     ),
     "hotelling-constructor": (
         _hotelling_doc(), ("hotelling", "person_weights"), [1.0],
-        "hotelling: person_weights length must match person_locations",
+        "hotelling: person_weights must hold one entry per person location (2), got 1",
+    ),
+    "hotelling-overflow": (
+        _hotelling_doc(), ("hotelling", "store_locations"), [1e200, 0.0],
+        "hotelling: store_locations and person_locations must lie close enough that "
+        "every squared distance is finite, got a distance of 1e+200",
     ),
     "type-unknown-key": (
         _population_doc(), ("population", "types", 0, "label"), "t",
@@ -908,6 +994,23 @@ _PINNED_ERRORS = {
     "type-not-object": (
         _population_doc(), ("population", "types", 1), [0.0, 1.0],
         "population.types[1]: expected an object",
+    ),
+    # The structural rules of scenario.py, behind the path of their record.
+    "actions-empty": (
+        _population_doc(), ("population", "actions"), [],
+        "population.actions: labels must be non-empty",
+    ),
+    "actions-repeated": (
+        _population_doc(), ("population", "actions"), ["a", "a"],
+        "population.actions: labels must be distinct, got 'a' more than once",
+    ),
+    "types-empty": (
+        _population_doc(), ("population", "types"), [],
+        "population.types: types must be non-empty",
+    ),
+    "type-length": (
+        _population_doc(), ("population", "types", 1, "utilities"), [0.0],
+        "population.types: types[1].utilities must hold one entry per action (2), got 1",
     ),
     # treatment cells
     "x-cells-not-array": (
@@ -931,6 +1034,21 @@ _PINNED_ERRORS = {
     ),
     "z-cells-not-array": (
         _treatment_doc(), _X + ("z_cells",), "z1", f"{_XP}.z_cells: expected an array"
+    ),
+    "x-cells-empty": (
+        _treatment_doc(), ("treatment", "x_cells"), [],
+        "treatment.x_cells: x_cells must be non-empty",
+    ),
+    "z-cells-empty": (
+        _treatment_doc(), _X + ("z_cells",), [], f"{_XP}: z_cells must be non-empty"
+    ),
+    "mixture-components-empty": (
+        _with_belief(_mixture(components=[], weights=[])), (), None,
+        f"{_B}: components must be non-empty",
+    ),
+    "mixture-weights-length": (
+        _with_belief(_mixture(weights=[1.0])), (), None,
+        f"{_B}: weights must hold one entry per component (2), got 1",
     ),
     # Of a bad belief and a missing label, the belief is read first.
     "z-cell-belief-before-label": (
@@ -1021,14 +1139,14 @@ _LONG_ARRAYS = {
     ),
     "independent_table.probs": (
         _wide_population({"m": {"kind": "independent_table", "probs": [_SHARE] * _N}}),
-        _MODEL + ("probs",), "population.models.m: background probs",
+        _MODEL + ("probs",), "population.models.m: probs",
         "a finite number >= 0",
     ),
     "alpha_rational.background": (
         _wide_population(
             {"m": {"kind": "alpha_rational", "alpha": 0.5, "background": [_SHARE] * _N}}
         ),
-        _MODEL + ("background",), "population.models.m: background probs",
+        _MODEL + ("background",), "population.models.m: background",
         "a finite number >= 0",
     ),
     "hotelling.store_locations": (
@@ -1122,21 +1240,27 @@ def test_number_array_matches_per_element_floats(items):
     # What json.loads hands the parser, number for number. The file and the
     # constructor store what float() gives entry by entry, or both refuse.
     items = json.loads(json.dumps(items))
-    doc = {"schema_version": 1, "hotelling": {
-        "store_locations": items, "person_locations": [0.0]}}
     if not items:
+        doc = {"schema_version": 1, "hotelling": {
+            "store_locations": items, "person_locations": [0.0]}}
         rule = "store_locations must be a non-empty 1-d vector"
         with pytest.raises(ValueError, match=f"^{rule}$"):
             HotellingScenario(items, [0.0])
         with pytest.raises(ScenarioError, match=f"^hotelling: {rule}$"):
             _parse(doc)
         return
+    # Non-empty arrays are read as a type's utilities, which take any finite
+    # numbers: hotelling locations must also keep their squared distances
+    # finite, and the edge ints such as 10**300 do not.
+    doc = {"schema_version": 1, "population": {
+        "actions": [str(i) for i in range(len(items))],
+        "types": [{"utilities": items, "weight": 1.0}]}}
     expected = np.array([float(v) for v in items], dtype=np.float64)
-    for stores in (
-        _parse(doc).hotelling.store_locations,
-        HotellingScenario(items, [0.0]).store_locations,
+    for stored in (
+        _parse(doc).population.population.types[0].utilities,
+        UtilityType(items, 1.0).utilities,
     ):
-        assert stores.dtype == np.float64 and stores.tobytes() == expected.tobytes()
+        assert stored.dtype == np.float64 and stored.tobytes() == expected.tobytes()
 
 
 def _with_utilities(utilities):

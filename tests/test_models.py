@@ -1,6 +1,7 @@
 """Choice models: probabilities, validation, and Monte Carlo reproducibility."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -439,11 +440,15 @@ ARRAY_FIELDS = {
         lambda v: OutcomeUtilities([v, v]).values[0], FINITE, False
     ),
     "background probs": (lambda v: IndependentTable(v).probs, NON_NEGATIVE, True),
-    "probs": (lambda v: ChoiceProbabilities((0, 1), v).probs, NON_NEGATIVE, False),
+    "background": (lambda v: AlphaRational(0.5, v).background, NON_NEGATIVE, True),
+    "probs": (lambda v: ChoiceProbabilities((0, 1), v).probs, NON_NEGATIVE, True),
     "samples": (lambda v: EmpiricalBelief(v).samples, UNIT, True),
 }
 # The outcome utilities are built from [v, v], whose first row holds v.
 _ROW_OF_V = {"outcome utilities": "[0]"}
+# The table's background probs are named probs in its messages, as are the
+# choice probabilities.
+_NAME_OF = {"background probs": "probs"}
 
 # A finite number outside each bounded rule.
 _OUTSIDE = {NON_NEGATIVE: -0.25, POSITIVE: 0.0, UNIT: 1.25}
@@ -468,15 +473,16 @@ def test_array_fields_store_finite_float64_and_refuse_the_rest(field):
     ]
     if rule in _OUTSIDE:
         bad_entries.append(([_OUTSIDE[rule], 0.75], 0))
-    name = field + _ROW_OF_V.get(field, "")
+    name = _NAME_OF.get(field, field)
+    row = name + _ROW_OF_V.get(field, "")
     for bad, i in bad_entries:
         with pytest.raises(ValueError) as info:
             build(bad)
-        assert str(info.value) == f"{name}[{i}] must be {rule}, got {bad[i]!r}"
+        assert str(info.value) == f"{row}[{i}] must be {rule}, got {bad[i]!r}"
     for bad in ([], [[0.25, 0.75]]) if vector else ():
         with pytest.raises(ValueError) as info:
             build(bad)
-        assert str(info.value) == f"{field} must be a non-empty 1-d vector"
+        assert str(info.value) == f"{name} must be a non-empty 1-d vector"
 
 
 def test_ragged_nesting_names_the_field():
@@ -520,8 +526,8 @@ def _treatment(weights):
 # Each sum-to-one site: the name its message gives the weights, and a way to
 # build its object from a sequence of weights.
 UNIT_SUM_SITES = {
-    "table": ("background probs", IndependentTable),
-    "alpha": ("background probs", lambda w: AlphaRational(0.5, w)),
+    "table": ("probs", IndependentTable),
+    "alpha": ("background", lambda w: AlphaRational(0.5, w)),
     "population": ("type weights", _population),
     "hotelling": (
         "person_weights", lambda w: HotellingScenario([0.0], np.zeros(len(w)), w)
@@ -810,7 +816,7 @@ def test_nudge_default_out_of_range_is_rejected(default_action, base):
     # charged to every action and the choice was the un-nudged one.
     model = DefaultNudge(default_action=default_action, gamma=0.5, base=base)
     u = np.array([1.0, 0.0])
-    message = f"default action index {default_action} out of range for 2 actions"
+    message = re.escape(f"default_action must be in [0, 2), got {default_action}")
     with pytest.raises(ValueError, match=message):
         choice_probabilities(u, (0, 1), model)
     pop = build_population(

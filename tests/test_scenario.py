@@ -62,14 +62,15 @@ def test_population_length_mismatch_names_type():
     actions = ActionSet(labels=("a", "b", "c"))
     good = UtilityType(utilities=np.array([1.0, 0.0, 2.0]), weight=0.5)
     bad = UtilityType(utilities=np.array([1.0, 0.0]), weight=0.5)
-    with pytest.raises(ValueError, match="type 1"):
+    with pytest.raises(ValueError) as info:
         Population(actions=actions, types=(good, bad))
+    assert str(info.value) == "types[1].utilities must hold one entry per action (3), got 2"
 
 
 def test_population_requires_types():
     with pytest.raises(ValueError):
         Population(actions=ActionSet(labels=("a",)), types=())
-    with pytest.raises(ValueError, match="population must contain at least one type"):
+    with pytest.raises(ValueError, match="^types must be non-empty$"):
         build_population(ActionSet(labels=("a",)), [])
 
 

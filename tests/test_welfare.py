@@ -342,9 +342,9 @@ def test_bounded_error_welfare_bound_value(line_population):
         (alpha_welfare_closed_form, (1.5, [0.2, 0.3, 0.5]),
          "alpha must be a number in [0, 1], got 1.5"),
         (alpha_welfare_closed_form, (0.5, [0.5, 0.6, 0.0]),
-         "background probs must sum to 1 within 1e-12, got 1.1"),
+         "background must sum to 1 within 1e-12, got 1.1"),
         (alpha_welfare_closed_form, (0.5, [0.5, 0.5]),
-         "background probs must cover the full action set"),
+         "background must hold one entry per action (3), got 2"),
         (bounded_error_welfare_bound, (float("inf"),),
          "delta must be a finite number > 0, got inf"),
     ],
