@@ -5,11 +5,14 @@ Carlo model; `logit_welfare_curve` evaluates population logit welfare on a
 whole grid of q values at once. Tie-breaking is by the lowest index among
 maximal scores.
 
-The curve kernel shifts each type's utilities by their maximum once per
-call, gaps = u - max u, so a chunk of q values only multiplies the gaps by q
-before exponentiating: every exponent is at most 0 and nothing overflows
-toward +inf. The Logit model (`models.block_choice_probabilities`) shifts
-the same way, so both give the same bits. The kernel works action-major: a
+The curve kernel works on utilities shifted by each type's maximum, gaps =
+u - max u (`shift_utilities`), so a chunk of q values only multiplies the
+gaps by q before exponentiating: every exponent is at most 0 and nothing
+overflows toward +inf. A sweep shifts each subset's utilities once and hands
+the `ShiftedUtilities` to every call on that subset, its grid curve and each
+one-q refinement call; a call given a plain (T, k) matrix shifts it itself.
+The Logit model (`models.block_choice_probabilities`) shifts the same way,
+so both give the same bits. The kernel works action-major: a
 chunk is laid out as (k, q, T), so each step over the k actions is one
 elementwise operation on a contiguous (q, T) slice, not a reduction along a
 last axis only k long. Its two sums over actions add in the order numpy's
@@ -29,8 +32,10 @@ not depend on the chunking, so the curve is the same on any number of CPUs.
 import _thread
 import contextvars
 import os
+from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import NDArray
 
 
 def argmax_tally(utilities, errors):
@@ -81,20 +86,20 @@ def _sum_actions(z):
     """Sum a (k, q, T) array over its first axis, in numpy's order.
 
     numpy's ``add.reduce`` along a contiguous axis of n terms adds them left
-    to right when n < 8. From 8 terms on it keeps 8 running partials
+    to right when n < 8, and so does its reduction over a leading axis,
+    element by element: below 8 terms this is that one reduction. From 8
+    terms on, along a contiguous axis, it keeps 8 running partials
     r_j += z[j + 8m], combines them as ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7))
     and then adds the remaining n % 8 terms left to right. Repeating that
     order here, elementwise over the (q, T) slices, gives the same bits as
-    ``z.transpose(1, 2, 0).sum(axis=2)`` on a C-ordered copy. (numpy also
-    starts from 0.0, which only turns a sum of -0.0 terms into +0.0; the
-    type reduction that follows starts from 0.0 too, so it cannot show.)
+    ``z.transpose(1, 2, 0).sum(axis=2)`` on a C-ordered copy. (numpy starts
+    a sum from 0.0, so its sum of -0.0 terms is +0.0, where the partials here
+    keep -0.0; the type reduction that follows starts from 0.0 too, so the
+    sign cannot show.)
     """
     k = z.shape[0]
     if k < 8:
-        total = z[0].copy()
-        for i in range(1, k):
-            total += z[i]
-        return total
+        return np.add.reduce(z, axis=0)
     partial = z[:8].copy()
     whole = k - k % 8
     for start in range(8, whole, 8):
@@ -107,20 +112,42 @@ def _sum_actions(z):
     return total
 
 
+class ShiftedUtilities(NamedTuple):
+    """A (T, k) utility matrix laid out for the curve kernel: ``by_action``
+    is the utilities transposed to (k, 1, T), ``gaps`` each type's utilities
+    less their maximum over the k actions, all at most 0, in the same
+    layout. `shift_utilities` builds one."""
+
+    by_action: NDArray[np.float64]
+    gaps: NDArray[np.float64]
+
+
+def shift_utilities(utilities) -> ShiftedUtilities:
+    """The (T, k) ``utilities`` transposed and shifted by each type's
+    maximum, as `logit_welfare_curve` uses them; a caller that evaluates
+    one matrix many times shifts it once."""
+    by_action = np.ascontiguousarray(np.asarray(utilities, dtype=np.float64).T)
+    by_action = by_action[:, np.newaxis, :]
+    return ShiftedUtilities(by_action, by_action - np.maximum.reduce(by_action))
+
+
 def logit_welfare_curve(weights, utilities, q_values):
     """Population logit welfare at each q.
 
-    ``weights``: (T,) summing to 1; ``utilities``: (T, k); ``q_values``: (Q,).
-    welfare(q) = sum_t w_t * sum_i u_ti * softmax_i(q * u_ti). Evaluated over
-    chunks of max(1, CURVE_CHUNK_ELEMENTS // (T x k)) q values, so memory
-    stays bounded for any grid.
+    ``weights``: (T,) summing to 1; ``utilities``: a (T, k) matrix, or the
+    `ShiftedUtilities` that `shift_utilities` makes of one; ``q_values``:
+    (Q,). welfare(q) = sum_t w_t * sum_i u_ti * softmax_i(q * u_ti).
+    Evaluated over chunks of max(1, CURVE_CHUNK_ELEMENTS // (T x k)) q
+    values, so memory stays bounded for any grid.
 
     A call splits its chunks across threads as `_split_threads` decides;
     otherwise it runs them on the calling thread and starts no thread.
 
-    Once per call, ``utilities`` is transposed to (k, 1, T) and each type
-    is shifted by its maximum over the k actions: gaps = u - max u, all at
-    most 0. Precondition: every gap is finite, that is, no two of a type's
+    A (T, k) matrix is shifted on each call; a caller that evaluates the
+    same matrix many times, as a sweep's refinement does, passes its
+    `ShiftedUtilities` instead, which gives the same bits. The shift takes
+    each type's maximum over the k actions: gaps = u - max u, all at most 0.
+    Precondition: every gap is finite, that is, no two of a type's
     utilities are further apart than the largest float; otherwise q = 0
     gives 0 x -inf = NaN. The kernel does not check it, since a check would
     slow every one-q refinement call; `search` checks it once per sweep, and
@@ -139,17 +166,13 @@ def logit_welfare_curve(weights, utilities, q_values):
     q alone gives the same bits as inside a vector.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    utilities = np.asarray(utilities, dtype=np.float64)
+    if not isinstance(utilities, ShiftedUtilities):
+        utilities = shift_utilities(utilities)
+    by_action, gaps = utilities
     q_values = np.asarray(q_values, dtype=np.float64)
     n_q = q_values.shape[0]
     out = np.empty(n_q, dtype=np.float64)
-    by_action = np.ascontiguousarray(utilities.T)[:, np.newaxis, :]
-    # One action is its own maximum. Crossing refinement makes hundreds of
-    # one-q calls of one action per sweep, and a reduction's set-up is about
-    # a tenth of such a call.
-    top = by_action[0] if by_action.shape[0] == 1 else np.maximum.reduce(by_action)
-    gaps = by_action - top
-    per_q = utilities.size
+    per_q = by_action.size
     chunk = max(1, CURVE_CHUNK_ELEMENTS // per_q)
     starts = range(0, n_q, chunk)
     threads = _split_threads(n_q * per_q, len(starts))

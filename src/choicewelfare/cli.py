@@ -48,7 +48,7 @@ from .document import (
     load_bundled_scenario,
     parse_scenario,
 )
-from .models import ChoiceModel, DefaultNudge, MCConfig, RandomUtilityMC
+from .models import ChoiceModel, DefaultNudge, MCConfig, RandomUtilityMC, _table
 from .scenario import ActionSet, Population, _distinct, hotelling_population
 from .search import (
     SweepConfig,
@@ -285,6 +285,19 @@ def _resolve_available(args, actions: ActionSet) -> Optional[list[int]]:
     return indices
 
 
+def _require_mass(name: str, model: ChoiceModel, actions: ActionSet, available) -> None:
+    """Refuse an --available choice set on which the probability table of
+    the model called `name` has no mass: the model leaves choice on it
+    undefined."""
+    table = _table(model)
+    if available is not None and table is not None and not table[1][available].sum() > 0.0:
+        chosen = ",".join(actions.labels[i] for i in available)
+        raise _UsageError(
+            f"--available {chosen}: model {name!r} has zero probability "
+            f"mass on the chosen actions in its {table[0]}"
+        )
+
+
 def _sweep_config(doc: ScenarioDocument, args) -> SweepConfig:
     base = doc.sweep if doc.sweep is not None else SweepConfig()
     try:
@@ -305,6 +318,7 @@ def _cmd_evaluate(args) -> int:
     available = _resolve_available(args, pop.actions)
     if not 0.0 <= args.eta <= 1.0:
         raise _UsageError("--eta must lie in [0, 1]")
+    _require_mass(args.model, model, pop.actions, available)
     result = policy_welfare(pop, available, model, eta=args.eta)
     payload = {
         "available": [pop.actions.labels[i] for i in result.available],

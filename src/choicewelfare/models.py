@@ -141,10 +141,7 @@ class MCConfig:
     seed: int = 0
 
     def __post_init__(self):
-        samples = _whole_number(self.samples, "samples")
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _whole_number(self.samples, "samples", 1))
         object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
 
 
@@ -236,17 +233,27 @@ def _validate_available(
     return tuple(sorted(indices))
 
 
+def _table(model: ChoiceModel):
+    """(key, probabilities) of the model's probability table, or None for a
+    model without one; a nudge's table is its base's, under "base."."""
+    prefix = ""
+    if isinstance(model, DefaultNudge):
+        model, prefix = model.base, "base."
+    if isinstance(model, IndependentTable):
+        return f"{prefix}probs", model.probs
+    if isinstance(model, AlphaRational):
+        return f"{prefix}background", model.background
+    return None
+
+
 def _check_fit(model: ChoiceModel, n_actions: int) -> None:
     """Refuse a model that does not fit n_actions actions: a table needs one
     entry per action, a nudge's default an index in [0, n_actions)."""
-    prefix = ""
     if isinstance(model, DefaultNudge):
         _index(model.default_action, "default_action", n_actions)
-        model, prefix = model.base, "base."
-    if isinstance(model, IndependentTable):
-        _one_per(model.probs, f"{prefix}probs", n_actions, "action")
-    elif isinstance(model, AlphaRational):
-        _one_per(model.background, f"{prefix}background", n_actions, "action")
+    table = _table(model)
+    if table is not None:
+        _one_per(table[1], table[0], n_actions, "action")
 
 
 def _normalize_seed(seed: int) -> int:
@@ -279,12 +286,8 @@ def sample_errors(
     Entries are IID across rows and columns. Gumbel draws use the inverse CDF
     -log(-log(U)).
     """
-    count = _whole_number(count, "count")
-    n_actions = _whole_number(n_actions, "n_actions")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if n_actions < 1:
-        raise ValueError("n_actions must be >= 1")
+    count = _whole_number(count, "count", 1)
+    n_actions = _whole_number(n_actions, "n_actions", 1)
     rng = np.random.default_rng(_normalize_seed(seed))
     return _draw_errors(spec, count, n_actions, rng)
 
@@ -308,10 +311,7 @@ def choice_probabilities(
     utilities = _vector(utilities, "utilities")
     avail = _validate_available(available, utilities.shape[0])
     one_subset = [np.array([avail])]
-    stream = _whole_number(stream, "stream")
-    if stream < 0:
-        raise ValueError(f"stream must be >= 0, got {stream!r}")
-    streams = [stream]
+    streams = [_whole_number(stream, "stream", 0)]
     block = block_choice_probabilities(utilities[None], one_subset, model, streams)
     return ChoiceProbabilities(available=avail, probs=_defined(block[0][0, 0]))
 

@@ -14,7 +14,8 @@ This module is also the one place where the library checks a number, an
 array or a collection it is given, from a caller or from a scenario file.
 Each rule raises ValueError("<name> must be <rule>, got <value>") or the
 like. The number rules refuse text, booleans, NaN and the infinities: `_real`
-(one real number within a bound), `_whole_number` (an integer) and
+(one real number within a bound), `_whole_number` (an integer, with an
+optional lower bound: "must be a whole number >= <least>") and
 `_frozen_array` (an array whose entries lie within a bound; it names the first
 bad entry <name>[i], or <name>[i][j] in 2-d). The structural rules are
 `_vector` ("must be a non-empty 1-d vector"), `_unit_sum` ("must sum to 1
@@ -66,15 +67,18 @@ def _real(value, name: str, bound: str) -> float:
     return real
 
 
-def _whole_number(value, name: str) -> int:
+def _whole_number(value, name: str, least: Optional[int] = None) -> int:
     """`value` as a Python int, refusing what int() would parse (a string) or
-    truncate (a number with a fractional part)."""
+    truncate (a number with a fractional part), and one below `least` when
+    that is given."""
     try:
         whole = None if isinstance(value, _NOT_NUMBERS) else int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and whole < least:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
     return whole
 
 

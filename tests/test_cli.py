@@ -668,6 +668,30 @@ def test_a_table_that_does_not_fit_its_actions_is_scenario_error(tmp_path, capsy
     )
 
 
+@pytest.mark.parametrize(("model", "key"), [
+    ({"kind": "independent_table", "probs": [1.0, 0.0, 0.0]}, "probs"),
+    ({"kind": "alpha_rational", "alpha": 0.5, "background": [1.0, 0.0, 0.0]}, "background"),
+    ({"kind": "default_nudge", "default_action": "b", "gamma": 0.5,
+      "base": {"kind": "independent_table", "probs": [1.0, 0.0, 0.0]}}, "base.probs"),
+], ids=["table", "alpha", "nudged-table"])
+def test_available_set_with_no_table_mass_is_usage_error(tmp_path, capsys, model, key):
+    # The choice set comes from the command line, so the message names the
+    # flag's labels, the model and the key of its table.
+    path = _write(tmp_path, "mass.scn", {"schema_version": 1, "population": {
+        "actions": ["a", "b", "c"],
+        "types": [{"utilities": [1.0, 0.0, 0.5], "weight": 1.0}],
+        "models": {"m": model}}})
+    argv = ["evaluate", "--scenario", path, "--model", "m", "--available"]
+    assert main(argv + ["c, b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: --available c,b: model 'm' has zero probability mass on the "
+        f"chosen actions in its {key}\n"
+    )
+    assert captured.out == ""
+    assert main(argv + ["a,c"]) == 0
+
+
 @pytest.mark.parametrize("command", ["sweep", "hotelling"])
 def test_locations_whose_squared_distance_overflows_are_scenario_error(
     tmp_path, capsys, command
@@ -755,7 +779,7 @@ def test_bad_samples_is_usage_error(population_file, capsys, command, samples):
     argv = [command, "--scenario", population_file, "--model", "mc"]
     assert main(argv + ["--samples", samples]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: samples must be >= 1\n"
+    assert captured.err == f"error: samples must be a whole number >= 1, got {samples}\n"
     assert captured.out == ""
 
 

@@ -953,7 +953,8 @@ _PINNED_ERRORS = {
         "mc: seed must be a whole number, got 1.5",
     ),
     "mc-constructor": (
-        _population_doc(mc={"samples": 0}), (), None, "mc: samples must be >= 1"
+        _population_doc(mc={"samples": 0}), (), None,
+        "mc: samples must be a whole number >= 1, got 0",
     ),
     "hotelling-unknown-key": (
         _hotelling_doc(), ("hotelling", "labels"), ["a"], "hotelling: unknown field 'labels'"

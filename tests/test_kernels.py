@@ -147,6 +147,35 @@ def test_logit_welfare_curve_is_bitwise_the_one_q_loop(n_types, k, n_q, tied, se
     i = int(rng.integers(n_q))
     alone = kernels.logit_welfare_curve(weights, utilities, q_values[i:i + 1])
     assert alone.tobytes() == curve[i:i + 1].tobytes()
+    # A sweep shifts each subset once and passes the ShiftedUtilities to its
+    # grid curve and to every one-q refinement call on the subset.
+    shifted = kernels.shift_utilities(utilities)
+    assert kernels.logit_welfare_curve(weights, shifted, q_values).tobytes() == curve.tobytes()
+    alone = kernels.logit_welfare_curve(weights, shifted, q_values[i:i + 1])
+    assert alone.tobytes() == curve[i:i + 1].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 7),
+    n_q=st.integers(1, 40),
+    n_types=st.integers(1, 60),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sum_actions_below_eight_terms_adds_left_to_right(k, n_q, n_types, zeros, seed):
+    # One reduction over the leading axis adds its terms in index order,
+    # element by element, starting from 0.0 as numpy's sums do; terms of
+    # widely spread magnitude make any other order show in the last bits.
+    rng = np.random.default_rng(seed)
+    shape = (k, n_q, n_types)
+    z = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    if zeros:
+        z[rng.random(z.shape) < 0.5] = rng.choice([0.0, -0.0])
+    total = np.zeros((n_q, n_types))
+    for i in range(k):
+        total += z[i]
+    assert kernels._sum_actions(z).tobytes() == total.tobytes()
 
 
 def test_logit_welfare_curve_q_zero_is_uniform_mean():

@@ -376,6 +376,14 @@ ARGUMENT_CASES = {
         lambda: sample_errors(NormalIID(sigma=1.0), 3, 2.5, seed=0),
         "n_actions must be a whole number, got 2.5",
     ),
+    "count-zero": (
+        lambda: sample_errors(NormalIID(sigma=1.0), 0, 2, seed=0),
+        "count must be a whole number >= 1, got 0",
+    ),
+    "n_actions-zero": (
+        lambda: sample_errors(NormalIID(sigma=1.0), 3, 0, seed=0),
+        "n_actions must be a whole number >= 1, got 0",
+    ),
     "seed-fraction": (
         lambda: sample_errors(NormalIID(sigma=1.0), 3, 2, seed=1.9),
         "seed must be a whole number, got 1.9",
@@ -392,11 +400,11 @@ ARGUMENT_CASES = {
     # whatever the model, before numpy's SeedSequence could refuse it unnamed.
     "stream-negative": (
         lambda: choice_probabilities(U3, (0, 1), _MC2, stream=-1),
-        "stream must be >= 0, got -1",
+        "stream must be a whole number >= 0, got -1",
     ),
     "stream-negative-analytic": (
         lambda: choice_probabilities(U3, (0, 1), RationalMax(), stream=-1),
-        "stream must be >= 0, got -1",
+        "stream must be a whole number >= 0, got -1",
     ),
     "eta-text": (
         lambda: policy_welfare(_POP2, None, RationalMax(), eta="0.5"),

@@ -400,6 +400,32 @@ def test_sweep_and_find_crossings_pass_through_each_stage_once(line_population):
     assert len(roots) == len(LINE_CROSSINGS[pair]) == 2
 
 
+def test_each_swept_subset_is_shifted_once(line_population):
+    # The grid curve and every one-q refinement call on a subset take the
+    # ShiftedUtilities the sweep built for it.
+    built, passed = [], []
+    shift = search.shift_utilities
+    curve = search.logit_welfare_curve
+
+    def shifting(utilities):
+        built.append(shift(utilities))
+        return built[-1]
+
+    def recording(weights, utilities, q_values):
+        passed.append(utilities)
+        return curve(weights, utilities, q_values)
+
+    with mock.patch.object(search, "shift_utilities", shifting), \
+            mock.patch.object(search, "logit_welfare_curve", recording):
+        result = sweep_logit(line_population)
+        assert len(built) == len(result.subsets) == 7
+        assert len(passed) > len(built) and result.crossings
+        assert {id(u) for u in passed} == {id(u) for u in built}
+        built.clear()
+        find_crossings(line_population, (0, 2), (0, 1, 2))
+        assert len(built) == 2
+
+
 def test_one_action_sweep_has_no_pairs():
     pop = build_population(
         ActionSet(labels=("only",)),
