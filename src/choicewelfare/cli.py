@@ -31,7 +31,7 @@ import io
 import json
 import os
 import sys
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 # numpy's bundled OpenBLAS starts a worker thread per extra CPU when it
 # loads, and the worker spins for about 0.1 s of CPU before it sleeps. No
@@ -164,24 +164,27 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _write_files_atomic(texts) -> None:
-    """Write each text of the ``{path: text}`` mapping beside its path, then
-    rename every one over its path, with the mode ``open(path, "w")`` gives
-    a new file.
+def _write_files_atomic(files) -> None:
+    """Write each file of the ``{path: chunks}`` mapping beside its path,
+    where ``chunks`` is an iterable of text chunks, then rename every one
+    over its path, with the mode ``open(path, "w")`` gives a new file. The
+    chunks are written as they are made, so a file's whole text is never
+    held.
 
-    No path is replaced until every text is written and no path is a
-    directory, so such a failure leaves every path as it was. A failure
-    removes every temp file, and its error names the path being written."""
+    No path is replaced until every file is written and no path is a
+    directory, so such a failure leaves every path as it was. A failure,
+    an exception raised while a chunk is made included, removes every temp
+    file; an OSError's message names the path being written."""
     temps = {}
     path = None
     try:
-        for path, text in texts.items():
+        for path, chunks in files.items():
             temps[path] = os.path.join(os.path.dirname(os.path.abspath(path)),
                                        f".choicewelfare-{os.urandom(6).hex()}.part")
             fd = os.open(temps[path], os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        for path in texts:
+                fh.writelines(chunks)
+        for path in files:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         for path, tmp in temps.items():
@@ -201,25 +204,23 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_files_atomic({out: text})
+        _write_files_atomic({out: (text,)})
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header, rows) -> str:
+def _csv_text(rows) -> str:
     sio = io.StringIO()
-    writer = csv.writer(sio)
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(sio).writerows(rows)
     return sio.getvalue()
 
 
 def _csv_lead(field: str) -> str:
     """``field`` as csv.writer writes the first field of a row of several,
     followed by the delimiter."""
-    return _csv_text((field, ""), ()).removesuffix("\r\n")
+    return _csv_text([(field, "")]).removesuffix("\r\n")
 
 
 # --- scenario plumbing ---
@@ -362,19 +363,62 @@ def _subset_label(actions: ActionSet, subset) -> str:
     return "+".join(actions.labels[i] for i in subset)
 
 
+# Crossings written per chunk of the crossings file.
+_CROSSINGS_PER_CHUNK = 1000
+
+
+class _Form(NamedTuple):
+    """How a sweep file's text is made from non-empty blocks of its records:
+    `head`, the `text` of each block with `sep` between two, then `tail`;
+    a file of no blocks is `empty`."""
+
+    head: str
+    sep: str
+    tail: str
+    empty: str
+    text: Callable[[Any], str]
+
+
+def _csv_form(header, text) -> _Form:
+    head = _csv_text([header])
+    return _Form(head, "", "", head, text)
+
+
+def _json_form(key: str, records) -> _Form:
+    """The form of ``_json_text({key: items})``, where `items` lists the
+    ``records(block)`` of every block in turn. One encoder writes each
+    block's records nested at the list's depth, so its own rules write every
+    value."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    # What the encoder writes before, between and after the list's items.
+    head, sep, tail = encoder.encode({key: [None, None]}).split("null")
+
+    def text(block) -> str:
+        return encoder.encode({key: records(block)})[len(head):-len(tail)]
+
+    return _Form(head, sep, tail + "\n", _json_text({key: []}), text)
+
+
+def _file_chunks(form: _Form, blocks):
+    """A file's text, one chunk per block, as `form` makes it."""
+    written = False
+    for block in blocks:
+        yield (form.sep if written else form.head) + form.text(block)
+        written = True
+    yield form.tail if written else form.empty
+
+
 def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
+    """Write the rows file, one chunk per subset, and the crossings file,
+    one chunk per `_CROSSINGS_PER_CHUNK` crossings, so that neither file's
+    text nor the whole table as Python objects is ever held."""
     labels = [_subset_label(actions, subset) for subset in result.subsets]
     label_of = dict(zip(result.subsets, labels))
-    crossings = [
-        (label_of[c.subset_a], label_of[c.subset_b], c.q_star)
-        for c in result.crossings
-    ]
     crossings_out = _crossings_path(args.out, args.format)
 
     # The row loops read Python lists: indexing a numpy array per element
     # costs more than formatting the value.
     q_list = result.grid.q_values.tolist()
-    welfare = result.welfare.tolist()
     envelope = result.envelope.tolist()
     if args.format == "csv":
         # The rows are the bytes csv.writer writes (its default dialect ends
@@ -382,46 +426,54 @@ def _emit_sweep_files(result: SweepResult, actions: ActionSet, args) -> int:
         # need quoting, never a number or a flag, so each label is quoted
         # once. ``w:.12g`` is `_fmt` for the floats of ``tolist()``.
         q_text = [_fmt(q) for q in q_list]
-        lines = [_csv_text(("subset_label", "q", "welfare", "is_envelope"), ())]
-        for si, label in enumerate(labels):
-            lead = _csv_lead(label)
-            lines.extend(
+
+        def subset_rows(si: int) -> str:
+            lead = _csv_lead(labels[si])
+            return "".join(
                 [
                     f"{lead}{q},{w:.12g},{'true' if best == si else 'false'}\r\n"
-                    for q, w, best in zip(q_text, welfare[si], envelope)
+                    for q, w, best in zip(q_text, result.welfare[si].tolist(), envelope)
                 ]
             )
-        main_text = "".join(lines)
-        crossings_text = _csv_text(
-            ("subset_a", "subset_b", "q"), [(a, b, _fmt(q)) for a, b, q in crossings]
+
+        rows = _csv_form(("subset_label", "q", "welfare", "is_envelope"), subset_rows)
+        crossings = _csv_form(
+            ("subset_a", "subset_b", "q"),
+            lambda block: _csv_text(
+                [(label_of[c.subset_a], label_of[c.subset_b], _fmt(c.q_star)) for c in block]
+            ),
         )
     else:
-        main_text = _json_text(
-            {
-                "rows": [
-                    {
-                        "subset_label": label,
-                        "q": q,
-                        "welfare": w,
-                        "is_envelope": best == si,
-                    }
-                    for si, label in enumerate(labels)
-                    for q, w, best in zip(q_list, welfare[si], envelope)
-                ]
-            }
+        rows = _json_form(
+            "rows",
+            lambda si: [
+                {"subset_label": labels[si], "q": q, "welfare": w, "is_envelope": best == si}
+                for q, w, best in zip(q_list, result.welfare[si].tolist(), envelope)
+            ],
         )
-        crossings_text = _json_text(
-            {
-                "crossings": [
-                    {"subset_a": a, "subset_b": b, "q": q} for a, b, q in crossings
-                ]
-            }
+        crossings = _json_form(
+            "crossings",
+            lambda block: [
+                {"subset_a": label_of[c.subset_a], "subset_b": label_of[c.subset_b],
+                 "q": c.q_star}
+                for c in block
+            ],
         )
 
-    _write_files_atomic({args.out: main_text, crossings_out: crossings_text})
+    n_crossings = len(result.crossings)
+    crossing_blocks = (
+        result.crossings[i:i + _CROSSINGS_PER_CHUNK]
+        for i in range(0, n_crossings, _CROSSINGS_PER_CHUNK)
+    )
+    _write_files_atomic(
+        {
+            args.out: _file_chunks(rows, range(len(labels))),
+            crossings_out: _file_chunks(crossings, crossing_blocks),
+        }
+    )
     n_rows = len(labels) * len(q_list)
     print(f"wrote {n_rows} sweep rows to {args.out}")
-    print(f"wrote {len(crossings)} crossings to {crossings_out}")
+    print(f"wrote {n_crossings} crossings to {crossings_out}")
     return 0
 
 

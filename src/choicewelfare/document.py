@@ -474,14 +474,17 @@ def _parse_treatment(value: Any, path: str) -> "TreatmentScenario":
 # --- entry points ---
 
 
-def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDocument:
-    """Parse and validate a scenario document from a JSON string."""
+def _decode(text: str, source: str) -> Any:
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+
+
+def _parse_document(raw: Any) -> ScenarioDocument:
+    """Validate decoded JSON as a scenario document."""
     obj = _require_object(raw, "document")
     _check_keys(
         obj,
@@ -513,6 +516,11 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDocume
         schema_version=version, sweep=sweep, mc=mc, **{kind: section})
 
 
+def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDocument:
+    """Parse and validate a scenario document from a JSON string."""
+    return _parse_document(_decode(text, source))
+
+
 def parse_scenario(path) -> ScenarioDocument:
     """Parse and validate the scenario file at `path`."""
     try:
@@ -520,7 +528,11 @@ def parse_scenario(path) -> ScenarioDocument:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read scenario file: {exc}") from None
-    return parse_scenario_text(text, source=str(path))
+    raw = _decode(text, str(path))
+    # The records are read from the decoded JSON alone: the file's text
+    # goes first, so it does not add to the peak while they are built.
+    del text
+    return _parse_document(raw)
 
 
 def bundled_scenario_text(name: str = "hotelling.scn") -> str:

@@ -1,5 +1,7 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,15 +10,28 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicewelfare import cli
 from choicewelfare.cli import main
 from choicewelfare.document import parse_scenario
-from choicewelfare.search import SweepConfig, sweep_logit
+from choicewelfare.scenario import ActionSet, UtilityType, build_population
+from choicewelfare.search import (
+    Crossing,
+    SweepConfig,
+    SweepGrid,
+    SweepResult,
+    enumerate_choice_sets,
+    sweep_logit,
+)
 
 
 def _write(tmp_path, name, payload) -> str:
@@ -884,7 +899,9 @@ def test_a_write_error_names_the_out_path_and_leaves_no_temp_file(
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
 
 
-def test_a_failed_sweep_write_leaves_both_files_as_they_were(hotelling_file, tmp_path, capsys):
+def test_a_failed_sweep_write_leaves_both_files_as_they_were(
+    hotelling_file, tmp_path, capsys, monkeypatch
+):
     # The crossings path is a directory: the rows file must not be replaced
     # either, and neither temp file may stay behind.
     rows = tmp_path / "rows.csv"
@@ -896,6 +913,150 @@ def test_a_failed_sweep_write_leaves_both_files_as_they_were(hotelling_file, tmp
     assert err.endswith(f": {str(tmp_path / 'rows.crossings.csv')!r}\n")
     assert rows.read_text(encoding="utf-8") == "old rows\n"
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
+
+    # Formatting the second subset's rows raises part-way through the rows
+    # file, after the first subset's rows were written to its temp file.
+    again = tmp_path / "again"
+    again.mkdir()
+    rows, crossings = again / "rows.csv", again / "rows.crossings.csv"
+    rows.write_text("old rows\n", encoding="utf-8")
+    crossings.write_text("old crossings\n", encoding="utf-8")
+    leads = []
+    csv_lead = cli._csv_lead
+
+    def failing_lead(field):
+        leads.append(field)
+        if len(leads) == 2:
+            raise ValueError("cannot format the second subset")
+        return csv_lead(field)
+
+    monkeypatch.setattr(cli, "_csv_lead", failing_lead)
+    assert main(["hotelling", "--out", str(rows)]) == 3
+    assert capsys.readouterr().err == "error: cannot format the second subset\n"
+    assert len(leads) == 2
+    assert rows.read_text(encoding="utf-8") == "old rows\n"
+    assert crossings.read_text(encoding="utf-8") == "old crossings\n"
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
+
+
+def _emission_peak_bytes(n_actions, fmt, out_dir):
+    rng = np.random.default_rng(5)
+    pop = build_population(
+        ActionSet(labels=tuple(f"a{i}" for i in range(n_actions))),
+        [UtilityType(utilities=u, weight=1.0) for u in rng.normal(size=(4, n_actions))],
+    )
+    result = sweep_logit(pop, SweepGrid(q_values=np.linspace(0.0, 10.0, 2_001)))
+    args = argparse.Namespace(out=str(out_dir / f"rows{n_actions}.{fmt}"), format=fmt)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli._emit_sweep_files(result, pop.actions, args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_emission_memory_does_not_grow_with_the_rows(fmt, tmp_path):
+    # The files are written one subset's rows at a time: 63 subsets need no
+    # more memory than 7 do, where holding every row (or the file's text)
+    # would take 9 times as much. Each subset has 2,001 rows, so its block
+    # outweighs the 734 crossings of the larger sweep.
+    few, many = _emission_peak_bytes(3, fmt, tmp_path), _emission_peak_bytes(6, fmt, tmp_path)
+    assert many < 1.5 * few
+
+
+_AWKWARD_LABELS = ['say "hi"', "a,b", "two\r\nlines", "\u00e9t\u00e9 \u2603", "", "+"]
+_AWKWARD_FLOATS = [-0.0, 0.0, 5e-324, 1e308, -1e308]
+
+
+@st.composite
+def _sweep_results(draw):
+    labels = draw(
+        st.lists(st.sampled_from(_AWKWARD_LABELS) | st.text(max_size=4),
+                 min_size=1, max_size=3, unique=True)
+    )
+    subsets = tuple(enumerate_choice_sets(ActionSet(labels=tuple(labels))))
+    n_q = draw(st.integers(1, 4))
+    q = np.cumsum(draw(st.lists(st.floats(1e-3, 1e3), min_size=n_q, max_size=n_q)))
+    values = st.sampled_from(_AWKWARD_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    welfare = draw(st.lists(values, min_size=len(subsets) * n_q, max_size=len(subsets) * n_q))
+    envelope = draw(st.lists(st.integers(0, len(subsets) - 1), min_size=n_q, max_size=n_q))
+    crossings = draw(
+        st.lists(
+            st.builds(Crossing, st.sampled_from(subsets), st.sampled_from(subsets), values),
+            max_size=7,
+        )
+    )
+    result = SweepResult(
+        grid=SweepGrid(q_values=q - q[0]),
+        subsets=subsets,
+        welfare=np.array(welfare).reshape(len(subsets), n_q),
+        envelope=np.array(envelope, dtype=np.int64),
+        crossings=tuple(crossings),
+    )
+    return ActionSet(labels=tuple(labels)), result
+
+
+def _csv_writer_text(header, rows):
+    sio = io.StringIO()
+    writer = csv.writer(sio)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return sio.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sweep_results(), st.integers(1, 3))
+def test_streamed_sweep_files_are_json_dumps_and_csv_writer_text(drawn, per_chunk):
+    actions, result = drawn
+
+    def label(subset):
+        return "+".join(actions.labels[i] for i in subset)
+
+    rows = [
+        {"subset_label": label(subset), "q": q, "welfare": w, "is_envelope": best == si}
+        for si, subset in enumerate(result.subsets)
+        for q, w, best in zip(
+            result.grid.q_values.tolist(), result.welfare[si].tolist(), result.envelope.tolist()
+        )
+    ]
+    crossings = [
+        {"subset_a": label(c.subset_a), "subset_b": label(c.subset_b), "q": c.q_star}
+        for c in result.crossings
+    ]
+    expected = {
+        "json": (
+            json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n",
+            json.dumps({"crossings": crossings}, indent=2, sort_keys=True) + "\n",
+        ),
+        "csv": (
+            _csv_writer_text(
+                ("subset_label", "q", "welfare", "is_envelope"),
+                [
+                    (r["subset_label"], format(r["q"], ".12g"), format(r["welfare"], ".12g"),
+                     "true" if r["is_envelope"] else "false")
+                    for r in rows
+                ],
+            ),
+            _csv_writer_text(
+                ("subset_a", "subset_b", "q"),
+                [(c["subset_a"], c["subset_b"], format(c["q"], ".12g")) for c in crossings],
+            ),
+        ),
+    }
+    for fmt, texts in expected.items():
+        with tempfile.TemporaryDirectory() as out_dir:
+            out = os.path.join(out_dir, f"rows.{fmt}")
+            args = argparse.Namespace(out=out, format=fmt)
+            # A few crossings per chunk, so that the crossings file is
+            # written in several chunks.
+            with mock.patch.object(cli, "_CROSSINGS_PER_CHUNK", per_chunk), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                assert cli._emit_sweep_files(result, actions, args) == 0
+            for path, text in zip((out, os.path.join(out_dir, f"rows.crossings.{fmt}")), texts):
+                with open(path, encoding="utf-8", newline="") as fh:
+                    assert fh.read() == text
 
 
 @pytest.mark.parametrize(
